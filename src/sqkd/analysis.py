@@ -24,6 +24,7 @@ analytic bound: the underlying theorem is exact (zero error ⇒ zero
 information).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from .engine import (
     SubnormalizedVector,
     SubsystemLayout,
     TRANSIT,
+    _branch_weight,
     alice_probe,
     apply_unitary,
     bob_memory,
@@ -50,8 +52,8 @@ from .engine import (
     tensor,
     trace_distance,
 )
-from .errors import AttackLayoutMismatch, ExactCapExceeded, UnknownLabel
-from .protocol import CTRL, EXACT_ROUND_CAP, JointEvolution, SIFT
+from .errors import AttackLayoutMismatch, ExactCapExceeded
+from .protocol import CTRL, EXACT_ROUND_CAP, JointEvolution, SIFT, apply_gate
 
 RESIDUAL_TOL = 1e-9
 
@@ -157,14 +159,6 @@ def _normalize_pattern(pattern: str) -> str:
     return pattern
 
 
-def _branch_weight(vec, label: str, index: int) -> float:
-    """Born weight of one basis slice; floating-point dust snaps to exact 0."""
-    pos = vec.layout.index(label)
-    t = np.moveaxis(vec.amps.reshape(vec.layout.dims), pos, 0)
-    w = float(np.linalg.norm(t[index]) ** 2)
-    return w if w > 1e-24 else 0.0
-
-
 def _drop_slice(vec, label: str, index: int) -> tuple[np.ndarray, SubsystemLayout]:
     """Slice one subsystem at a basis index and remove it from the layout."""
     pos = vec.layout.index(label)
@@ -172,15 +166,6 @@ def _drop_slice(vec, label: str, index: int) -> tuple[np.ndarray, SubsystemLayou
     dims = tuple(d for i, d in enumerate(vec.layout.dims) if i != pos)
     labels = tuple(l for i, l in enumerate(vec.layout.labels) if i != pos)
     return t.reshape(-1), SubsystemLayout(dims, labels)
-
-
-def _apply_gate(vec, gate):
-    if gate is None:
-        return vec
-    try:
-        return apply_unitary(vec, gate.unitary, gate.targets)
-    except UnknownLabel as exc:
-        raise AttackLayoutMismatch(str(exc)) from exc
 
 
 def _bell(label_a: str, label_b: str) -> StateVector:
@@ -226,7 +211,7 @@ def extract_branches(
     if TRANSIT in eve_state.layout.labels:
         raise AttackLayoutMismatch("eve_state must not contain the transit qubit")
     state = tensor(ket_plus(TRANSIT), eve_state)
-    state = _apply_gate(state, attack.forward_gate(round_index))
+    state = apply_gate(state, attack.forward_gate(round_index))
     branches = []
     for b in (0, 1):
         amps, layout = _drop_slice(state, TRANSIT, b)
@@ -246,7 +231,7 @@ def _constraint_at(attack: AttackSpec, round_index: int, post_forward: StateVect
     # SIFT hypothesis: Alice's XOR tags each branch with its bit, so the
     # backward unitary acts on the collapsed branches separately.
     v_branches = [
-        _apply_gate(project(post_forward, TRANSIT, b), bg) for b in (0, 1)
+        apply_gate(project(post_forward, TRANSIT, b), bg) for b in (0, 1)
     ]
     test_residual = _branch_weight(v_branches[0], TRANSIT, 1) + _branch_weight(
         v_branches[1], TRANSIT, 0
@@ -254,7 +239,7 @@ def _constraint_at(attack: AttackSpec, round_index: int, post_forward: StateVect
 
     # CTRL hypothesis: no XOR, the transit stays coherent; by linearity the
     # output is V applied to the branch sum, and the error is the |-> weight.
-    ctrl_out = _apply_gate(post_forward, bg)
+    ctrl_out = apply_gate(post_forward, bg)
     ctrl_rotated = apply_unitary(ctrl_out, hadamard(), (TRANSIT,))
     ctrl_error_prob = _branch_weight(ctrl_rotated, TRANSIT, 1)
 
@@ -294,16 +279,37 @@ def constraint_check(
     return _constraint_at(attack, round_index, evo.state)
 
 
-def _evolve_pattern(attack: AttackSpec, pattern: str, want_constraints: bool):
-    evo = JointEvolution(attack, len(pattern))
-    reports = []
-    for i, ch in enumerate(pattern):
+def _walk_patterns(attack: AttackSpec, patterns):
+    """Evolve every pattern over the prefix trie of the set, depth first.
+
+    Each distinct prefix is evolved once, the evolution being cloned where
+    the trie branches, and each internal node's round residuals are computed
+    once.  Yields (pattern, final state, reports along its path) for every
+    distinct pattern, CTRL branches before SIFT ones.  While a subtree is
+    walked, the post-forward state of each ancestor that still has a child
+    to visit stays live.
+    """
+    wanted = set(patterns)
+    inner = {p[:k] for p in wanted for k in range(len(p))}
+    nodes = wanted | inner
+
+    def visit(evo, prefix, reports):
+        if prefix in wanted:
+            yield prefix, evo.state, reports
+        if prefix not in inner:
+            return
+        i = len(prefix)
         evo.start_round(i)
-        if want_constraints:
-            reports.append(_constraint_at(attack, i, evo.state))
-        evo.alice(i, CTRL if ch == "C" else SIFT)
-        evo.finish_round(i)
-    return evo.state, reports
+        reports = reports + [_constraint_at(attack, i, evo.state)]
+        kids = [ch for ch in "CS" if prefix + ch in nodes]
+        for ch in kids:
+            # the last child takes over the parent's evolution instead of a copy
+            child = evo if ch == kids[-1] else evo.clone()
+            child.alice(i, CTRL if ch == "C" else SIFT)
+            child.finish_round(i)
+            yield from visit(child, prefix + ch, reports)
+
+    yield from visit(JointEvolution(attack, max(map(len, wanted), default=0)), "", [])
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +372,7 @@ def eve_leakage(
     bit assignments.
     """
     pattern = _normalize_pattern(pattern)
-    final, _ = _evolve_pattern(attack, pattern, want_constraints=False)
+    _, final, _ = next(_walk_patterns(attack, [pattern]))
     return _leakage_from_final(final, pattern, compute_holevo)
 
 
@@ -405,9 +411,8 @@ def theorem_check(
         patterns = default_patterns(max_pattern_len)
     max_residual = 0.0
     max_leakage = 0.0
-    for pattern in patterns:
-        pattern = _normalize_pattern(pattern)
-        final, reports = _evolve_pattern(attack, pattern, want_constraints=True)
+    normalized = [_normalize_pattern(p) for p in patterns]
+    for pattern, final, reports in _walk_patterns(attack, normalized):
         for rep in reports:
             max_residual = max(max_residual, rep.test_residual + rep.ctrl_error_prob)
         leak = _leakage_from_final(final, pattern, compute_holevo)
@@ -437,7 +442,7 @@ def product_structure_check(attack: AttackSpec, pattern: str) -> ProductStructur
     below 1 certifies the memory is not in a product of pure round states.
     """
     pattern = _normalize_pattern(pattern)
-    final, reports = _evolve_pattern(attack, pattern, want_constraints=True)
+    _, final, reports = next(_walk_patterns(attack, [pattern]))
     max_residual = max(r.test_residual + r.ctrl_error_prob for r in reports)
 
     if max_residual > RESIDUAL_TOL:
@@ -506,31 +511,24 @@ def exact_rate_expectations(
     """
     if n_rounds > EXACT_ROUND_CAP:
         raise ExactCapExceeded(f"enumeration capped at {EXACT_ROUND_CAP} rounds")
-    totals = {"ce": 0.0, "cc": 0.0, "te": 0.0, "tc": 0.0}
-
-    def recurse(evo, i, weight, ctrl_q, n_ctrl, test_q, n_sift):
-        if i == n_rounds:
-            totals["ce"] += weight * ctrl_q
-            totals["cc"] += weight * n_ctrl
-            totals["te"] += weight * test_q
-            totals["tc"] += weight * n_sift
-            return
-        evo.start_round(i)
-        rep = _constraint_at(attack, i, evo.state)
-        for choice, p in ((CTRL, ctrl_prob), (SIFT, 1.0 - ctrl_prob)):
-            if p == 0.0:
-                continue
-            child = evo.clone()
-            child.alice(i, choice)
-            child.finish_round(i)
-            if choice == CTRL:
-                recurse(child, i + 1, weight * p, ctrl_q + rep.ctrl_error_prob,
-                        n_ctrl + 1, test_q, n_sift)
+    probs = {"C": ctrl_prob, "S": 1.0 - ctrl_prob}
+    choices = [ch for ch in "CS" if probs[ch] != 0.0]
+    patterns = ["".join(p) for p in itertools.product(choices, repeat=n_rounds)]
+    ce = cc = te = tc = 0.0
+    for pattern, _, reports in _walk_patterns(attack, patterns):
+        weight = 1.0
+        ctrl_q = test_q = 0.0
+        for ch, rep in zip(pattern, reports):
+            weight *= probs[ch]
+            if ch == "C":
+                ctrl_q += rep.ctrl_error_prob
             else:
-                recurse(child, i + 1, weight * p, ctrl_q, n_ctrl,
-                        test_q + rep.test_residual, n_sift + 1)
-
-    recurse(JointEvolution(attack, n_rounds), 0, 1.0, 0.0, 0, 0.0, 0)
-    ctrl_rate = totals["ce"] / totals["cc"] if totals["cc"] else 0.0
-    test_rate = totals["te"] / totals["tc"] if totals["tc"] else 0.0
+                test_q += rep.test_residual
+        n_ctrl = pattern.count("C")
+        ce += weight * ctrl_q
+        cc += weight * n_ctrl
+        te += weight * test_q
+        tc += weight * (n_rounds - n_ctrl)
+    ctrl_rate = ce / cc if cc else 0.0
+    test_rate = te / tc if tc else 0.0
     return ExpectedRates(ctrl_error_rate=ctrl_rate, test_error_rate=test_rate)

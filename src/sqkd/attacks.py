@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import engine
-from .errors import DuplicateRound, InvalidState, ParamOutOfRange
+from .errors import DuplicateRound, InvalidState, ParamOutOfRange, UnknownAttack
 from .engine import (
     StateVector,
     TRANSIT,
@@ -158,6 +158,8 @@ def cnot_parity_attack(rounds: tuple[int, int] = (0, 1)) -> AttackSpec:
     a CNOT onto the shared probe; the returning leg is untouched.
     """
     r0, r1 = int(rounds[0]), int(rounds[1])
+    if min(r0, r1) < 0:
+        raise ParamOutOfRange(f"attacked rounds must be >= 0, got {rounds}")
     if r0 == r1:
         raise DuplicateRound(f"the two attacked rounds must differ, got {rounds}")
     gate = Gate(cnot(), (TRANSIT, eve_probe(0)))
@@ -230,6 +232,9 @@ def phase_probe_attack(theta: float) -> AttackSpec:
 
 ATTACK_NAMES = ("identity", "cnot_parity", "measure_resend_z", "swap", "phase_probe")
 
+#: the parameters each attack takes; attacks not listed take none
+_ATTACK_PARAMS = {"phase_probe": ("theta",)}
+
 
 def build_attack(
     name: str,
@@ -243,6 +248,11 @@ def build_attack(
     the attacked pair for cnot_parity.
     """
     params = dict(params or {})
+    if name not in ATTACK_NAMES:
+        raise UnknownAttack(f"no attack named {name!r}; known: {', '.join(ATTACK_NAMES)}")
+    unknown = sorted(set(params) - set(_ATTACK_PARAMS.get(name, ())))
+    if unknown:
+        raise ParamOutOfRange(f"attack {name!r} takes no parameter {', '.join(unknown)}")
     if name == "identity":
         return identity_attack()
     if name == "cnot_parity":
@@ -251,10 +261,6 @@ def build_attack(
         return measure_resend_z_attack(n_rounds)
     if name == "swap":
         return swap_attack(n_rounds)
-    if name == "phase_probe":
-        if "theta" not in params:
-            raise ParamOutOfRange("phase_probe requires a theta parameter")
-        return phase_probe_attack(params["theta"])
-    from .errors import UnknownAttack
-
-    raise UnknownAttack(f"no attack named {name!r}; known: {', '.join(ATTACK_NAMES)}")
+    if "theta" not in params:
+        raise ParamOutOfRange("phase_probe requires a theta parameter")
+    return phase_probe_attack(params["theta"])

@@ -7,13 +7,14 @@ Exit codes: 0 success, 1 usage/config error, 2 eavesdropper detected
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .analysis import constraint_check, eve_leakage, theorem_check
 from .attacks import ATTACK_NAMES, build_attack
-from .errors import EmptyGrid, SqkdError, UnknownAttack, UnknownFamily
+from .errors import EmptyGrid, ParamOutOfRange, SqkdError, UnknownAttack, UnknownFamily
 from .protocol import (
     ProtocolConfig,
     classical_phase,
@@ -74,9 +75,26 @@ def _load_run_config(path: str) -> tuple[ProtocolConfig, dict]:
     return config, attack_raw
 
 
+def _check_rounds_pair(pair, n_rounds: int):
+    """The attacked pair must be two ints naming rounds of the run."""
+    if (
+        not isinstance(pair, list)
+        or len(pair) != 2
+        or not all(isinstance(r, int) and not isinstance(r, bool) for r in pair)
+    ):
+        raise ParamOutOfRange(f"attack rounds must be a list of two ints, got {pair!r}")
+    if max(pair) >= n_rounds:
+        raise ParamOutOfRange(
+            f"attack rounds {pair} name a round beyond the run's {n_rounds} rounds"
+        )
+
+
 def cmd_run(config_path: str, out_path: str) -> int:
     config, attack_raw = _load_run_config(config_path)
-    rounds_pair = attack_raw.get("rounds")
+    # only cnot_parity reads the attacked rounds; the other attacks ignore them
+    rounds_pair = attack_raw.get("rounds") if attack_raw["name"] == "cnot_parity" else None
+    if rounds_pair is not None:
+        _check_rounds_pair(rounds_pair, config.rounds)
     attack = build_attack(
         attack_raw["name"],
         params=attack_raw.get("params"),
@@ -120,19 +138,14 @@ def _parse_grid(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"grid bounds and step must be finite, got {spec!r}")
     if step == 0:
         raise EmptyGrid("grid step must be nonzero")
-    values = []
-    v = start
-    slack = abs(step) * 1e-9
-    if step > 0:
-        while v <= stop + slack:
-            values.append(v)
-            v += step
-    else:
-        while v >= stop - slack:
-            values.append(v)
-            v += step
+    # points are start + k*step, so the error does not accumulate; the stop
+    # is included up to a relative slack of 1e-9 steps
+    n = math.floor((stop - start) / step + 1e-9) + 1
+    values = [start + k * step for k in range(n)]
     if not values:
         raise EmptyGrid(f"grid {spec!r} contains no points")
     return values

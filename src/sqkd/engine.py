@@ -7,8 +7,7 @@ over the subsystem list: the first label is the most significant index.
 
 All values are immutable after construction and every operation returns a new
 value, so states can be shared freely.  Tolerances: state norm 1e-10;
-unitarity/Hermiticity/trace 1e-9; state equality 1e-9 (max componentwise
-modulus).
+unitarity/Hermiticity/trace 1e-9.
 """
 
 import math
@@ -29,7 +28,6 @@ from .errors import (
 
 NORM_ATOL = 1e-10
 MATRIX_ATOL = 1e-9
-STATE_ATOL = 1e-9
 
 PLUS = "plus"
 MINUS = "minus"
@@ -259,10 +257,6 @@ def hadamard() -> Unitary:
     return Unitary(_H)
 
 
-def pauli_x() -> Unitary:
-    return Unitary(np.array([[0, 1], [1, 0]], dtype=complex))
-
-
 def identity_gate(dim: int = 2) -> Unitary:
     return Unitary(np.eye(dim, dtype=complex))
 
@@ -337,9 +331,11 @@ def apply_unitary(psi, u: Unitary, targets):
 
 
 def _branch_weight(psi: StateVector | SubnormalizedVector, label: str, index: int) -> float:
+    """Born weight of one basis slice; floating-point dust snaps to exact 0."""
     pos = psi.layout.index(label)
     t = np.moveaxis(psi.amps.reshape(psi.layout.dims), pos, 0)
-    return float(np.linalg.norm(t[index]) ** 2)
+    w = float(np.linalg.norm(t[index]) ** 2)
+    return w if w > 1e-24 else 0.0
 
 
 def project(psi, target: str, basis_state: int) -> SubnormalizedVector:
@@ -544,10 +540,3 @@ def phase_deviation(a: StateVector, b: StateVector) -> float:
     ov = np.vdot(a.amps, b.amps)
     phase = ov / abs(ov) if abs(ov) > 1e-15 else 1.0
     return float(np.abs(b.amps - phase * a.amps).max())
-
-
-def states_close(a: StateVector, b: StateVector, atol: float = STATE_ATOL) -> bool:
-    """Componentwise equality up to a global phase."""
-    if a.layout != b.layout:
-        return False
-    return phase_deviation(a, b) <= atol

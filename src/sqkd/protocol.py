@@ -164,6 +164,19 @@ def _empty_state() -> StateVector:
     return StateVector(SubsystemLayout((), ()), np.ones(1, dtype=complex))
 
 
+def apply_gate(state, gate: Gate | None):
+    """Apply an attack gate; None is the identity.
+
+    A gate naming a subsystem the state lacks raises AttackLayoutMismatch.
+    """
+    if gate is None:
+        return state
+    try:
+        return apply_unitary(state, gate.unitary, gate.targets)
+    except UnknownLabel as exc:
+        raise AttackLayoutMismatch(str(exc)) from exc
+
+
 class JointEvolution:
     """Threads the exact joint state through protocol rounds.
 
@@ -197,20 +210,12 @@ class JointEvolution:
             self.state = tensor(self.state, factor)
             self._materialized.update(factor.layout.labels)
 
-    def _apply(self, gate: Gate | None):
-        if gate is None:
-            return
-        try:
-            self.state = apply_unitary(self.state, gate.unitary, gate.targets)
-        except UnknownLabel as exc:
-            raise AttackLayoutMismatch(str(exc)) from exc
-
     def start_round(self, i: int):
         """Emit |+> into the transit slot and run the forward attack."""
         self.state = tensor(self.state, ket_plus(TRANSIT))
         self._materialize(self.attack.forward_gate(i))
         self._materialize(self.attack.backward_gate(i))
-        self._apply(self.attack.forward_gate(i))
+        self.state = apply_gate(self.state, self.attack.forward_gate(i))
 
     def alice(self, i: int, choice: str):
         """Allocate Alice's round probe; XOR the transit onto it when sifting."""
@@ -220,7 +225,7 @@ class JointEvolution:
 
     def finish_round(self, i: int):
         """Run the backward attack and move the transit into Bob's memory."""
-        self._apply(self.attack.backward_gate(i))
+        self.state = apply_gate(self.state, self.attack.backward_gate(i))
         self.state = relabel(self.state, TRANSIT, bob_memory(i))
 
     def run_round(self, i: int, choice: str):
@@ -241,66 +246,40 @@ def _run_exact(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript:
 
 def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript:
     records = []
-    work = _empty_state()
-    materialized: set[str] = set()
+    evo = JointEvolution(attack, config.rounds)
     last_use = attack.last_use_map(config.rounds)
 
-    def materialize(gate):
-        nonlocal work
-        if gate is None:
-            return
-        for label in gate.targets:
-            if label == TRANSIT or label in materialized:
-                continue
-            factor = attack.probe_factor(label)
-            work = tensor(work, factor)
-            materialized.update(factor.layout.labels)
-
-    def apply_gate(gate):
-        nonlocal work
-        if gate is None:
-            return
-        try:
-            work = apply_unitary(work, gate.unitary, gate.targets)
-        except UnknownLabel as exc:
-            raise AttackLayoutMismatch(str(exc)) from exc
-
     for i in range(config.rounds):
-        work = tensor(work, ket_plus(TRANSIT))
-        fg, bg = attack.forward_gate(i), attack.backward_gate(i)
-        materialize(fg)
-        materialize(bg)
-        apply_gate(fg)
-
+        evo.start_round(i)
         choice = CTRL if rng.random() < config.ctrl_prob else SIFT
         rec = RoundRecord(index=i, choice=choice)
         if choice == SIFT:
             # measure-and-resend: the collapsed basis state is the resend
-            bit, work, _ = measure(work, TRANSIT, "z", rng)
+            bit, evo.state, _ = measure(evo.state, TRANSIT, "z", rng)
             rec.alice_bit = int(bit)
 
-        apply_gate(bg)
+        evo.state = apply_gate(evo.state, attack.backward_gate(i))
 
         if choice == CTRL:
-            outcome, work, _ = measure(work, TRANSIT, "x", rng)
+            outcome, evo.state, _ = measure(evo.state, TRANSIT, "x", rng)
             rec.bob_x_outcome = outcome
         else:
-            outcome, work, _ = measure(work, TRANSIT, "z", rng)
+            outcome, evo.state, _ = measure(evo.state, TRANSIT, "z", rng)
             rec.bob_z_outcome = int(outcome)
         records.append(rec)
 
         # discard the measured transit and any probe qubits past their last use
         drop = [TRANSIT] + [
             l
-            for l in work.layout.labels
+            for l in evo.state.layout.labels
             if l != TRANSIT and last_use.get(l, -1) <= i
         ]
         for label in drop:
-            if len(work.layout.labels) == 1:
-                work = _empty_state()
+            if len(evo.state.layout.labels) == 1:
+                evo.state = _empty_state()
                 break
             try:
-                work = factor_out(work, label)[1]
+                evo.state = factor_out(evo.state, label)[1]
             except FactorizationError:
                 pass  # still entangled with a live probe; keep it
 

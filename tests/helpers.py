@@ -1,7 +1,16 @@
 """Shared test constructions: custom attacks and brute-force oracles."""
 
+import itertools
+
 import numpy as np
 
+from sqkd.analysis import (
+    ExpectedRates,
+    TheoremReport,
+    _constraint_at,
+    _leakage_from_final,
+    _normalize_pattern,
+)
 from sqkd.attacks import AttackSpec, Gate
 from sqkd.engine import (
     SubsystemLayout,
@@ -11,6 +20,7 @@ from sqkd.engine import (
     random_unitary,
     single,
 )
+from sqkd.protocol import CTRL, SIFT, JointEvolution
 
 
 def transit_phase_attack(phi):
@@ -67,3 +77,77 @@ def oracle_partial_trace(amps, dims, keep_positions):
                 acc += t[tuple(fi)] * np.conj(t[tuple(fj)])
             rho[a, b] = acc
     return rho
+
+
+# ---------------------------------------------------------------------------
+# Per-pattern reference evolution: every pattern from round 0, no sharing
+# ---------------------------------------------------------------------------
+
+
+def reference_evolution(attack, pattern):
+    """(final state, per-round residual reports) of one pattern, evolved alone.
+
+    Each round's residuals come from a copy that runs just the forward leg;
+    the evolution itself advances with JointEvolution.run_round.
+    """
+    evo = JointEvolution(attack, len(pattern))
+    reports = []
+    for i, ch in enumerate(pattern):
+        probe = evo.clone()
+        probe.start_round(i)
+        reports.append(_constraint_at(attack, i, probe.state))
+        evo.run_round(i, CTRL if ch == "C" else SIFT)
+    return evo.state, reports
+
+
+def reference_theorem_check(attack, patterns, eps=1e-9, compute_holevo=False):
+    max_residual = 0.0
+    max_leakage = 0.0
+    for pattern in patterns:
+        pattern = _normalize_pattern(pattern)
+        final, reports = reference_evolution(attack, pattern)
+        for rep in reports:
+            max_residual = max(max_residual, rep.test_residual + rep.ctrl_error_prob)
+        leak = _leakage_from_final(final, pattern, compute_holevo)
+        max_leakage = max(max_leakage, leak.max_leakage)
+    return TheoremReport(
+        max_residual=max_residual,
+        max_leakage=max_leakage,
+        eps=eps,
+        passed=(max_residual > eps) or (max_leakage <= 10 * eps),
+        n_patterns=len(patterns),
+    )
+
+
+def reference_eve_leakage(attack, pattern, compute_holevo=True):
+    pattern = _normalize_pattern(pattern)
+    final, _ = reference_evolution(attack, pattern)
+    return _leakage_from_final(final, pattern, compute_holevo)
+
+
+def reference_rate_expectations(attack, n_rounds, ctrl_prob):
+    """Expected error rates summed over the choice tree, one pattern at a time."""
+    probs = {"C": ctrl_prob, "S": 1.0 - ctrl_prob}
+    ce = cc = te = tc = 0.0
+    for choices in itertools.product("CS", repeat=n_rounds):
+        if any(probs[ch] == 0.0 for ch in choices):
+            continue
+        _, reports = reference_evolution(attack, choices)
+        weight = 1.0
+        ctrl_q = test_q = 0.0
+        n_ctrl = 0
+        for ch, rep in zip(choices, reports):
+            weight *= probs[ch]
+            if ch == "C":
+                ctrl_q += rep.ctrl_error_prob
+                n_ctrl += 1
+            else:
+                test_q += rep.test_residual
+        ce += weight * ctrl_q
+        cc += weight * n_ctrl
+        te += weight * test_q
+        tc += weight * (n_rounds - n_ctrl)
+    return ExpectedRates(
+        ctrl_error_rate=ce / cc if cc else 0.0,
+        test_error_rate=te / tc if tc else 0.0,
+    )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqkd.analysis import (
     constraint_check,
@@ -35,7 +37,13 @@ from sqkd.engine import (
 from sqkd.errors import AttackLayoutMismatch, ExactCapExceeded
 from sqkd.protocol import CTRL, JointEvolution, SIFT
 
-from helpers import probe_decoupled_attack, transit_phase_attack
+from helpers import (
+    probe_decoupled_attack,
+    reference_eve_leakage,
+    reference_rate_expectations,
+    reference_theorem_check,
+    transit_phase_attack,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -482,3 +490,65 @@ def test_exact_rate_expectations_builtins():
     theta = 0.6
     rates = exact_rate_expectations(phase_probe_attack(theta), 3, 0.5)
     assert abs(rates.ctrl_error_rate - (1 - math.cos(theta)) / 2) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Shared-prefix walker against the per-pattern reference evolution
+# ---------------------------------------------------------------------------
+
+WALKER_ATTACKS = {
+    "identity": identity_attack(),
+    "phase_probe": phase_probe_attack(0.7),
+    "swap": swap_attack(4),
+    "decoupled": probe_decoupled_attack(3, dim=3),
+}
+MIXED_PATTERNS = ["SCS", "c", "SCS", "ssCC", "C", "S", "CSSS", "SC"]
+
+
+@pytest.mark.parametrize("name", sorted(WALKER_ATTACKS))
+def test_walker_matches_reference_theorem_check(name):
+    att = WALKER_ATTACKS[name]
+    for patterns in (default_patterns(3), MIXED_PATTERNS):
+        got = theorem_check(att, patterns=patterns, compute_holevo=True)
+        assert got == reference_theorem_check(att, patterns, compute_holevo=True)
+        assert got.n_patterns == len(patterns)
+
+
+@pytest.mark.parametrize("name", sorted(WALKER_ATTACKS))
+def test_walker_matches_reference_leakage(name):
+    att = WALKER_ATTACKS[name]
+    for pattern in ("S", "cs", "SCS", "SSCS"):
+        assert eve_leakage(att, pattern) == reference_eve_leakage(att, pattern)
+
+
+@pytest.mark.parametrize("name", sorted(WALKER_ATTACKS))
+@pytest.mark.parametrize("ctrl_prob", [0.0, 0.3, 1.0])
+def test_walker_matches_reference_rates(name, ctrl_prob):
+    att = WALKER_ATTACKS[name]
+    for n in (1, 3):
+        got = exact_rate_expectations(att, n, ctrl_prob)
+        assert got == reference_rate_expectations(att, n, ctrl_prob)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    theta=st.floats(0.0, math.pi),
+    patterns=st.lists(st.text("CS", min_size=1, max_size=4), min_size=1, max_size=10),
+)
+def test_walker_matches_reference_on_random_pattern_sets(theta, patterns):
+    att = phase_probe_attack(theta)
+    got = theorem_check(att, patterns=patterns, compute_holevo=True)
+    assert got == reference_theorem_check(att, patterns, compute_holevo=True)
+
+
+def test_walker_evolves_each_prefix_once(monkeypatch):
+    calls = []
+    finish_round = JointEvolution.finish_round
+
+    def counted(self, i):
+        calls.append(i)
+        return finish_round(self, i)
+
+    monkeypatch.setattr(JointEvolution, "finish_round", counted)
+    theorem_check(phase_probe_attack(0.3), max_pattern_len=6)
+    assert len(calls) == 126

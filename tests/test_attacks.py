@@ -115,6 +115,23 @@ def test_build_attack_registry():
         build_attack("phase_probe")
 
 
+def test_build_attack_rejects_params_the_attack_does_not_take():
+    with pytest.raises(ParamOutOfRange, match="bogus"):
+        build_attack("phase_probe", params={"theta": 0.5, "bogus": 3})
+    for name in ("identity", "cnot_parity", "measure_resend_z", "swap"):
+        with pytest.raises(ParamOutOfRange):
+            build_attack(name, params={"theta": 0.5})
+    with pytest.raises(UnknownAttack):
+        build_attack("telepathy", params={"bogus": 1})
+
+
+def test_cnot_parity_rejects_negative_rounds():
+    with pytest.raises(ParamOutOfRange):
+        build_attack("cnot_parity", rounds=(-1, 50))
+    with pytest.raises(ParamOutOfRange):
+        cnot_parity_attack((2, -3))
+
+
 def test_last_use_map():
     att = cnot_parity_attack((1, 3))
     assert att.last_use_map(6) == {"E0": 3}

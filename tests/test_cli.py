@@ -84,6 +84,29 @@ def test_run_passes_attack_params_and_rounds(tmp_path):
     assert len(records) == 50
 
 
+def test_run_rejects_params_the_attack_does_not_take(tmp_path, capsys):
+    for attack in (
+        {"name": "phase_probe", "params": {"theta": 0.5, "bogus": 3}},
+        {"name": "identity", "params": {"theta": 0.5}},
+    ):
+        cfg = write_config(tmp_path, attack=attack)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 1
+        assert "takes no parameter" in capsys.readouterr().err
+
+
+def test_run_rejects_bad_cnot_parity_rounds(tmp_path):
+    out = str(tmp_path / "o.json")
+    for rounds in ([0, 400], [399, 400], [-1, 3], [0], [0, 1, 2], [0.5, 1], ["0", "1"],
+                   [True, 2], 3):
+        cfg = write_config(tmp_path, attack={"name": "cnot_parity", "rounds": rounds})
+        assert cli.main(["run", "--config", str(cfg), "--out", out]) == 1, rounds
+    cfg = write_config(tmp_path, attack={"name": "cnot_parity", "rounds": [398, 399]})
+    assert cli.main(["run", "--config", str(cfg), "--out", out]) in (0, 2)
+    # the other attacks ignore the attacked rounds, whatever their form
+    cfg = write_config(tmp_path, attack={"name": "identity", "rounds": 3})
+    assert cli.main(["run", "--config", str(cfg), "--out", out]) == 0
+
+
 def test_run_transcript_round_trip(tmp_path):
     cfg = write_config(tmp_path, attack={"name": "swap"})
     out = tmp_path / "stats.json"
@@ -185,6 +208,13 @@ def test_check_exit_three_on_theorem_failure(monkeypatch, capsys):
     assert verdict["passed"] is False
 
 
+def test_check_rejects_params_the_attack_does_not_take(capsys):
+    argv = ["check", "--attack", "phase_probe", "--param", "theta=0.5", "--param", "bogus=3"]
+    assert cli.main(argv + ["--max-pattern-len", "1"]) == 1
+    assert "bogus" in capsys.readouterr().err
+    assert cli.main(["check", "--attack", "swap", "--param", "theta=0.5"]) == 1
+
+
 def test_check_bad_param_syntax(capsys):
     assert cli.main(["check", "--attack", "phase_probe", "--param", "theta"]) == 1
 
@@ -241,6 +271,18 @@ def test_scan_descending_grid_preserved(tmp_path):
     assert thetas == [1.0, 0.5, 0.0]
 
 
+def test_scan_grid_points_do_not_drift(tmp_path):
+    out = tmp_path / "tenths.csv"
+    assert cli.main(
+        ["scan", "--attack", "phase_probe", "--param", "theta", "--grid", "0:1:0.1",
+         "--out", str(out)]
+    ) == 0
+    with open(out) as fh:
+        thetas = [float(r[0]) for r in list(csv.reader(fh))[1:]]
+    assert len(thetas) == 11
+    assert thetas[-1] == 1.0
+
+
 def test_scan_unknown_family(tmp_path, capsys):
     code = cli.main(
         ["scan", "--attack", "identity", "--param", "theta", "--grid", "0:1:0.5",
@@ -256,6 +298,15 @@ def test_scan_empty_grid(tmp_path):
          "--out", str(tmp_path / "x.csv")]
     )
     assert code == 1
+
+
+def test_scan_non_finite_grid(tmp_path):
+    for grid in ("0:inf:1", "nan:1:0.5", "0:1:inf"):
+        code = cli.main(
+            ["scan", "--attack", "phase_probe", "--param", "theta", "--grid", grid,
+             "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 1, grid
 
 
 # ---------------------------------------------------------------------------
