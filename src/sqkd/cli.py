@@ -40,6 +40,15 @@ _SCAN_FAMILIES = {"phase_probe": "theta"}
 SEED_ENV = "SQKD_SEED"
 
 
+def _whole_number(key: str, value) -> int:
+    """A config value that must be an integer; bools and fractions are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _load_run_config(path: str) -> tuple[ProtocolConfig, dict]:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -60,15 +69,15 @@ def _load_run_config(path: str) -> tuple[ProtocolConfig, dict]:
         raise UnknownAttack(
             f"unknown attack {attack_raw['name']!r}; known: {', '.join(ATTACK_NAMES)}"
         )
-    seed = raw.get("seed", 0)
+    seed = _whole_number("seed", raw.get("seed", 0))
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
         seed = int(env_seed)
     config = ProtocolConfig(
-        rounds=int(raw["rounds"]),
+        rounds=_whole_number("rounds", raw["rounds"]),
         ctrl_prob=float(raw.get("ctrl_prob", 0.5)),
         test_fraction=float(raw.get("test_fraction", 0.5)),
-        seed=int(seed),
+        seed=seed,
         mode=str(raw.get("mode", "sampling")),
         abort_threshold=float(raw.get("abort_threshold", 0.0)),
     )

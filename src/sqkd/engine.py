@@ -338,6 +338,22 @@ def _branch_weight(psi: StateVector | SubnormalizedVector, label: str, index: in
     return w if w > 1e-24 else 0.0
 
 
+def draw_outcome(w0: float, rng: np.random.Generator) -> tuple[int, float]:
+    """Draw a two-outcome measurement whose outcome 0 has Born weight w0.
+
+    Returns (outcome, prob) from one rng.random() draw.  Dust below 1e-24
+    counts as 0, w0 is clamped to [0, 1], and weights within 1e-12 of 0 or 1
+    are snapped so that deterministic outcomes are exact.
+    """
+    w0 = min(max(w0, 0.0), 1.0) if w0 > 1e-24 else 0.0
+    if w0 > 1 - 1e-12:
+        w0 = 1.0
+    elif w0 < 1e-12:
+        w0 = 0.0
+    idx = 0 if rng.random() < w0 else 1
+    return idx, (w0 if idx == 0 else 1.0 - w0)
+
+
 def project(psi, target: str, basis_state: int) -> SubnormalizedVector:
     """Unnormalized branch with the target collapsed in place.
 
@@ -362,9 +378,8 @@ def measure(psi: StateVector, target: str, basis: str, rng: np.random.Generator)
 
     Returns (outcome, collapsed, prob) where outcome is 0/1 for Z and
     "plus"/"minus" for X, collapsed is the renormalized post-measurement
-    state, and prob is the Born probability of the reported outcome.
-    Weights within 1e-12 of 0 or 1 are snapped so that deterministic
-    outcomes are exact.
+    state, and prob is the Born probability of the reported outcome, drawn
+    by draw_outcome.
     """
     basis = basis.lower()
     if basis not in ("z", "x"):
@@ -372,14 +387,7 @@ def measure(psi: StateVector, target: str, basis: str, rng: np.random.Generator)
     if psi.layout.dim_of(target) != 2:
         raise NonQubitTarget(f"target {target!r} has dimension != 2")
     work = apply_unitary(psi, hadamard(), [target]) if basis == "x" else psi
-    w0 = _branch_weight(work, target, 0)
-    w0 = min(max(w0, 0.0), 1.0)
-    if w0 > 1 - 1e-12:
-        w0 = 1.0
-    elif w0 < 1e-12:
-        w0 = 0.0
-    idx = 0 if rng.random() < w0 else 1
-    prob = w0 if idx == 0 else 1.0 - w0
+    idx, prob = draw_outcome(_branch_weight(work, target, 0), rng)
     collapsed = project(work, target, idx).normalized()
     if basis == "x":
         collapsed = apply_unitary(collapsed, hadamard(), [target])

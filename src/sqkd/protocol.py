@@ -24,21 +24,27 @@ aborts the run.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .attacks import AttackSpec, Gate
 from .engine import (
     MINUS,
+    NORM_ATOL,
+    PLUS,
     StateVector,
     SubsystemLayout,
     TRANSIT,
     alice_probe,
     apply_unitary,
+    basis_state,
     bob_memory,
     cnot,
+    draw_outcome,
     factor_out,
+    hadamard,
     ket_plus,
     ket_zero,
     measure,
@@ -50,6 +56,7 @@ from .errors import (
     ExactCapExceeded,
     FactorizationError,
     IncompleteTranscript,
+    InvalidState,
     UnknownLabel,
 )
 
@@ -67,13 +74,15 @@ MODE_SAMPLING = "sampling"
 _STREAM_ROUNDS = 0
 _STREAM_CLASSICAL = 1
 _STREAM_TRIAL = 2
+_STREAM_DEAD_PROBES = 3
 
 
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic substream of a master seed.
 
     Streams are derived as SeedSequence([seed, *stream]); the protocol uses
-    stream 0 for round randomness and stream 1 for the classical phase.
+    stream 0 for round randomness, stream 1 for the classical phase and
+    stream 3 for measuring out dead probes in sampling mode.
     """
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, stream)]))
 
@@ -100,6 +109,8 @@ class ProtocolConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        if not math.isfinite(self.abort_threshold):
+            raise ValueError(f"abort_threshold must be finite, got {self.abort_threshold}")
         if self.abort_threshold < 0:
             raise ValueError(f"abort_threshold must be >= 0, got {self.abort_threshold}")
         if self.mode not in (MODE_EXACT, MODE_SAMPLING):
@@ -244,44 +255,131 @@ def _run_exact(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript:
     return Transcript(config=config, records=records, final_state=evo.state)
 
 
+class _Instrument(NamedTuple):
+    """One round's Kraus operators on the live probe space, indexed by outcome.
+
+    alice[a] = <a|_T F |+>_T, bob_z[a][z] = <z|_T B |a>_T and
+    bob_x[x] = <x|_T H B F |+>_T, for forward gate F and backward gate B.
+    gates holds the two gates, so the unitaries whose ids key the cache stay
+    alive while it does.
+    """
+
+    alice: np.ndarray
+    bob_z: np.ndarray
+    bob_x: np.ndarray
+    gates: tuple
+
+
+def _gate_key(gate: Gate | None, positions: dict[str, int]):
+    if gate is None:
+        return None
+    return id(gate.unitary), tuple(positions.get(t, -1) for t in gate.targets)
+
+
+def _gate_matrix(gate: Gate | None, layout: SubsystemLayout) -> np.ndarray:
+    """Matrix of a gate on layout, one basis column at a time through apply_gate."""
+    cols = [apply_gate(basis_state(layout, k), gate).amps for k in range(layout.dim)]
+    return np.stack(cols, axis=1)
+
+
+def _compile_round(fwd, bwd, labels, dims) -> _Instrument:
+    layout = SubsystemLayout((2, *dims), (TRANSIT, *labels))
+    d = layout.dim // 2
+    f = _gate_matrix(fwd, layout).reshape(2, d, 2, d)
+    b = _gate_matrix(bwd, layout).reshape(2, d, 2, d)
+    alice = (f[:, :, 0, :] + f[:, :, 1, :]) / math.sqrt(2)
+    bob_z = np.ascontiguousarray(b.transpose(2, 0, 1, 3))
+    returned = np.einsum("zpaq,aqr->zpr", b, alice)
+    bob_x = np.einsum("xz,zpr->xpr", hadamard().entries, returned)
+    return _Instrument(alice, bob_z, bob_x, (fwd, bwd))
+
+
+def _collapse(kraus: np.ndarray, psi: np.ndarray, rng) -> tuple[int, np.ndarray]:
+    """Draw a two-outcome instrument on psi; returns (outcome, renormalised state)."""
+    branch = kraus[0] @ psi
+    idx, _ = draw_outcome(float(np.vdot(branch, branch).real), rng)
+    if idx:
+        branch = kraus[1] @ psi
+    weight = float(np.vdot(branch, branch).real)
+    if weight <= 0:
+        raise InvalidState("cannot normalize a zero-weight branch")
+    return idx, branch / math.sqrt(weight)
+
+
+def _measure_out(psi, dims, pos, rng) -> np.ndarray:
+    """Measure subsystem pos in its computational basis; returns the rest, renormalised."""
+    t = np.moveaxis(psi.reshape(dims), pos, 0).reshape(dims[pos], -1)
+    weights = np.cumsum((np.abs(t) ** 2).sum(axis=1))
+    k = int(np.searchsorted(weights, rng.random() * weights[-1], side="right"))
+    rest = t[min(k, dims[pos] - 1)]
+    return rest / np.linalg.norm(rest)
+
+
 def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript:
+    """Sample each round from a compiled instrument on Eve's live probe.
+
+    Only the live probe persists between rounds, as a raw vector over labels
+    and dims.  Each distinct round shape (the two gates' unitaries and target
+    positions, and the live dims) is compiled once into an _Instrument.
+    Probes past their last use are dropped after the round: all at once when
+    no live label remains, by factor_out when they are in a product state,
+    and otherwise by measuring them in Z on their own substream, which no
+    later round can notice since nothing acts on them again.
+    """
     records = []
-    evo = JointEvolution(attack, config.rounds)
     last_use = attack.last_use_map(config.rounds)
+    labels: list[str] = []
+    dims: list[int] = []
+    psi = np.ones(1, dtype=complex)
+    materialized: set[str] = set()
+    compiled: dict = {}
+    dead_rng = None
 
     for i in range(config.rounds):
-        evo.start_round(i)
+        fwd, bwd = attack.forward_gate(i), attack.backward_gate(i)
+        for label in [t for g in (fwd, bwd) if g is not None for t in g.targets]:
+            if label == TRANSIT or label in materialized:
+                continue
+            factor = attack.probe_factor(label)
+            psi = np.outer(psi, factor.amps).reshape(-1)  # psi ⊗ factor
+            labels += factor.layout.labels
+            dims += factor.layout.dims
+            materialized.update(factor.layout.labels)
+        positions = {label: k + 1 for k, label in enumerate(labels)}
+        positions[TRANSIT] = 0
+        key = (_gate_key(fwd, positions), _gate_key(bwd, positions), tuple(dims))
+        inst = compiled.get(key)
+        if inst is None:
+            inst = compiled[key] = _compile_round(fwd, bwd, labels, dims)
+
         choice = CTRL if rng.random() < config.ctrl_prob else SIFT
         rec = RoundRecord(index=i, choice=choice)
         if choice == SIFT:
-            # measure-and-resend: the collapsed basis state is the resend
-            bit, evo.state, _ = measure(evo.state, TRANSIT, "z", rng)
-            rec.alice_bit = int(bit)
-
-        evo.state = apply_gate(evo.state, attack.backward_gate(i))
-
-        if choice == CTRL:
-            outcome, evo.state, _ = measure(evo.state, TRANSIT, "x", rng)
-            rec.bob_x_outcome = outcome
+            # measure-and-resend: Alice's Z outcome picks the resent basis state
+            rec.alice_bit, psi = _collapse(inst.alice, psi, rng)
+            rec.bob_z_outcome, psi = _collapse(inst.bob_z[rec.alice_bit], psi, rng)
         else:
-            outcome, evo.state, _ = measure(evo.state, TRANSIT, "z", rng)
-            rec.bob_z_outcome = int(outcome)
+            x, psi = _collapse(inst.bob_x, psi, rng)
+            rec.bob_x_outcome = PLUS if x == 0 else MINUS
         records.append(rec)
 
-        # discard the measured transit and any probe qubits past their last use
-        drop = [TRANSIT] + [
-            l
-            for l in evo.state.layout.labels
-            if l != TRANSIT and last_use.get(l, -1) <= i
-        ]
-        for label in drop:
-            if len(evo.state.layout.labels) == 1:
-                evo.state = _empty_state()
-                break
+        dead = [l for l in labels if last_use.get(l, -1) <= i]
+        if len(dead) == len(labels):
+            labels, dims, psi = [], [], np.ones(1, dtype=complex)
+            dead = []
+        for label in dead:
+            pos = labels.index(label)
+            state = StateVector(SubsystemLayout(tuple(dims), tuple(labels)), psi)
             try:
-                evo.state = factor_out(evo.state, label)[1]
-            except FactorizationError:
-                pass  # still entangled with a live probe; keep it
+                psi = factor_out(state, label)[1].amps
+            except FactorizationError:  # entangled with a live probe
+                if dead_rng is None:
+                    dead_rng = stream_rng(config.seed, _STREAM_DEAD_PROBES)
+                psi = _measure_out(psi, dims, pos, dead_rng)
+            del labels[pos], dims[pos]
+        norm = math.sqrt(float(np.vdot(psi, psi).real))
+        if not abs(norm - 1.0) <= NORM_ATOL:
+            raise InvalidState(f"live probe norm {norm!r} deviates from 1 in round {i}")
 
     return Transcript(config=config, records=records, final_state=None)
 
@@ -395,6 +493,10 @@ def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStat
 # ---------------------------------------------------------------------------
 
 
+_CONFIG_FIELDS = {f.name for f in fields(ProtocolConfig)}
+_RECORD_FIELDS = {f.name for f in fields(RoundRecord)}
+
+
 def config_to_dict(config: ProtocolConfig) -> dict:
     return {
         "rounds": config.rounds,
@@ -418,18 +520,6 @@ def record_to_dict(rec: RoundRecord) -> dict:
     }
 
 
-def record_from_dict(d: dict) -> RoundRecord:
-    return RoundRecord(
-        index=d["index"],
-        choice=d["choice"],
-        alice_bit=d["alice_bit"],
-        role=d["role"],
-        bob_x_outcome=d["bob_x_outcome"],
-        bob_z_outcome=d["bob_z_outcome"],
-        error=d["error"],
-    )
-
-
 def write_transcript(path, transcript: Transcript, header_extra: dict | None = None):
     """One JSON record per line, preceded by a header line with the config."""
     header = config_to_dict(transcript.config)
@@ -442,10 +532,28 @@ def write_transcript(path, transcript: Transcript, header_extra: dict | None = N
 
 
 def read_transcript(path) -> tuple[dict, list[RoundRecord]]:
+    """Header and records of a transcript written by write_transcript.
+
+    Raises IncompleteTranscript for an empty file, a header that lacks a
+    config key, or a record whose fields differ from RoundRecord's.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line]
+    if not lines:
+        raise IncompleteTranscript(f"transcript {path} is empty")
     header = json.loads(lines[0])
-    records = [record_from_dict(json.loads(line)) for line in lines[1:]]
+    if not isinstance(header, dict) or not _CONFIG_FIELDS <= set(header):
+        raise IncompleteTranscript(
+            f"transcript header must hold the config keys {sorted(_CONFIG_FIELDS)}"
+        )
+    records = []
+    for n, line in enumerate(lines[1:], start=2):
+        d = json.loads(line)
+        if not isinstance(d, dict) or set(d) != _RECORD_FIELDS:
+            raise IncompleteTranscript(
+                f"line {n} is not a record with exactly the fields {sorted(_RECORD_FIELDS)}"
+            )
+        records.append(RoundRecord(**d))
     return header, records
 
 

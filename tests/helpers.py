@@ -13,14 +13,28 @@ from sqkd.analysis import (
 )
 from sqkd.attacks import AttackSpec, Gate
 from sqkd.engine import (
+    TRANSIT,
+    StateVector,
     SubsystemLayout,
     Unitary,
+    cnot,
+    factor_out,
+    ket_zero,
+    measure,
     phase_gate,
     random_state,
     random_unitary,
     single,
 )
-from sqkd.protocol import CTRL, SIFT, JointEvolution
+from sqkd.errors import FactorizationError
+from sqkd.protocol import (
+    CTRL,
+    SIFT,
+    JointEvolution,
+    RoundRecord,
+    apply_gate,
+    stream_rng,
+)
 
 
 def transit_phase_attack(phi):
@@ -48,6 +62,26 @@ def probe_decoupled_attack(seed, dim=2):
         default_forward=Gate(uf, ("T", "E0")),
         default_backward=Gate(ub, ("T", "E0")),
         params={"seed": float(seed)},
+    )
+
+
+def dead_probe_entangler_attack(n_rounds):
+    """Copy each transit into a fresh probe E_{i+1} on the way out, then, on the
+    way back, XOR that probe into the shared E0.
+
+    After round i the probe E_{i+1} is never touched again, yet it stays
+    entangled with E0, so it cannot be factored out of the live state.
+    """
+    copy = cnot()
+    relay = Unitary(np.kron(np.eye(2), cnot().entries))
+    forward = {i: Gate(copy, ("T", f"E{i + 1}")) for i in range(n_rounds)}
+    backward = {i: Gate(relay, ("T", f"E{i + 1}", "E0")) for i in range(n_rounds)}
+    return AttackSpec(
+        name="dead_probe_entangler",
+        probe_dims=(2,) * (n_rounds + 1),
+        probe_factors=tuple(ket_zero(f"E{i}") for i in range(n_rounds + 1)),
+        forward=forward,
+        backward=backward,
     )
 
 
@@ -151,3 +185,55 @@ def reference_rate_expectations(attack, n_rounds, ctrl_prob):
         ctrl_error_rate=ce / cc if cc else 0.0,
         test_error_rate=te / tc if tc else 0.0,
     )
+
+
+# ---------------------------------------------------------------------------
+# Dense sampling reference: every round on the labelled joint state
+# ---------------------------------------------------------------------------
+
+
+def reference_sampling(config, attack):
+    """Records of a sampled run driven through JointEvolution and engine.measure.
+
+    Dead probes are dropped with factor_out; one that stays entangled with a
+    live probe is kept, so the state grows for attacks that leave such probes.
+    """
+    rng = stream_rng(config.seed, 0)
+    empty = StateVector(SubsystemLayout((), ()), np.ones(1, dtype=complex))
+    records = []
+    evo = JointEvolution(attack, config.rounds)
+    last_use = attack.last_use_map(config.rounds)
+
+    for i in range(config.rounds):
+        evo.start_round(i)
+        choice = CTRL if rng.random() < config.ctrl_prob else SIFT
+        rec = RoundRecord(index=i, choice=choice)
+        if choice == SIFT:
+            bit, evo.state, _ = measure(evo.state, TRANSIT, "z", rng)
+            rec.alice_bit = int(bit)
+
+        evo.state = apply_gate(evo.state, attack.backward_gate(i))
+
+        if choice == CTRL:
+            outcome, evo.state, _ = measure(evo.state, TRANSIT, "x", rng)
+            rec.bob_x_outcome = outcome
+        else:
+            outcome, evo.state, _ = measure(evo.state, TRANSIT, "z", rng)
+            rec.bob_z_outcome = int(outcome)
+        records.append(rec)
+
+        drop = [TRANSIT] + [
+            l
+            for l in evo.state.layout.labels
+            if l != TRANSIT and last_use.get(l, -1) <= i
+        ]
+        for label in drop:
+            if len(evo.state.layout.labels) == 1:
+                evo.state = empty
+                break
+            try:
+                evo.state = factor_out(evo.state, label)[1]
+            except FactorizationError:
+                pass
+
+    return records

@@ -107,6 +107,28 @@ def test_run_rejects_bad_cnot_parity_rounds(tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--out", out]) == 0
 
 
+def test_run_rejects_non_finite_abort_threshold(tmp_path, capsys):
+    # json writes and reads these as the bare tokens NaN, Infinity, -Infinity
+    for value in (math.nan, math.inf, -math.inf):
+        cfg = write_config(tmp_path, attack={"name": "measure_resend_z"}, abort_threshold=value)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 1
+        assert "abort_threshold" in capsys.readouterr().err
+
+
+def test_run_rejects_non_integer_rounds_and_seed(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    for key, value in (("rounds", 200.9), ("rounds", True), ("rounds", "200"),
+                       ("seed", 1.7), ("seed", False), ("seed", None)):
+        cfg = write_config(tmp_path, **{key: value})
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1, (key, value)
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+    cfg = write_config(tmp_path, rounds=200, seed=1)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    _, records = read_transcript(tmp_path / "o.jsonl")
+    assert len(records) == 200
+
+
 def test_run_transcript_round_trip(tmp_path):
     cfg = write_config(tmp_path, attack={"name": "swap"})
     out = tmp_path / "stats.json"

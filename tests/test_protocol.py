@@ -3,16 +3,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqkd import engine
 from sqkd.attacks import (
+    AttackSpec,
+    Gate,
     cnot_parity_attack,
     identity_attack,
     measure_resend_z_attack,
     phase_probe_attack,
     swap_attack,
 )
-from sqkd.engine import PLUS, ket_zero, permute, phase_deviation, tensor
+from sqkd.engine import (
+    PLUS,
+    SubsystemLayout,
+    ket_zero,
+    permute,
+    phase_deviation,
+    random_state,
+    random_unitary,
+    tensor,
+)
 from sqkd.errors import ExactCapExceeded, IncompleteTranscript
 from sqkd.protocol import (
     CTRL,
@@ -32,6 +45,8 @@ from sqkd.protocol import (
     stream_rng,
     write_transcript,
 )
+
+from helpers import dead_probe_entangler_attack, probe_decoupled_attack, reference_sampling
 
 
 def run_with_stats(config, attack):
@@ -261,3 +276,126 @@ def test_sift_equivalence_rejects_uncapped_rounds():
         sift_equivalence_check(
             ProtocolConfig(rounds=EXACT_ROUND_CAP + 2), identity_attack(), trials=5
         )
+
+
+# ---------------------------------------------------------------------------
+# Compiled sampling loop against the dense reference
+# ---------------------------------------------------------------------------
+
+REFERENCE_ROUNDS = 120
+
+SAMPLING_ATTACKS = {
+    "identity": identity_attack(),
+    "cnot_parity": cnot_parity_attack((3, 40)),
+    "measure_resend_z": measure_resend_z_attack(REFERENCE_ROUNDS),
+    "swap": swap_attack(REFERENCE_ROUNDS),
+    "phase_probe": phase_probe_attack(0.7),
+    "probe_decoupled_2": probe_decoupled_attack(2),
+    "probe_decoupled_3": probe_decoupled_attack(3, dim=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING_ATTACKS))
+@pytest.mark.parametrize("ctrl_prob", [0.0, 0.3, 1.0])
+def test_sampling_matches_dense_reference(name, ctrl_prob):
+    att = SAMPLING_ATTACKS[name]
+    for seed in range(5):
+        cfg = ProtocolConfig(rounds=REFERENCE_ROUNDS, ctrl_prob=ctrl_prob, seed=seed)
+        assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([2, 3]),
+    ctrl_prob=st.floats(0.0, 1.0),
+    rounds=st.integers(1, 30),
+)
+def test_sampling_matches_dense_reference_on_random_gates(seed, dim, ctrl_prob, rounds):
+    rng = np.random.default_rng(seed)
+    fwd = Gate(random_unitary(2 * dim, rng), ("T", "E0"))
+    bwd = Gate(random_unitary(2 * dim, rng), ("T", "E0"))
+    att = AttackSpec(
+        name="random_gates",
+        probe_dims=(dim,),
+        probe_factors=(random_state(SubsystemLayout((dim,), ("E0",)), rng),),
+        forward={0: fwd},
+        default_forward=bwd,
+        default_backward=fwd,
+    )
+    cfg = ProtocolConfig(rounds=rounds, ctrl_prob=ctrl_prob, seed=seed)
+    assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+
+
+def test_dead_entangled_probes_do_not_grow_the_state():
+    cfg = ProtocolConfig(rounds=64, ctrl_prob=1.0, seed=4)
+    records = run_protocol(cfg, dead_probe_entangler_attack(64)).records
+    assert len(records) == 64
+    assert all(r.bob_x_outcome is not None for r in records)
+
+
+def test_dead_entangled_probes_keep_modes_equivalent():
+    rep = sift_equivalence_check(
+        ProtocolConfig(rounds=4, seed=24), dead_probe_entangler_attack(4), trials=300
+    )
+    assert abs(rep.exact_ctrl_error - 0.5) < 1e-9
+    assert rep.exact_test_error < 1e-12
+    assert rep.equivalent
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_abort_threshold(value):
+    with pytest.raises(ValueError):
+        ProtocolConfig(rounds=10, abort_threshold=value)
+
+
+# ---------------------------------------------------------------------------
+# Transcript validation
+# ---------------------------------------------------------------------------
+
+
+def _written_transcript(tmp_path):
+    cfg = ProtocolConfig(rounds=20, seed=6)
+    transcript, _ = run_with_stats(cfg, phase_probe_attack(1.0))
+    path = tmp_path / "t.jsonl"
+    write_transcript(path, transcript, header_extra={"attack": {"name": "phase_probe"}})
+    return path, transcript
+
+
+def test_read_transcript_round_trip(tmp_path):
+    path, transcript = _written_transcript(tmp_path)
+    header, records = read_transcript(path)
+    assert header["seed"] == 6 and header["attack"] == {"name": "phase_probe"}
+    assert records == transcript.records
+
+
+def test_read_transcript_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    with pytest.raises(IncompleteTranscript):
+        read_transcript(path)
+
+
+def test_read_transcript_rejects_header_without_config_key(tmp_path):
+    path, _ = _written_transcript(tmp_path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["ctrl_prob"]
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(IncompleteTranscript):
+        read_transcript(path)
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_read_transcript_rejects_foreign_record_fields(tmp_path, change):
+    path, _ = _written_transcript(tmp_path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[3])
+    if change == "drop":
+        del rec["role"]
+    else:
+        rec["note"] = 1
+    lines[3] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IncompleteTranscript):
+        read_transcript(path)
