@@ -341,11 +341,11 @@ def _branch_weight(psi: StateVector | SubnormalizedVector, label: str, index: in
 def draw_outcome(w0: float, rng: np.random.Generator) -> tuple[int, float]:
     """Draw a two-outcome measurement whose outcome 0 has Born weight w0.
 
-    Returns (outcome, prob) from one rng.random() draw.  Dust below 1e-24
-    counts as 0, w0 is clamped to [0, 1], and weights within 1e-12 of 0 or 1
-    are snapped so that deterministic outcomes are exact.
+    Returns (outcome, prob) from one rng.random() draw.  w0 is clamped to
+    [0, 1], and weights within 1e-12 of 0 or 1 are snapped so that
+    deterministic outcomes are exact.
     """
-    w0 = min(max(w0, 0.0), 1.0) if w0 > 1e-24 else 0.0
+    w0 = min(max(w0, 0.0), 1.0)
     if w0 > 1 - 1e-12:
         w0 = 1.0
     elif w0 < 1e-12:

@@ -43,7 +43,6 @@ from .engine import (
     bob_memory,
     cnot,
     draw_outcome,
-    factor_out,
     hadamard,
     ket_plus,
     ket_zero,
@@ -54,7 +53,6 @@ from .engine import (
 from .errors import (
     AttackLayoutMismatch,
     ExactCapExceeded,
-    FactorizationError,
     IncompleteTranscript,
     InvalidState,
     UnknownLabel,
@@ -322,9 +320,9 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
     and dims.  Each distinct round shape (the two gates' unitaries and target
     positions, and the live dims) is compiled once into an _Instrument.
     Probes past their last use are dropped after the round: all at once when
-    no live label remains, by factor_out when they are in a product state,
-    and otherwise by measuring them in Z on their own substream, which no
-    later round can notice since nothing acts on them again.
+    no live label remains, and otherwise by measuring each in Z with draws
+    from its own substream, which no later round can notice since nothing
+    acts on it again.
     """
     records = []
     last_use = attack.last_use_map(config.rounds)
@@ -333,7 +331,7 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
     psi = np.ones(1, dtype=complex)
     materialized: set[str] = set()
     compiled: dict = {}
-    dead_rng = None
+    dead_rng = None  # built on first use: most runs never need it
 
     for i in range(config.rounds):
         fwd, bwd = attack.forward_gate(i), attack.backward_gate(i)
@@ -369,13 +367,9 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
             dead = []
         for label in dead:
             pos = labels.index(label)
-            state = StateVector(SubsystemLayout(tuple(dims), tuple(labels)), psi)
-            try:
-                psi = factor_out(state, label)[1].amps
-            except FactorizationError:  # entangled with a live probe
-                if dead_rng is None:
-                    dead_rng = stream_rng(config.seed, _STREAM_DEAD_PROBES)
-                psi = _measure_out(psi, dims, pos, dead_rng)
+            if dead_rng is None:
+                dead_rng = stream_rng(config.seed, _STREAM_DEAD_PROBES)
+            psi = _measure_out(psi, dims, pos, dead_rng)
             del labels[pos], dims[pos]
         norm = math.sqrt(float(np.vdot(psi, psi).real))
         if not abs(norm - 1.0) <= NORM_ATOL:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqkd import engine
+from sqkd import engine, protocol
 from sqkd.attacks import (
     AttackSpec,
     Gate,
@@ -327,11 +327,63 @@ def test_sampling_matches_dense_reference_on_random_gates(seed, dim, ctrl_prob, 
     assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
 
 
-def test_dead_entangled_probes_do_not_grow_the_state():
+def test_dead_entangled_probes_do_not_grow_the_state(monkeypatch):
+    # live during a round: the shared E0 and that round's E_{i+1}
+    peak_dim = 4
+    sizes = []
+    collapse = protocol._collapse
+
+    def bounded_collapse(kraus, psi, rng):
+        sizes.append(len(psi))
+        assert len(psi) <= peak_dim  # fail at once rather than grow to 2^65
+        return collapse(kraus, psi, rng)
+
+    monkeypatch.setattr(protocol, "_collapse", bounded_collapse)
     cfg = ProtocolConfig(rounds=64, ctrl_prob=1.0, seed=4)
     records = run_protocol(cfg, dead_probe_entangler_attack(64)).records
     assert len(records) == 64
     assert all(r.bob_x_outcome is not None for r in records)
+    assert max(sizes) == peak_dim
+
+
+class _FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _reinsert(rest, dims, pos, k):
+    """Full vector with |k> put back at position pos of dims."""
+    rest_dims = dims[:pos] + dims[pos + 1 :]
+    ket = np.eye(dims[pos])[k]
+    return np.moveaxis(np.multiply.outer(ket, rest.reshape(rest_dims)), 0, pos).reshape(-1)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2, 2), (2, 3, 3, 2)])
+def test_measure_out_follows_the_projected_branches(dims):
+    rng = np.random.default_rng(sum(dims))
+    labels = tuple(f"E{k}" for k in range(len(dims)))
+    state = random_state(SubsystemLayout(dims, labels), rng)
+    for pos, label in enumerate(labels):
+        branches = [engine.project(state, label, k) for k in range(dims[pos])]
+        expected = [b.amps / math.sqrt(b.weight) for b in branches]
+        weights = np.array([b.weight for b in branches])
+        edges = np.concatenate([[0.0], np.cumsum(weights)])
+        for k in range(dims[pos]):
+            draw = _FixedDraw((edges[k] + edges[k + 1]) / 2)
+            rest = protocol._measure_out(state.amps, list(dims), pos, draw)
+            np.testing.assert_allclose(_reinsert(rest, dims, pos, k), expected[k], atol=1e-12)
+        n = 4000
+        counts = np.zeros(dims[pos])
+        for _ in range(n):
+            rest = protocol._measure_out(state.amps, list(dims), pos, rng)
+            hits = [np.allclose(_reinsert(rest, dims, pos, k), e) for k, e in enumerate(expected)]
+            assert sum(hits) == 1
+            counts[hits.index(True)] += 1
+        sigma = np.sqrt(weights * (1 - weights) / n)
+        assert np.all(np.abs(counts / n - weights) <= 5 * sigma)
 
 
 def test_dead_entangled_probes_keep_modes_equivalent():
