@@ -72,14 +72,6 @@ class ConstraintReport:
     ctrl_error_prob: float
     f_distance: float
 
-    def as_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "test_residual": self.test_residual,
-            "ctrl_error_prob": self.ctrl_error_prob,
-            "f_distance": self.f_distance,
-        }
-
 
 @dataclass(frozen=True)
 class LeakageReport:
@@ -87,14 +79,6 @@ class LeakageReport:
     per_bit_trace_distance: tuple[float, ...]
     holevo_bound: float
     max_leakage: float
-
-    def as_dict(self) -> dict:
-        return {
-            "pattern": self.pattern,
-            "per_bit_trace_distance": list(self.per_bit_trace_distance),
-            "holevo_bound": self.holevo_bound,
-            "max_leakage": self.max_leakage,
-        }
 
 
 @dataclass(frozen=True)
@@ -104,15 +88,6 @@ class TheoremReport:
     eps: float
     passed: bool
     n_patterns: int
-
-    def as_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "max_leakage": self.max_leakage,
-            "eps": self.eps,
-            "passed": self.passed,
-            "n_patterns": self.n_patterns,
-        }
 
 
 @dataclass(frozen=True)
@@ -124,17 +99,6 @@ class ProductStructureReport:
     max_deviation: float | None
     eve_purity: float | None
     witness_bob_purity: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "pattern": self.pattern,
-            "precondition_ok": self.precondition_ok,
-            "max_round_residual": self.max_round_residual,
-            "product_ok": self.product_ok,
-            "max_deviation": self.max_deviation,
-            "eve_purity": self.eve_purity,
-            "witness_bob_purity": self.witness_bob_purity,
-        }
 
 
 @dataclass(frozen=True)
@@ -262,7 +226,8 @@ def constraint_check(
 
     Eve's state entering the round is obtained by actually evolving the
     prefix (her probe is not reset between rounds).  The default prefix
-    reflects every earlier round.
+    reflects every earlier round; a prefix with a letter other than C/S
+    raises ValueError.
     """
     if prefix is None:
         prefix = "C" * round_index
@@ -270,13 +235,9 @@ def constraint_check(
         raise ValueError(
             f"prefix length {len(prefix)} must equal the round index {round_index}"
         )
-    if round_index >= EXACT_ROUND_CAP:
-        raise ExactCapExceeded(f"round {round_index} exceeds the exact cap")
-    evo = JointEvolution(attack, round_index + 1)
-    for i, ch in enumerate(prefix.upper()):
-        evo.run_round(i, CTRL if ch == "C" else SIFT)
-    evo.start_round(round_index)
-    return _constraint_at(attack, round_index, evo.state)
+    # the round's own choice does not affect its residuals; C is a placeholder
+    _, _, reports = next(_walk_patterns(attack, [_normalize_pattern(prefix + "C")]))
+    return reports[-1]
 
 
 def _walk_patterns(attack: AttackSpec, patterns):
@@ -309,7 +270,7 @@ def _walk_patterns(attack: AttackSpec, patterns):
             child.finish_round(i)
             yield from visit(child, prefix + ch, reports)
 
-    yield from visit(JointEvolution(attack, max(map(len, wanted), default=0)), "", [])
+    yield from visit(JointEvolution(attack, max(map(len, wanted))), "", [])
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +366,15 @@ def theorem_check(
     r is the worst per-round (test_residual + ctrl_error_prob) across every
     round of every pattern; ℓ is the worst per-bit trace distance.  The
     verdict passes unless the attack is undetectable (r ≤ eps) yet leaks
-    (ℓ > 10·eps).
+    (ℓ > 10·eps).  A non-finite or negative eps, or an empty pattern set
+    (max_pattern_len < 1), raises ValueError: no verdict could be honoured.
     """
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if patterns is None:
         patterns = default_patterns(max_pattern_len)
+    if not patterns:
+        raise ValueError("no patterns to check; max_pattern_len must be >= 1")
     max_residual = 0.0
     max_leakage = 0.0
     normalized = [_normalize_pattern(p) for p in patterns]

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .analysis import constraint_check, eve_leakage, theorem_check
@@ -23,15 +24,7 @@ from .protocol import (
     write_transcript,
 )
 
-_CONFIG_KEYS = {
-    "rounds",
-    "ctrl_prob",
-    "test_fraction",
-    "seed",
-    "mode",
-    "abort_threshold",
-    "attack",
-}
+_CONFIG_KEYS = {f.name for f in fields(ProtocolConfig)} | {"attack"}
 _ATTACK_KEYS = {"name", "params", "rounds"}
 
 #: attack families that support parameter scans, with their scannable parameter
@@ -40,13 +33,16 @@ _SCAN_FAMILIES = {"phase_probe": "theta"}
 SEED_ENV = "SQKD_SEED"
 
 
-def _whole_number(key: str, value) -> int:
-    """A config value that must be an integer; bools and fractions are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _coerce(key: str, kind: type, value):
+    """A config value as its field's type; ints refuse bools and fractions."""
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    elif kind is float and not isinstance(value, (int, float, str)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return kind(value)
 
 
 def _load_run_config(path: str) -> tuple[ProtocolConfig, dict]:
@@ -69,19 +65,16 @@ def _load_run_config(path: str) -> tuple[ProtocolConfig, dict]:
         raise UnknownAttack(
             f"unknown attack {attack_raw['name']!r}; known: {', '.join(ATTACK_NAMES)}"
         )
-    seed = _whole_number("seed", raw.get("seed", 0))
+    # keys left out of the file take ProtocolConfig's defaults
+    kwargs = {
+        f.name: _coerce(f.name, f.type, raw[f.name])
+        for f in fields(ProtocolConfig)
+        if f.name in raw
+    }
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
-        seed = int(env_seed)
-    config = ProtocolConfig(
-        rounds=_whole_number("rounds", raw["rounds"]),
-        ctrl_prob=float(raw.get("ctrl_prob", 0.5)),
-        test_fraction=float(raw.get("test_fraction", 0.5)),
-        seed=seed,
-        mode=str(raw.get("mode", "sampling")),
-        abort_threshold=float(raw.get("abort_threshold", 0.0)),
-    )
-    return config, attack_raw
+        kwargs["seed"] = int(env_seed)
+    return ProtocolConfig(**kwargs), attack_raw
 
 
 def _check_rounds_pair(pair, n_rounds: int):
@@ -115,7 +108,7 @@ def cmd_run(config_path: str, out_path: str) -> int:
 
     out = Path(out_path)
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump(stats.as_dict(), fh, indent=2)
+        json.dump(asdict(stats), fh, indent=2)
         fh.write("\n")
     header_extra = {"attack": attack_raw}
     write_transcript(out.with_suffix(".jsonl"), transcript, header_extra=header_extra)
@@ -124,9 +117,7 @@ def cmd_run(config_path: str, out_path: str) -> int:
 
 def cmd_check(attack_name: str, params: dict, eps: float, max_pattern_len: int) -> int:
     attack = build_attack(attack_name, params=params, n_rounds=max_pattern_len)
-    rounds = [
-        constraint_check(attack, i).as_dict() for i in range(max_pattern_len)
-    ]
+    rounds = [asdict(constraint_check(attack, i)) for i in range(max_pattern_len)]
     theorem = theorem_check(attack, eps=eps, max_pattern_len=max_pattern_len)
     verdict = {
         "attack": attack_name,

@@ -85,12 +85,6 @@ class SubsystemLayout:
     def dim_of(self, label: str) -> int:
         return self.dims[self.index(label)]
 
-    def extended(self, label: str, dim: int) -> "SubsystemLayout":
-        """New layout with one subsystem appended."""
-        if label in self.labels:
-            raise DuplicateLabel(f"label {label!r} already present")
-        return SubsystemLayout(self.dims + (dim,), self.labels + (label,))
-
     def relabeled(self, old: str, new: str) -> "SubsystemLayout":
         i = self.index(old)
         if new in self.labels and new != old:
@@ -485,15 +479,6 @@ def permute(psi: StateVector, new_order) -> StateVector:
 
 def relabel(psi: StateVector, old: str, new: str) -> StateVector:
     return StateVector(psi.layout.relabeled(old, new), psi.amps)
-
-
-def squeeze(psi: StateVector) -> StateVector:
-    """Drop dimension-1 placeholder subsystems (all of them)."""
-    kept = [(d, l) for d, l in zip(psi.layout.dims, psi.layout.labels) if d > 1]
-    if not kept:
-        kept = [(psi.layout.dims[0], psi.layout.labels[0])]
-    layout = SubsystemLayout(tuple(d for d, _ in kept), tuple(l for _, l in kept))
-    return StateVector(layout, psi.amps)
 
 
 def factor_out(psi: StateVector, label: str) -> tuple[StateVector, StateVector]:

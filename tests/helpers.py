@@ -134,6 +134,15 @@ def reference_evolution(attack, pattern):
     return evo.state, reports
 
 
+def reference_constraint_check(attack, round_index, prefix):
+    """Residuals for one round after evolving prefix round by round."""
+    evo = JointEvolution(attack, round_index + 1)
+    for i, ch in enumerate(prefix.upper()):
+        evo.run_round(i, CTRL if ch == "C" else SIFT)
+    evo.start_round(round_index)
+    return _constraint_at(attack, round_index, evo.state)
+
+
 def reference_theorem_check(attack, patterns, eps=1e-9, compute_holevo=False):
     max_residual = 0.0
     max_leakage = 0.0

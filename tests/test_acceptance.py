@@ -8,6 +8,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ def test_c8_mode_equivalence():
         for att, rounds in cases:
             cfg = ProtocolConfig(rounds=rounds, seed=5150)
             rep = sift_equivalence_check(cfg, att, trials=2500)
-            assert rep.equivalent, (att.name, rep.as_dict())
+            assert rep.equivalent, (att.name, asdict(rep))
 
 
 def test_c9_engine_oracle_suite(tmp_path):

@@ -38,7 +38,9 @@ from sqkd.errors import AttackLayoutMismatch, ExactCapExceeded
 from sqkd.protocol import CTRL, JointEvolution, SIFT
 
 from helpers import (
+    dead_probe_entangler_attack,
     probe_decoupled_attack,
+    reference_constraint_check,
     reference_eve_leakage,
     reference_rate_expectations,
     reference_theorem_check,
@@ -239,6 +241,40 @@ def test_constraint_prefix_length_must_match():
         constraint_check(identity_attack(), 2, prefix="C")
 
 
+def test_constraint_rejects_letters_other_than_c_and_s():
+    for prefix in ("x", "X", "1"):
+        with pytest.raises(ValueError):
+            constraint_check(identity_attack(), 1, prefix=prefix)
+    with pytest.raises(ValueError):
+        constraint_check(identity_attack(), 2, prefix="CT")
+
+
+def test_constraint_rejects_rounds_past_the_exact_cap():
+    with pytest.raises(ExactCapExceeded):
+        constraint_check(identity_attack(), 8)
+
+
+@pytest.mark.parametrize(
+    "att",
+    [
+        identity_attack(),
+        phase_probe_attack(0.7),
+        swap_attack(5),
+        measure_resend_z_attack(5),
+        cnot_parity_attack(),
+        probe_decoupled_attack(3, dim=3),
+        dead_probe_entangler_attack(5),
+    ],
+    ids=lambda att: att.name,
+)
+def test_constraint_check_matches_reference(att):
+    # every prefix up to length 4, in both cases
+    for prefix in [""] + default_patterns(4):
+        expected = reference_constraint_check(att, len(prefix), prefix)
+        for given in (prefix, prefix.lower()):
+            assert constraint_check(att, len(prefix), prefix=given) == expected, given
+
+
 # ---------------------------------------------------------------------------
 # Leakage
 # ---------------------------------------------------------------------------
@@ -394,6 +430,19 @@ def test_theorem_transit_phase_family(phi):
     assert rep.passed
     if phi == 0.0:
         assert rep.max_residual == 0.0 and rep.max_leakage == 0.0
+
+
+def test_theorem_rejects_verdicts_it_cannot_honour():
+    att = identity_attack()
+    for eps in (math.nan, math.inf, -math.inf, -1e-9):
+        with pytest.raises(ValueError, match="eps"):
+            theorem_check(att, eps=eps, max_pattern_len=2)
+    for max_len in (0, -2):
+        with pytest.raises(ValueError, match="max_pattern_len"):
+            theorem_check(att, max_pattern_len=max_len)
+    with pytest.raises(ValueError):
+        theorem_check(att, patterns=[])
+    assert theorem_check(att, eps=0.0, max_pattern_len=1).passed
 
 
 def test_theorem_probe_decoupled_attacks_are_silent():

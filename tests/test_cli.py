@@ -1,10 +1,11 @@
 import csv
 import json
 import math
+from dataclasses import asdict
 
 from sqkd import cli
 from sqkd.analysis import TheoremReport
-from sqkd.protocol import read_transcript, stats_from_records
+from sqkd.protocol import ProtocolConfig, read_transcript, stats_from_records
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -129,13 +130,31 @@ def test_run_rejects_non_integer_rounds_and_seed(tmp_path, capsys):
     assert len(records) == 200
 
 
+def test_run_rejects_non_numeric_probabilities(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    for key in ("ctrl_prob", "test_fraction", "abort_threshold"):
+        for value in (None, [0.5], {}):
+            cfg = write_config(tmp_path, **{key: value})
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+            assert f"{key} must be a number" in capsys.readouterr().err
+
+
+def test_run_fills_left_out_keys_from_the_config_defaults(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rounds": 30}))
+    out = tmp_path / "o.json"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    header, _ = read_transcript(tmp_path / "o.jsonl")
+    assert header == {**asdict(ProtocolConfig(rounds=30)), "attack": {"name": "identity"}}
+
+
 def test_run_transcript_round_trip(tmp_path):
     cfg = write_config(tmp_path, attack={"name": "swap"})
     out = tmp_path / "stats.json"
     cli.main(["run", "--config", str(cfg), "--out", str(out)])
     header, records = read_transcript(tmp_path / "stats.jsonl")
     recomputed = stats_from_records(records, header["abort_threshold"])
-    assert recomputed.as_dict() == json.loads(out.read_text())
+    assert asdict(recomputed) == json.loads(out.read_text())
     assert header["attack"]["name"] == "swap"
     assert len(records) == header["rounds"]
 
@@ -239,6 +258,92 @@ def test_check_rejects_params_the_attack_does_not_take(capsys):
 
 def test_check_bad_param_syntax(capsys):
     assert cli.main(["check", "--attack", "phase_probe", "--param", "theta"]) == 1
+
+
+def test_check_rejects_checks_it_cannot_honour(capsys):
+    for extra in (["--eps", "nan"], ["--eps", "inf"], ["--eps=-1e-9"],
+                  ["--max-pattern-len", "0"], ["--max-pattern-len", "-2"]):
+        assert cli.main(["check", "--attack", "identity", *extra]) == 1, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# On-disk format, pinned byte for byte
+# ---------------------------------------------------------------------------
+
+GOLDEN_RUN_CONFIG = {
+    "rounds": 6,
+    "seed": 3,
+    "attack": {"name": "phase_probe", "params": {"theta": 0.5}},
+}
+
+GOLDEN_STATS = """\
+{
+  "n_ctrl": 4,
+  "n_test": 1,
+  "n_key": 1,
+  "ctrl_errors": 0,
+  "test_errors": 0,
+  "ctrl_error_rate": 0.0,
+  "test_error_rate": 0.0,
+  "key_alice": "1",
+  "key_bob": "1",
+  "key_mismatch_rate": 0.0,
+  "aborted": false
+}
+"""
+
+GOLDEN_TRANSCRIPT = """\
+{"rounds": 6, "ctrl_prob": 0.5, "test_fraction": 0.5, "seed": 3, "mode": "sampling", "abort_threshold": 0.0, "attack": {"name": "phase_probe", "params": {"theta": 0.5}}}
+{"index": 0, "choice": "CTRL", "alice_bit": null, "role": "Ctrl", "bob_x_outcome": "plus", "bob_z_outcome": null, "error": false}
+{"index": 1, "choice": "SIFT", "alice_bit": 1, "role": "Key", "bob_x_outcome": null, "bob_z_outcome": 1, "error": null}
+{"index": 2, "choice": "CTRL", "alice_bit": null, "role": "Ctrl", "bob_x_outcome": "plus", "bob_z_outcome": null, "error": false}
+{"index": 3, "choice": "CTRL", "alice_bit": null, "role": "Ctrl", "bob_x_outcome": "plus", "bob_z_outcome": null, "error": false}
+{"index": 4, "choice": "CTRL", "alice_bit": null, "role": "Ctrl", "bob_x_outcome": "plus", "bob_z_outcome": null, "error": false}
+{"index": 5, "choice": "SIFT", "alice_bit": 0, "role": "Test", "bob_x_outcome": null, "bob_z_outcome": 0, "error": false}
+"""
+
+GOLDEN_CHECK = """\
+{
+  "attack": "identity",
+  "params": {},
+  "eps": 1e-09,
+  "max_pattern_len": 2,
+  "rounds": [
+    {
+      "round": 0,
+      "test_residual": 0.0,
+      "ctrl_error_prob": 0.0,
+      "f_distance": 0.0
+    },
+    {
+      "round": 1,
+      "test_residual": 0.0,
+      "ctrl_error_prob": 0.0,
+      "f_distance": 0.0
+    }
+  ],
+  "max_residual": 0.0,
+  "max_leakage": 0.0,
+  "passed": true
+}
+"""
+
+
+def test_run_output_bytes_are_pinned(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(GOLDEN_RUN_CONFIG))
+    out = tmp_path / "stats.json"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_STATS.encode()
+    assert (tmp_path / "stats.jsonl").read_bytes() == GOLDEN_TRANSCRIPT.encode()
+
+
+def test_check_output_bytes_are_pinned(capsys):
+    assert cli.main(["check", "--attack", "identity", "--max-pattern-len", "2"]) == 0
+    assert capsys.readouterr().out == GOLDEN_CHECK
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from sqkd.engine import (
     random_unitary,
     relabel,
     single,
-    squeeze,
     tensor,
     trace_distance,
 )
@@ -413,13 +412,6 @@ def test_permute_and_relabel():
     renamed = relabel(psi, "a", "x")
     assert renamed.layout.labels == ("x", "b")
     assert np.array_equal(renamed.amps, psi.amps)
-
-
-def test_squeeze_removes_placeholders():
-    psi = tensor(tensor(ket_zero("a"), single("p", [1], dim=1)), ket_one("b"))
-    out = squeeze(psi)
-    assert out.layout.labels == ("a", "b")
-    assert abs(np.vdot(out.amps, tensor(ket_zero("a"), ket_one("b")).amps)) > 1 - 1e-12
 
 
 def test_factor_out_product_and_entangled():

@@ -38,7 +38,6 @@ from sqkd.protocol import (
     classical_phase,
     derive_seed,
     read_transcript,
-    record_to_dict,
     run_protocol,
     sift_equivalence_check,
     stats_from_records,
@@ -193,7 +192,7 @@ def test_identical_seeds_give_identical_transcripts():
     runs = []
     for _ in range(2):
         transcript, _ = run_with_stats(cfg, att)
-        runs.append(json.dumps([record_to_dict(r) for r in transcript.records]))
+        runs.append(json.dumps([vars(r) for r in transcript.records]))
     assert runs[0] == runs[1]
 
 
@@ -210,9 +209,7 @@ def test_transcript_round_trip(tmp_path):
     write_transcript(path, transcript, header_extra={"attack": {"name": "swap"}})
     header, records = read_transcript(path)
     assert header["rounds"] == 120 and header["attack"]["name"] == "swap"
-    assert [record_to_dict(r) for r in records] == [
-        record_to_dict(r) for r in transcript.records
-    ]
+    assert [vars(r) for r in records] == [vars(r) for r in transcript.records]
     recomputed = stats_from_records(records, header["abort_threshold"])
     assert recomputed == stats
 
