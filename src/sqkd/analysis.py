@@ -14,7 +14,11 @@ The central quantities, all computed from exact joint-state evolution:
 
 * Leakage.  Running a fixed CTRL/SIFT choice pattern coherently, condition
   the probe's reduced state on each of Alice's bits and report trace
-  distances and the Holevo bound of the joint ensemble.
+  distances and the Holevo bound of the joint ensemble, all from one Gram
+  block of Eve's amplitudes per joint value of the sifted bits.
+
+Every reduction reads its slices off engine._front, the state's amplitude
+tensor with the named subsystems moved to the front.
 
 theorem_check ties these together: any attack whose residuals vanish on
 every round of every pattern must also show vanishing leakage.  The
@@ -37,11 +41,10 @@ from .engine import (
     SubnormalizedVector,
     SubsystemLayout,
     TRANSIT,
-    _branch_weight,
+    _front,
+    _weight,
     alice_probe,
-    apply_unitary,
     bob_memory,
-    hadamard,
     ket_plus,
     ket_zero,
     partial_trace,
@@ -126,10 +129,9 @@ def _normalize_pattern(pattern: str) -> str:
 def _drop_slice(vec, label: str, index: int) -> tuple[np.ndarray, SubsystemLayout]:
     """Slice one subsystem at a basis index and remove it from the layout."""
     pos = vec.layout.index(label)
-    t = np.moveaxis(vec.amps.reshape(vec.layout.dims), pos, 0)[index]
     dims = tuple(d for i, d in enumerate(vec.layout.dims) if i != pos)
     labels = tuple(l for i, l in enumerate(vec.layout.labels) if i != pos)
-    return t.reshape(-1), SubsystemLayout(dims, labels)
+    return _front(vec, [label])[index], SubsystemLayout(dims, labels)
 
 
 def _bell(label_a: str, label_b: str) -> StateVector:
@@ -193,30 +195,33 @@ def _constraint_at(attack: AttackSpec, round_index: int, post_forward: StateVect
     bg = attack.backward_gate(round_index)
 
     # SIFT hypothesis: Alice's XOR tags each branch with its bit, so the
-    # backward unitary acts on the collapsed branches separately.
-    v_branches = [
-        apply_gate(project(post_forward, TRANSIT, b), bg) for b in (0, 1)
+    # backward unitary acts on the collapsed branches separately; v[b][t] is
+    # branch b's slice at transit value t after V.
+    v = [
+        _front(apply_gate(project(post_forward, TRANSIT, b), bg), [TRANSIT])
+        for b in (0, 1)
     ]
-    test_residual = _branch_weight(v_branches[0], TRANSIT, 1) + _branch_weight(
-        v_branches[1], TRANSIT, 0
-    )
 
     # CTRL hypothesis: no XOR, the transit stays coherent; by linearity the
-    # output is V applied to the branch sum, and the error is the |-> weight.
-    ctrl_out = apply_gate(post_forward, bg)
-    ctrl_rotated = apply_unitary(ctrl_out, hadamard(), (TRANSIT,))
-    ctrl_error_prob = _branch_weight(ctrl_rotated, TRANSIT, 1)
-
-    f0, _ = _drop_slice(v_branches[0], TRANSIT, 0)
-    f1, _ = _drop_slice(v_branches[1], TRANSIT, 1)
-    f_distance = float(np.linalg.norm(f0 - f1))
+    # output is the sum of the two branches, and the error is its |-> weight.
+    ctrl = v[0] + v[1]
 
     return ConstraintReport(
         round=round_index,
-        test_residual=test_residual,
-        ctrl_error_prob=ctrl_error_prob,
-        f_distance=f_distance,
+        test_residual=_weight(v[0][1]) + _weight(v[1][0]),
+        ctrl_error_prob=_weight((ctrl[0] - ctrl[1]) / math.sqrt(2)),
+        f_distance=float(np.linalg.norm(v[0][0] - v[1][1])),
     )
+
+
+def constraint_reports(attack: AttackSpec, pattern: str) -> list[ConstraintReport]:
+    """Residuals of every round along one choice pattern, from one walk.
+
+    Report i is round i's, with the pattern's first i letters as its prefix;
+    no report depends on the pattern's last letter.
+    """
+    _, _, reports = next(_walk_patterns(attack, [_normalize_pattern(pattern)]))
+    return reports
 
 
 def constraint_check(
@@ -236,8 +241,7 @@ def constraint_check(
             f"prefix length {len(prefix)} must equal the round index {round_index}"
         )
     # the round's own choice does not affect its residuals; C is a placeholder
-    _, _, reports = next(_walk_patterns(attack, [_normalize_pattern(prefix + "C")]))
-    return reports[-1]
+    return constraint_reports(attack, prefix + "C")[-1]
 
 
 def _walk_patterns(attack: AttackSpec, patterns):
@@ -278,41 +282,43 @@ def _walk_patterns(attack: AttackSpec, patterns):
 # ---------------------------------------------------------------------------
 
 
+def _weighted_states(blocks) -> list[tuple[float, DensityMatrix]]:
+    """(weight, state) of each Gram block weighing over the floor.
+
+    The blocks are normalised in place, so no copy of them is made.
+    """
+    out = []
+    for g in blocks:
+        w = float(np.trace(g).real)
+        if w > _WEIGHT_FLOOR:
+            g /= w
+            out.append((w, DensityMatrix(g)))
+    return out
+
+
 def _leakage_from_final(
     final: StateVector, pattern: str, compute_holevo: bool
 ) -> LeakageReport:
     e_labels = _eve_labels(final.layout)
-    sift_positions = [i for i, ch in enumerate(pattern) if ch == "S"]
-
-    per_bit = []
-    for j in sift_positions:
-        if not e_labels:
-            per_bit.append(0.0)
-            continue
-        conditionals = []
-        for b in (0, 1):
-            br = project(final, alice_probe(j), b)
-            if br.weight < _WEIGHT_FLOOR:
-                conditionals = None
-                break
-            conditionals.append(partial_trace(br.normalized(), e_labels))
-        per_bit.append(
-            trace_distance(*conditionals) if conditionals is not None else 0.0
-        )
-
+    sifted = [alice_probe(i) for i, ch in enumerate(pattern) if ch == "S"]
+    k = len(sifted)
+    per_bit = [0.0] * k
     chi = 0.0
-    if compute_holevo and e_labels and sift_positions:
-        branches = [SubnormalizedVector(final.layout, final.amps)]
-        for j in sift_positions:
-            branches = [
-                project(br, alice_probe(j), b) for br in branches for b in (0, 1)
-            ]
-        ensemble = [
-            (br.weight, partial_trace(br.normalized(), e_labels))
-            for br in branches
-            if br.weight > _WEIGHT_FLOOR
-        ]
-        chi = holevo_bound(ensemble)
+    if e_labels and sifted:
+        d_e = math.prod(final.layout.dim_of(l) for l in e_labels)
+        m = _front(final, sifted + e_labels).reshape(2**k, d_e, -1)
+        # Eve's unnormalised state for each joint value of the sifted bits,
+        # filled in place: stacking a list would hold every block twice
+        blocks = np.empty((2**k, d_e, d_e), dtype=complex)
+        for b, mk in enumerate(m):
+            blocks[b] = mk @ mk.conj().T
+        joint = blocks.reshape((2,) * k + (d_e, d_e))
+        for q in range(k):
+            pair = _weighted_states(joint.sum(axis=tuple(a for a in range(k) if a != q)))
+            if len(pair) == 2:
+                per_bit[q] = trace_distance(pair[0][1], pair[1][1])
+        if compute_holevo:
+            chi = holevo_bound(_weighted_states(blocks))
 
     return LeakageReport(
         pattern=pattern,
@@ -327,10 +333,11 @@ def eve_leakage(
 ) -> LeakageReport:
     """Distinguishability of Eve's final state across Alice's bit values.
 
-    Runs the pattern coherently, then for each SIFT position projects
-    Alice's probe on 0 and 1 and reports the trace distance between the two
-    reduced probe states; holevo_bound is χ of the ensemble over all joint
-    bit assignments.
+    Runs the pattern coherently, then for each SIFT position conditions
+    Eve's reduced state on Alice's probe reading 0 and 1 and reports the trace
+    distance between the two; holevo_bound is χ of the ensemble over all
+    joint bit assignments.  Beyond the final state, memory holds one
+    reordered copy of it and one Eve-sized block per joint bit assignment.
     """
     pattern = _normalize_pattern(pattern)
     _, final, _ = next(_walk_patterns(attack, [pattern]))

@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .analysis import constraint_check, eve_leakage, theorem_check
+from .analysis import constraint_check, constraint_reports, eve_leakage, theorem_check
 from .attacks import ATTACK_NAMES, build_attack
 from .errors import EmptyGrid, ParamOutOfRange, SqkdError, UnknownAttack, UnknownFamily
 from .protocol import (
@@ -97,9 +97,12 @@ def cmd_run(config_path: str, out_path: str) -> int:
     rounds_pair = attack_raw.get("rounds") if attack_raw["name"] == "cnot_parity" else None
     if rounds_pair is not None:
         _check_rounds_pair(rounds_pair, config.rounds)
+    params = attack_raw.get("params")
+    if params is not None and not isinstance(params, dict):
+        raise ValueError(f"attack params must be an object, got {params!r}")
     attack = build_attack(
         attack_raw["name"],
-        params=attack_raw.get("params"),
+        params={k: _coerce(f"param {k}", float, v) for k, v in (params or {}).items()},
         n_rounds=config.rounds,
         rounds=tuple(rounds_pair) if rounds_pair is not None else None,
     )
@@ -117,8 +120,9 @@ def cmd_run(config_path: str, out_path: str) -> int:
 
 def cmd_check(attack_name: str, params: dict, eps: float, max_pattern_len: int) -> int:
     attack = build_attack(attack_name, params=params, n_rounds=max_pattern_len)
-    rounds = [asdict(constraint_check(attack, i)) for i in range(max_pattern_len)]
     theorem = theorem_check(attack, eps=eps, max_pattern_len=max_pattern_len)
+    # one walk of the all-CTRL pattern yields every round's row
+    rounds = [asdict(r) for r in constraint_reports(attack, "C" * max_pattern_len)]
     verdict = {
         "attack": attack_name,
         "params": params,

@@ -324,12 +324,23 @@ def apply_unitary(psi, u: Unitary, targets):
     return StateVector(psi.layout, t.reshape(-1))
 
 
-def _branch_weight(psi: StateVector | SubnormalizedVector, label: str, index: int) -> float:
-    """Born weight of one basis slice; floating-point dust snaps to exact 0."""
-    pos = psi.layout.index(label)
-    t = np.moveaxis(psi.amps.reshape(psi.layout.dims), pos, 0)
-    w = float(np.linalg.norm(t[index]) ** 2)
+def _weight(amps: np.ndarray) -> float:
+    """Squared norm of an amplitude array; floating-point dust snaps to exact 0."""
+    w = float(np.linalg.norm(amps) ** 2)
     return w if w > 1e-24 else 0.0
+
+
+def _front(psi, labels) -> np.ndarray:
+    """Amplitude tensor with the named subsystems moved to the front.
+
+    The named subsystems keep one axis each, in the given order; the others
+    follow in layout order, flattened into one trailing axis.
+    """
+    dims = psi.layout.dims
+    positions = [psi.layout.index(l) for l in labels]
+    rest = [i for i in range(len(dims)) if i not in positions]
+    t = np.transpose(psi.amps.reshape(dims), positions + rest)
+    return t.reshape(*(dims[p] for p in positions), -1)
 
 
 def draw_outcome(w0: float, rng: np.random.Generator) -> tuple[int, float]:
@@ -381,7 +392,8 @@ def measure(psi: StateVector, target: str, basis: str, rng: np.random.Generator)
     if psi.layout.dim_of(target) != 2:
         raise NonQubitTarget(f"target {target!r} has dimension != 2")
     work = apply_unitary(psi, hadamard(), [target]) if basis == "x" else psi
-    idx, prob = draw_outcome(_branch_weight(work, target, 0), rng)
+    pos = work.layout.index(target)
+    idx, prob = draw_outcome(_weight(np.moveaxis(work.tensor_view(), pos, 0)[0]), rng)
     collapsed = project(work, target, idx).normalized()
     if basis == "x":
         collapsed = apply_unitary(collapsed, hadamard(), [target])
@@ -391,52 +403,17 @@ def measure(psi: StateVector, target: str, basis: str, rng: np.random.Generator)
     return outcome, collapsed, prob
 
 
-def _keep_positions(layout: SubsystemLayout, keep) -> list[int]:
+def partial_trace(state: StateVector, keep) -> DensityMatrix:
+    """Reduced density matrix over the kept subsystems, in layout order."""
     keep = list(keep)
     if not keep:
         raise EmptyKeepSet("must keep at least one subsystem")
-    positions = sorted(layout.index(k) for k in set(keep))
-    if len(positions) != len(keep):
+    labels = sorted(set(keep), key=state.layout.index)
+    if len(labels) != len(keep):
         raise DuplicateLabel(f"repeated labels in keep set: {keep}")
-    return positions
-
-
-def partial_trace(
-    state: StateVector | DensityMatrix,
-    keep,
-    layout: SubsystemLayout | None = None,
-) -> DensityMatrix:
-    """Reduced density matrix over the kept subsystems, in layout order.
-
-    Accepts a StateVector (layout implied) or a DensityMatrix plus an explicit
-    layout describing its subsystem structure.
-    """
-    if isinstance(state, StateVector):
-        layout = state.layout
-        positions = _keep_positions(layout, keep)
-        rest = [i for i in range(len(layout.dims)) if i not in positions]
-        t = np.transpose(state.tensor_view(), positions + rest)
-        d_keep = math.prod(layout.dims[p] for p in positions)
-        m = t.reshape(d_keep, -1)
-        return DensityMatrix(m @ m.conj().T)
-    if layout is None:
-        raise UnknownLabel("partial trace of a DensityMatrix needs an explicit layout")
-    if state.dim != layout.dim:
-        raise DimensionMismatch(
-            f"matrix dim {state.dim} != layout dim {layout.dim}"
-        )
-    positions = _keep_positions(layout, keep)
-    n = len(layout.dims)
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    if 2 * n > len(letters):
-        raise DimensionMismatch("too many subsystems for the einsum-based trace")
-    row = list(letters[:n])
-    col = [letters[n + i] if i in positions else row[i] for i in range(n)]
-    out = [row[p] for p in positions] + [col[p] for p in positions]
-    t = state.entries.reshape(layout.dims + layout.dims)
-    reduced = np.einsum(f"{''.join(row)}{''.join(col)}->{''.join(out)}", t)
-    d_keep = math.prod(layout.dims[p] for p in positions)
-    return DensityMatrix(reduced.reshape(d_keep, d_keep))
+    m = _front(state, labels)
+    m = m.reshape(-1, m.shape[-1])
+    return DensityMatrix(m @ m.conj().T)
 
 
 def _abs_eig_sum(m: np.ndarray) -> float:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from sqkd.analysis import (
     constraint_check,
+    constraint_reports,
     default_patterns,
     eve_leakage,
     exact_rate_expectations,
@@ -17,8 +20,10 @@ from sqkd.analysis import (
     von_neumann_entropy,
 )
 from sqkd.attacks import (
+    ATTACK_NAMES,
     AttackSpec,
     Gate,
+    build_attack,
     cnot_parity_attack,
     identity_attack,
     measure_resend_z_attack,
@@ -275,6 +280,13 @@ def test_constraint_check_matches_reference(att):
             assert constraint_check(att, len(prefix), prefix=given) == expected, given
 
 
+@pytest.mark.parametrize("name", ATTACK_NAMES)
+def test_constraint_reports_are_the_per_round_checks(name):
+    params = {"theta": 0.7} if name == "phase_probe" else None
+    att = build_attack(name, params=params, n_rounds=6)
+    assert constraint_reports(att, "C" * 6) == [constraint_check(att, i) for i in range(6)]
+
+
 # ---------------------------------------------------------------------------
 # Leakage
 # ---------------------------------------------------------------------------
@@ -329,40 +341,64 @@ def test_leakage_pattern_validation():
         eve_leakage(identity_attack(), "C" * 9)
 
 
-def _oracle_conditional_states(final, sift_position, e_labels):
-    """Condition by explicit projector on the full density matrix."""
+def _oracle_conditional_state(final, bits, e_labels):
+    """(weight, Eve's state) given Alice's probes read bits, a {label: bit} map.
+
+    Conditions by an explicit projector on the full density matrix, then
+    traces down to Eve's subsystems with a doubled-index contraction.
+    """
     dims = final.layout.dims
     n = len(dims)
-    a_pos = final.layout.index(f"A{sift_position}")
     e_pos = [final.layout.index(l) for l in e_labels]
     rho = np.outer(final.amps, final.amps.conj())
-    out = []
-    for b in (0, 1):
-        mats = [np.eye(d) for d in dims]
-        proj = np.zeros((2, 2))
-        proj[b, b] = 1.0
-        mats[a_pos] = proj
-        full = mats[0]
-        for m in mats[1:]:
-            full = np.kron(full, m)
-        cond = full @ rho @ full
-        cond = cond / np.trace(cond).real
-        # trace down to the probe subsystems with the doubled-index contraction
-        t = cond.reshape(dims + dims)
-        letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        row = list(letters[:n])
-        col = [letters[n + i] if i in e_pos else row[i] for i in range(n)]
-        spec = "".join(row) + "".join(col) + "->" + "".join(
-            [row[p] for p in e_pos] + [col[p] for p in e_pos]
-        )
-        d_e = int(np.prod([dims[p] for p in e_pos]))
-        out.append(np.einsum(spec, t).reshape(d_e, d_e))
-    return out
+    diag = np.ones(1)
+    for label, d in zip(final.layout.labels, dims):
+        diag = np.kron(diag, np.eye(d)[bits[label]] if label in bits else np.ones(d))
+    cond = rho * np.outer(diag, diag)  # P rho P for the diagonal projector P
+    weight = np.trace(cond).real
+    t = cond.reshape(dims + dims)
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    row = list(letters[:n])
+    col = [letters[n + i] if i in e_pos else row[i] for i in range(n)]
+    spec = "".join(row) + "".join(col) + "->" + "".join(
+        [row[p] for p in e_pos] + [col[p] for p in e_pos]
+    )
+    d_e = int(np.prod([dims[p] for p in e_pos]))
+    return weight, np.einsum(spec, t).reshape(d_e, d_e) / weight
 
 
-@pytest.mark.parametrize("pattern", ["S", "SS", "SC", "CS", "SCSS"])
+def _scrambler_attack(seed, dim):
+    """Random unitaries on (transit, probe) on both legs: detectable and leaky."""
+    rng = np.random.default_rng(seed)
+    gates = [Gate(random_unitary(2 * dim, rng), ("T", "E0")) for _ in range(2)]
+    return AttackSpec(
+        name=f"scrambler_d{dim}",
+        probe_dims=(dim,),
+        probe_factors=(random_state(SubsystemLayout((dim,), ("E0",)), rng),),
+        default_forward=gates[0],
+        default_backward=gates[1],
+    )
+
+
+# per-round-probe attacks hold three qubits a round, so their patterns stay at
+# three rounds to keep the full density matrix small
+ORACLE_CASES = [
+    ("phase", phase_probe_attack(0.9), ["S", "SS", "SC", "CS", "SCSS"]),
+    ("parity", cnot_parity_attack(), ["S", "SS", "SC", "CS", "SCSS"]),
+    ("swap", swap_attack(3), ["SS", "CSS", "SCS", "SSS"]),
+    ("measure_resend_z", measure_resend_z_attack(3), ["SS", "CSS", "SCS", "SSS"]),
+    ("decoupled_d3", probe_decoupled_attack(5, dim=3), ["SS", "SCS", "SSCS"]),
+    ("scrambler_d3", _scrambler_attack(8, dim=3), ["S", "SS", "SCS", "SSCS"]),
+]
+
+
 @pytest.mark.parametrize(
-    "att", [phase_probe_attack(0.9), cnot_parity_attack()], ids=["phase", "parity"]
+    "att,pattern",
+    [
+        pytest.param(att, pattern, id=f"{name}-{pattern}")
+        for name, att, patterns in ORACLE_CASES
+        for pattern in patterns
+    ],
 )
 def test_leakage_matches_density_matrix_oracle(att, pattern):
     evo = JointEvolution(att, len(pattern))
@@ -371,11 +407,33 @@ def test_leakage_matches_density_matrix_oracle(att, pattern):
     final = evo.state
     e_labels = [l for l in final.layout.labels if l.startswith("E")]
     rep = eve_leakage(att, pattern)
-    sift_positions = [i for i, ch in enumerate(pattern) if ch == "S"]
-    for td, pos in zip(rep.per_bit_trace_distance, sift_positions):
-        rho0, rho1 = _oracle_conditional_states(final, pos, e_labels)
+    sifted = [f"A{i}" for i, ch in enumerate(pattern) if ch == "S"]
+    assert len(rep.per_bit_trace_distance) == len(sifted)
+    for td, label in zip(rep.per_bit_trace_distance, sifted):
+        (_, rho0), (_, rho1) = (
+            _oracle_conditional_state(final, {label: b}, e_labels) for b in (0, 1)
+        )
         want = 0.5 * np.abs(np.linalg.svd(rho0 - rho1, compute_uv=False)).sum()
         assert abs(td - want) < 1e-9
+    ensemble = []
+    for bits in itertools.product((0, 1), repeat=len(sifted)):
+        weight, rho = _oracle_conditional_state(final, dict(zip(sifted, bits)), e_labels)
+        if weight > 1e-12:
+            ensemble.append((weight, DensityMatrix(rho)))
+    assert abs(rep.holevo_bound - holevo_bound(ensemble)) < 1e-9
+
+
+def test_leakage_memory_stays_near_the_final_state():
+    # the final state holds 2^18 amplitudes (4 MiB); conditioning it branch by
+    # branch would hold one full copy per joint assignment of the 6 bits
+    tracemalloc.start()
+    try:
+        rep = eve_leakage(swap_attack(6), "S" * 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(rep.holevo_bound - 6.0) < 1e-9
+    assert peak < 8 * 2**18 * 16
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,19 @@ def test_run_rejects_non_numeric_probabilities(tmp_path, capsys):
             assert f"{key} must be a number" in capsys.readouterr().err
 
 
+def test_run_rejects_malformed_attack_params(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    for params, message in (
+        ([1], "attack params must be an object"),
+        ("theta", "attack params must be an object"),
+        ({"theta": None}, "param theta must be a number"),
+        ({"theta": [0.5]}, "param theta must be a number"),
+    ):
+        cfg = write_config(tmp_path, attack={"name": "phase_probe", "params": params})
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_run_fills_left_out_keys_from_the_config_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rounds": 30}))

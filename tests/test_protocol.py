@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from sqkd import engine, protocol
 from sqkd.attacks import (
+    ATTACK_NAMES,
     AttackSpec,
     Gate,
+    build_attack,
     cnot_parity_attack,
     identity_attack,
     measure_resend_z_attack,
@@ -31,6 +34,7 @@ from sqkd.protocol import (
     CTRL,
     EXACT_ROUND_CAP,
     MODE_EXACT,
+    MODE_SAMPLING,
     ProtocolConfig,
     ROLE_CTRL,
     ROLE_TEST,
@@ -194,6 +198,49 @@ def test_identical_seeds_give_identical_transcripts():
         transcript, _ = run_with_stats(cfg, att)
         runs.append(json.dumps([vars(r) for r in transcript.records]))
     assert runs[0] == runs[1]
+
+
+@st.composite
+def runs(draw):
+    """A config and a built-in attack; exact runs stay at 5 rounds or fewer."""
+    mode, rounds = draw(
+        st.one_of(
+            st.tuples(st.just(MODE_SAMPLING), st.integers(1, 60)),
+            st.tuples(st.just(MODE_EXACT), st.integers(1, 5)),
+        )
+    )
+    cfg = ProtocolConfig(
+        rounds=rounds,
+        ctrl_prob=draw(st.floats(0.0, 1.0)),
+        test_fraction=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        mode=mode,
+    )
+    name = draw(st.sampled_from(ATTACK_NAMES))
+    params = {"theta": draw(st.floats(0.0, math.pi))} if name == "phase_probe" else None
+    return cfg, name, build_attack(name, params=params, n_rounds=rounds)
+
+
+@settings(max_examples=25, deadline=None)
+@given(run=runs())
+def test_same_seed_gives_the_same_run(run):
+    cfg, _, att = run
+    (t0, s0), (t1, s1) = (run_with_stats(cfg, att) for _ in range(2))
+    assert t0.records == t1.records
+    assert s0 == s1
+
+
+@settings(max_examples=25, deadline=None)
+@given(run=runs())
+def test_transcript_round_trip_on_random_runs(tmp_path_factory, run):
+    cfg, name, att = run
+    transcript, stats = run_with_stats(cfg, att)
+    path = tmp_path_factory.mktemp("transcript") / "t.jsonl"
+    write_transcript(path, transcript, header_extra={"attack": {"name": name}})
+    header, records = read_transcript(path)
+    assert header == {**asdict(cfg), "attack": {"name": name}}
+    assert records == transcript.records
+    assert stats_from_records(records, header["abort_threshold"]) == stats
 
 
 def test_derive_seed_is_deterministic_and_splits():
