@@ -22,6 +22,7 @@ from .attacks import (
     ATTACK_NAMES,
     AttackSpec,
     Gate,
+    RoundTemplate,
     build_attack,
     cnot_parity_attack,
     identity_attack,
@@ -67,6 +68,7 @@ __all__ = [
     "ProductStructureReport",
     "ProtocolConfig",
     "RoundRecord",
+    "RoundTemplate",
     "RunStats",
     "StateVector",
     "SubnormalizedVector",

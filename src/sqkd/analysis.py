@@ -144,9 +144,8 @@ def _eve_labels(layout: SubsystemLayout) -> list[str]:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(ρ) = −tr(ρ log₂ ρ)."""
-    evals = np.linalg.eigvalsh((rho.entries + rho.entries.conj().T) / 2)
-    evals = np.clip(evals.real, 0.0, 1.0)
+    """S(ρ) = −tr(ρ log₂ ρ), from the spectrum the PSD check computed."""
+    evals = np.clip(rho.eigenvalues, 0.0, 1.0)
     nz = evals[evals > 1e-15]
     return float(-(nz * np.log2(nz)).sum())
 

@@ -15,7 +15,14 @@ from pathlib import Path
 
 from .analysis import constraint_check, constraint_reports, eve_leakage, theorem_check
 from .attacks import ATTACK_NAMES, build_attack
-from .errors import EmptyGrid, ParamOutOfRange, SqkdError, UnknownAttack, UnknownFamily
+from .errors import (
+    EmptyGrid,
+    GridTooLarge,
+    ParamOutOfRange,
+    SqkdError,
+    UnknownAttack,
+    UnknownFamily,
+)
 from .protocol import (
     ProtocolConfig,
     classical_phase,
@@ -26,6 +33,9 @@ from .protocol import (
 
 _CONFIG_KEYS = {f.name for f in fields(ProtocolConfig)} | {"attack"}
 _ATTACK_KEYS = {"name", "params", "rounds"}
+
+#: most points a scan grid may hold; each costs a check, so a larger grid is a typo
+MAX_GRID_POINTS = 100_000
 
 #: attack families that support parameter scans, with their scannable parameter
 _SCAN_FAMILIES = {"phase_probe": "theta"}
@@ -147,12 +157,14 @@ def _parse_grid(spec: str) -> list[float]:
     if step == 0:
         raise EmptyGrid("grid step must be nonzero")
     # points are start + k*step, so the error does not accumulate; the stop
-    # is included up to a relative slack of 1e-9 steps
-    n = math.floor((stop - start) / step + 1e-9) + 1
-    values = [start + k * step for k in range(n)]
-    if not values:
+    # is included up to a relative slack of 1e-9 steps; the count is checked
+    # before anything is allocated
+    last = (stop - start) / step + 1e-9
+    if last < 0:
         raise EmptyGrid(f"grid {spec!r} contains no points")
-    return values
+    if last >= MAX_GRID_POINTS:  # also an overflow to inf
+        raise GridTooLarge(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [start + k * step for k in range(math.floor(last) + 1)]
 
 
 def cmd_scan(family: str, param: str, grid: list[float], out_csv: str) -> int:

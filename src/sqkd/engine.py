@@ -108,7 +108,7 @@ class StateVector:
             raise DimensionMismatch(
                 f"{amps.shape[0]} amplitudes for layout of dimension {self.layout.dim}"
             )
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > NORM_ATOL:
             raise InvalidState(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
 
@@ -135,7 +135,7 @@ class SubnormalizedVector:
             raise DimensionMismatch(
                 f"{amps.shape[0]} amplitudes for layout of dimension {self.layout.dim}"
             )
-        w = float(np.linalg.norm(amps) ** 2)
+        w = float(np.vdot(amps, amps).real)
         if self.weight is None:
             object.__setattr__(self, "weight", w)
         elif abs(self.weight - w) > NORM_ATOL:
@@ -151,9 +151,14 @@ class SubnormalizedVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, trace-1 matrix."""
+    """Hermitian, PSD, trace-1 matrix.
+
+    eigenvalues holds the spectrum of its Hermitian part, computed once by
+    the PSD check.
+    """
 
     entries: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -165,8 +170,10 @@ class DensityMatrix:
         tr = np.trace(m).real
         if abs(tr - 1.0) > MATRIX_ATOL:
             raise InvalidState(f"trace {tr} deviates from 1 beyond {MATRIX_ATOL}")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -MATRIX_ATOL:
+        evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        if evals.min() < -MATRIX_ATOL:
             raise InvalidState("matrix has an eigenvalue below -tolerance")
+        object.__setattr__(self, "eigenvalues", evals)
 
     @property
     def dim(self) -> int:
@@ -343,18 +350,27 @@ def _front(psi, labels) -> np.ndarray:
     return t.reshape(*(dims[p] for p in positions), -1)
 
 
-def draw_outcome(w0: float, rng: np.random.Generator) -> tuple[int, float]:
-    """Draw a two-outcome measurement whose outcome 0 has Born weight w0.
+def outcome_threshold(w0: float) -> float:
+    """Outcome 0's Born weight w0 as draw_outcome compares it to a uniform draw.
 
-    Returns (outcome, prob) from one rng.random() draw.  w0 is clamped to
-    [0, 1], and weights within 1e-12 of 0 or 1 are snapped so that
-    deterministic outcomes are exact.
+    w0 is clamped to [0, 1], and weights within 1e-12 of 0 or 1 are snapped
+    so that deterministic outcomes are exact.
     """
     w0 = min(max(w0, 0.0), 1.0)
     if w0 > 1 - 1e-12:
-        w0 = 1.0
-    elif w0 < 1e-12:
-        w0 = 0.0
+        return 1.0
+    if w0 < 1e-12:
+        return 0.0
+    return w0
+
+
+def draw_outcome(w0: float, rng: np.random.Generator) -> tuple[int, float]:
+    """Draw a two-outcome measurement whose outcome 0 has Born weight w0.
+
+    Returns (outcome, prob) from one rng.random() draw: outcome 0 when the
+    draw falls below outcome_threshold(w0).
+    """
+    w0 = outcome_threshold(w0)
     idx = 0 if rng.random() < w0 else 1
     return idx, (w0 if idx == 0 else 1.0 - w0)
 

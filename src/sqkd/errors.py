@@ -79,3 +79,7 @@ class UnknownFamily(SqkdError):
 
 class EmptyGrid(SqkdError):
     """Scan requested over an empty parameter grid."""
+
+
+class GridTooLarge(SqkdError):
+    """Scan requested over more grid points than MAX_GRID_POINTS."""

@@ -25,6 +25,7 @@ aborts the run.
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +48,7 @@ from .engine import (
     ket_plus,
     ket_zero,
     measure,
+    outcome_threshold,
     relabel,
     tensor,
 )
@@ -277,16 +279,94 @@ def _compile_round(fwd, bwd, labels, dims) -> _Instrument:
     return _Instrument(alice, bob_z, bob_x, (fwd, bwd))
 
 
+def _normalized(branch: np.ndarray) -> np.ndarray:
+    weight = float(np.vdot(branch, branch).real)
+    if weight <= 0:
+        raise InvalidState("cannot normalize a zero-weight branch")
+    return branch / math.sqrt(weight)
+
+
 def _collapse(kraus: np.ndarray, psi: np.ndarray, rng) -> tuple[int, np.ndarray]:
     """Draw a two-outcome instrument on psi; returns (outcome, renormalised state)."""
     branch = kraus[0] @ psi
     idx, _ = draw_outcome(float(np.vdot(branch, branch).real), rng)
     if idx:
         branch = kraus[1] @ psi
-    weight = float(np.vdot(branch, branch).real)
-    if weight <= 0:
-        raise InvalidState("cannot normalize a zero-weight branch")
-    return idx, branch / math.sqrt(weight)
+    return idx, _normalized(branch)
+
+
+def _outcomes(kraus: np.ndarray, psi: np.ndarray) -> tuple[float, list]:
+    """What _collapse would do on psi, for every draw at once.
+
+    Returns outcome 0's threshold (a draw below it gives 0) and the
+    renormalised branch of each outcome some draw reaches, None for the other;
+    the floating-point steps are _collapse's own.
+    """
+    branch = kraus[0] @ psi
+    t = outcome_threshold(float(np.vdot(branch, branch).real))
+    return t, [_normalized(kraus[k] @ psi) if hit else None for k, hit in enumerate((t > 0, t < 1))]
+
+
+class _Table(NamedTuple):
+    """Outcome thresholds of a round that starts and ends with no live probe.
+
+    A CTRL round reads PLUS when its draw is below x; a SIFT round gives
+    Alice bit 0 below a, then Bob's Z outcome 0 below z[bit].
+    """
+
+    x: float
+    a: float
+    z: tuple[float, float]
+
+
+def _round_table(inst: _Instrument, psi: np.ndarray) -> _Table:
+    x, _ = _outcomes(inst.bob_x, psi)
+    a, resent = _outcomes(inst.alice, psi)
+    z = tuple(1.0 if b is None else _outcomes(inst.bob_z[bit], b)[0] for bit, b in enumerate(resent))
+    return _Table(x, a, z)
+
+
+#: most doubles drawn from stream 0 at once by _sample_table
+_BLOCK = 1 << 16
+
+#: a tabled record's fields after its index, by outcome code: 0/1 for a CTRL
+#: round reading PLUS/MINUS, 2 + 2*bit + z for a SIFT round
+_TABLED_FIELDS = [(CTRL, None, None, x, None, None) for x in (PLUS, MINUS)] + [
+    (SIFT, bit, None, None, z, None) for bit in (0, 1) for z in (0, 1)
+]
+
+
+def _sample_table(table: _Table, first: int, end: int, ctrl_prob: float, rng) -> list[RoundRecord]:
+    """Records of rounds [first, end), all drawn from one table.
+
+    Each round takes the loop's draws in the loop's order: the choice, then
+    one (CTRL) or two (SIFT) outcomes.  Draws come in blocks of at most what
+    the remaining rounds take at the least, so the rng ends where the
+    per-round loop would leave it.
+    """
+    records = []
+    u = np.empty(0)  # draws of a round not yet complete, then the next block
+    while first < end:
+        least = 2 * (end - first) + int(len(u) > 0 and u[0] >= ctrl_prob)
+        u = np.concatenate([u, rng.random(min(least - len(u), _BLOCK))])
+        ctrl = u < ctrl_prob
+        is_ctrl = ctrl.tolist()
+        starts = []
+        p = 0
+        while p < len(u):
+            starts.append(p)
+            p += 2 if is_ctrl[p] else 3
+        if p > len(u):  # the last round needs draws from the next block
+            p = starts.pop()
+        s = np.array(starts, dtype=np.intp)
+        second, third = u[s + 1], u[np.minimum(s + 2, len(u) - 1)]
+        bit = second >= table.a
+        sift = 2 + 2 * bit + (third >= np.where(bit, table.z[1], table.z[0]))
+        codes = np.where(ctrl[s], second >= table.x, sift).tolist()
+        records += [RoundRecord(i, *_TABLED_FIELDS[c]) for i, c in zip(range(first, end), codes)]
+        first += len(starts)
+        u = u[p:]
+    return records
 
 
 def _measure_out(psi, dims, pos, rng) -> np.ndarray:
@@ -308,17 +388,25 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
     no live label remains, and otherwise by measuring each in Z with draws
     from its own substream, which no later round can notice since nothing
     acts on it again.
+
+    A round that starts with no live probe and leaves none behind carries no
+    state, and neither do the rounds after it that follow its gate rule
+    (AttackSpec.run_end): they are all drawn from one outcome table per
+    shape and fresh probe state.
     """
     records = []
-    last_use = attack.last_use_map(config.rounds)
+    last_use: dict[str, int] = {}  # of each materialized probe label
     labels: list[str] = []
     dims: list[int] = []
     psi = np.ones(1, dtype=complex)
     materialized: set[str] = set()
     compiled: dict = {}
+    tables: dict = {}
     dead_rng = None  # built on first use: most runs never need it
 
-    for i in range(config.rounds):
+    i = 0
+    while i < config.rounds:
+        fresh = not labels
         fwd, bwd = attack.forward_gate(i), attack.backward_gate(i)
         for label in [t for g in (fwd, bwd) if g is not None for t in g.targets]:
             if label == TRANSIT or label in materialized:
@@ -328,12 +416,24 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
             labels += factor.layout.labels
             dims += factor.layout.dims
             materialized.update(factor.layout.labels)
+            last_use.update((l, attack.last_use(l, config.rounds)) for l in factor.layout.labels)
         positions = {label: k + 1 for k, label in enumerate(labels)}
         positions[TRANSIT] = 0
         key = (_gate_key(fwd, positions), _gate_key(bwd, positions), tuple(dims))
         inst = compiled.get(key)
         if inst is None:
             inst = compiled[key] = _compile_round(fwd, bwd, labels, dims)
+
+        if fresh and all(last_use[l] <= i for l in labels):
+            table_key = (key, psi.tobytes())
+            table = tables.get(table_key)
+            if table is None:
+                table = tables[table_key] = _round_table(inst, psi)
+            end = attack.run_end(i, config.rounds)
+            records += _sample_table(table, i, end, config.ctrl_prob, rng)
+            labels, dims, psi = [], [], np.ones(1, dtype=complex)
+            i = end
+            continue
 
         choice = CTRL if rng.random() < config.ctrl_prob else SIFT
         rec = RoundRecord(index=i, choice=choice)
@@ -346,7 +446,7 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
             rec.bob_x_outcome = PLUS if x == 0 else MINUS
         records.append(rec)
 
-        dead = [l for l in labels if last_use.get(l, -1) <= i]
+        dead = [l for l in labels if last_use[l] <= i]
         if len(dead) == len(labels):
             labels, dims, psi = [], [], np.ones(1, dtype=complex)
             dead = []
@@ -359,6 +459,7 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
         norm = math.sqrt(float(np.vdot(psi, psi).real))
         if not abs(norm - 1.0) <= NORM_ATOL:
             raise InvalidState(f"live probe norm {norm!r} deviates from 1 in round {i}")
+        i += 1
 
     return Transcript(config=config, records=records, final_state=None)
 
@@ -476,20 +577,34 @@ _CONFIG_FIELDS = {f.name for f in fields(ProtocolConfig)}
 _RECORD_FIELDS = {f.name for f in fields(RoundRecord)}
 
 
+#: a record's fields after its index, the key of its cached line tail
+_RECORD_TAIL = attrgetter(*[f.name for f in fields(RoundRecord)][1:])
+
+
 def write_transcript(path, transcript: Transcript, header_extra: dict | None = None):
     """One JSON record per line, preceded by a header line with the config.
 
     The header is the config's fields, then header_extra; each record line is
-    the RoundRecord's fields in field order.  Records go through vars(), not
-    asdict(), which is several times slower per record.
+    the RoundRecord's fields in field order, json.dumps(vars(rec)).  Records
+    that differ only in their index share the text after it, so that tail is
+    serialised once per distinct tuple of the other fields; each field holds
+    values of one JSON type, so equal tuples serialise alike.
     """
     header = asdict(transcript.config)
     if header_extra:
         header.update(header_extra)
+    lines = [json.dumps(header)]
+    tails: dict = {}
+    for rec in transcript.records:
+        head = '{"index": ' + str(rec.index)
+        key = _RECORD_TAIL(rec)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = json.dumps(vars(rec))[len(head) :]
+        lines.append(head + tail)
+    lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for rec in transcript.records:
-            fh.write(json.dumps(vars(rec)) + "\n")
+        fh.write("\n".join(lines))
 
 
 def read_transcript(path) -> tuple[dict, list[RoundRecord]]:

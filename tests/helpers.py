@@ -19,12 +19,14 @@ from sqkd.engine import (
     Unitary,
     cnot,
     factor_out,
+    ket_plus,
     ket_zero,
     measure,
     phase_gate,
     random_state,
     random_unitary,
     single,
+    swap_gate,
 )
 from sqkd.errors import FactorizationError
 from sqkd.protocol import (
@@ -82,6 +84,30 @@ def dead_probe_entangler_attack(n_rounds):
         probe_factors=tuple(ket_zero(f"E{i}") for i in range(n_rounds + 1)),
         forward=forward,
         backward=backward,
+    )
+
+
+def explicit_measure_resend_z_attack(n_rounds):
+    """measure_resend_z_attack spelled out as one probe factor and gate per round."""
+    copy = cnot()
+    return AttackSpec(
+        name="measure_resend_z",
+        probe_dims=(2,) * n_rounds,
+        probe_factors=tuple(ket_zero(f"E{i}") for i in range(n_rounds)),
+        forward={i: Gate(copy, ("T", f"E{i}")) for i in range(n_rounds)},
+    )
+
+
+def explicit_swap_attack(n_rounds):
+    """swap_attack spelled out as one probe factor and gate pair per round."""
+    exchange = swap_gate()
+    gates = {i: Gate(exchange, ("T", f"E{i}")) for i in range(n_rounds)}
+    return AttackSpec(
+        name="swap",
+        probe_dims=(2,) * n_rounds,
+        probe_factors=tuple(ket_plus(f"E{i}") for i in range(n_rounds)),
+        forward=gates,
+        backward=dict(gates),
     )
 
 

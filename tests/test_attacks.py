@@ -8,6 +8,7 @@ from sqkd.attacks import (
     ATTACK_NAMES,
     AttackSpec,
     Gate,
+    RoundTemplate,
     build_attack,
     cnot_parity_attack,
     identity_attack,
@@ -17,8 +18,10 @@ from sqkd.attacks import (
 )
 from sqkd.engine import (
     apply_unitary,
+    cnot,
     hadamard,
     identity_gate,
+    ket_zero,
     partial_trace,
     project,
     purity,
@@ -30,7 +33,16 @@ from sqkd.errors import (
     ParamOutOfRange,
     UnknownAttack,
 )
-from sqkd.protocol import JointEvolution, ProtocolConfig, classical_phase, run_protocol, stream_rng
+from sqkd.protocol import (
+    MODE_EXACT,
+    JointEvolution,
+    ProtocolConfig,
+    classical_phase,
+    run_protocol,
+    stream_rng,
+)
+
+from helpers import explicit_measure_resend_z_attack, explicit_swap_attack
 
 
 def run_stats(attack, rounds, seed=0, ctrl_prob=0.5, test_fraction=0.5):
@@ -139,6 +151,72 @@ def test_last_use_map():
     assert att.last_use_map(6) == {"E0": 5}
     att = measure_resend_z_attack(2)
     assert att.last_use_map(2) == {"E0": 0, "E1": 1}
+
+
+# ---------------------------------------------------------------------------
+# Round templates
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build,oracle",
+    [
+        (measure_resend_z_attack, explicit_measure_resend_z_attack),
+        (swap_attack, explicit_swap_attack),
+    ],
+    ids=["measure_resend_z", "swap"],
+)
+def test_templated_attacks_match_explicit_oracles(build, oracle):
+    for n in range(1, 5):
+        att, ref = build(n), oracle(n)
+        assert att.probe_dims == ref.probe_dims
+        for rounds in (n, n + 3):  # rounds past the register take no gates
+            assert att.last_use_map(rounds) == ref.last_use_map(rounds)
+            for seed in range(3):
+                for ctrl_prob in (0.0, 0.3, 1.0):
+                    cfg = ProtocolConfig(rounds=rounds, ctrl_prob=ctrl_prob, seed=seed)
+                    assert run_protocol(cfg, att).records == run_protocol(cfg, ref).records
+        cfg = ProtocolConfig(rounds=n, seed=n, mode=MODE_EXACT)
+        got, want = run_protocol(cfg, att), run_protocol(cfg, ref)
+        assert got.records == want.records
+        assert got.final_state.layout == want.final_state.layout
+        assert np.array_equal(got.final_state.amps, want.final_state.amps)
+        assert analysis.theorem_check(
+            att, max_pattern_len=n, compute_holevo=True
+        ) == analysis.theorem_check(ref, max_pattern_len=n, compute_holevo=True)
+        for pattern in ("S" * n, "C" * (n - 1) + "S"):
+            assert analysis.eve_leakage(att, pattern) == analysis.eve_leakage(ref, pattern)
+    cfg = ProtocolConfig(rounds=500, seed=5)
+    assert run_protocol(cfg, build(500)).records == run_protocol(cfg, oracle(500)).records
+
+
+def test_template_construction_is_validated():
+    probe = ket_zero("E0")
+    with pytest.raises(InvalidState):
+        RoundTemplate(probe, forward=hadamard())  # acts on T alone, not (T, probe)
+    with pytest.raises(InvalidState):
+        AttackSpec(
+            name="bad",
+            probe_dims=(2, 2),
+            template=RoundTemplate(probe, forward=cnot()),
+            default_forward=Gate(cnot(), ("T", "E0")),
+        )
+    with pytest.raises(InvalidState):
+        AttackSpec(
+            name="bad",
+            probe_dims=(2,),
+            probe_factors=(probe,),
+            template=RoundTemplate(probe, forward=cnot()),
+        )
+    with pytest.raises(InvalidState):
+        AttackSpec(name="bad", probe_dims=(2, 3), template=RoundTemplate(probe, forward=cnot()))
+    with pytest.raises(InvalidState):
+        AttackSpec(
+            name="bad",
+            probe_dims=(2, 2),
+            forward={0: Gate(cnot(), ("T", "E2"))},
+            template=RoundTemplate(probe, forward=cnot()),
+        )
 
 
 # ---------------------------------------------------------------------------

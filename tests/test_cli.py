@@ -1,9 +1,14 @@
 import csv
+import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
+import pytest
+
 from sqkd import cli
+from sqkd.errors import GridTooLarge
 from sqkd.analysis import TheoremReport
 from sqkd.protocol import ProtocolConfig, read_transcript, stats_from_records
 
@@ -354,6 +359,41 @@ def test_run_output_bytes_are_pinned(tmp_path):
     assert (tmp_path / "stats.jsonl").read_bytes() == GOLDEN_TRANSCRIPT.encode()
 
 
+#: SHA-256 of the stats JSON followed by the transcript of a 10^4-round run
+#: at seed 2024, and the exit code; cnot_parity's window puts tabled rounds
+#: before and after rounds that carry its probe
+PINNED_SAMPLED_RUNS = {
+    "identity": ({"name": "identity"}, 0, "9fe19be3f0daac6eb72f9acbb5a954b879d33d741793e588c84cb02d3fac0ea0"),
+    "cnot_parity": (
+        {"name": "cnot_parity", "rounds": [2500, 7500]},
+        0,
+        "5b28c305365d00b61fe7566fe2fb1b61781cbf66d64b94864638ae54d2934cfd",
+    ),
+    "measure_resend_z": (
+        {"name": "measure_resend_z"},
+        2,
+        "1c7cb77fe422b2a009ecd324cf1396b1740d2fde1fdd05c7d9aae7bfc8c35fd8",
+    ),
+    "swap": ({"name": "swap"}, 2, "86c67df4244b3a7a5ab08bb9cf5028a654e505fa947b1726692e4e708447b478"),
+    "phase_probe": (
+        {"name": "phase_probe", "params": {"theta": 0.9}},
+        2,
+        "f36dc1611087abfb0747fb9d860d463ec55c96a4dfaaa20c1282f54d631c4cbe",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SAMPLED_RUNS))
+def test_sampled_runs_are_pinned(tmp_path, name):
+    attack, code, digest = PINNED_SAMPLED_RUNS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rounds": 10_000, "seed": 2024, "attack": attack}))
+    out = tmp_path / "stats.json"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == code
+    data = out.read_bytes() + out.with_suffix(".jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_check_output_bytes_are_pinned(capsys):
     assert cli.main(["check", "--attack", "identity", "--max-pattern-len", "2"]) == 0
     assert capsys.readouterr().out == GOLDEN_CHECK
@@ -447,6 +487,27 @@ def test_scan_non_finite_grid(tmp_path):
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 1, grid
+
+
+def test_scan_refuses_grids_above_the_point_cap(tmp_path, capsys):
+    cap = cli.MAX_GRID_POINTS
+    assert len(cli._parse_grid(f"0:{cap - 1}:1")) == cap
+    tracemalloc.start()
+    try:
+        for grid in (f"0:{cap}:1", "0:1:1e-12", "0:1e300:1e-300", "-1e308:1e308:1"):
+            with pytest.raises(GridTooLarge):
+                cli._parse_grid(grid)
+            code = cli.main(
+                ["scan", "--attack", "phase_probe", "--param", "theta", f"--grid={grid}",
+                 "--out", str(tmp_path / "x.csv")]
+            )
+            assert code == 1, grid
+            assert "more than" in capsys.readouterr().err
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the refusal allocates no grid
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ---------------------------------------------------------------------------

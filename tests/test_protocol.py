@@ -12,6 +12,7 @@ from sqkd.attacks import (
     ATTACK_NAMES,
     AttackSpec,
     Gate,
+    RoundTemplate,
     build_attack,
     cnot_parity_attack,
     identity_attack,
@@ -22,11 +23,15 @@ from sqkd.attacks import (
 from sqkd.engine import (
     PLUS,
     SubsystemLayout,
+    cnot,
+    hadamard,
+    ket_plus,
     ket_zero,
     permute,
     phase_deviation,
     random_state,
     random_unitary,
+    swap_gate,
     tensor,
 )
 from sqkd.errors import ExactCapExceeded, IncompleteTranscript
@@ -331,6 +336,8 @@ REFERENCE_ROUNDS = 120
 SAMPLING_ATTACKS = {
     "identity": identity_attack(),
     "cnot_parity": cnot_parity_attack((3, 40)),
+    "cnot_parity_first_last": cnot_parity_attack((0, REFERENCE_ROUNDS - 1)),
+    "cnot_parity_last_two": cnot_parity_attack((REFERENCE_ROUNDS - 2, REFERENCE_ROUNDS - 1)),
     "measure_resend_z": measure_resend_z_attack(REFERENCE_ROUNDS),
     "swap": swap_attack(REFERENCE_ROUNDS),
     "phase_probe": phase_probe_attack(0.7),
@@ -369,6 +376,49 @@ def test_sampling_matches_dense_reference_on_random_gates(seed, dim, ctrl_prob, 
     )
     cfg = ProtocolConfig(rounds=rounds, ctrl_prob=ctrl_prob, seed=seed)
     assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+
+
+def _patched_swap_attack(n_rounds):
+    """swap's template plus explicit gates that reach other rounds' probes.
+
+    Round 3 copies the transit into E5, which round 5's template swaps later;
+    round 7 swaps back with E2, which round 2's template used first; round 9
+    names both legs, on E10, so the template never touches E9; past the
+    register, round 15's backward leg alone turns the transit.
+    """
+    exchange = swap_gate()
+    return AttackSpec(
+        name="patched_swap",
+        probe_dims=(2,) * n_rounds,
+        forward={3: Gate(cnot(), ("T", "E5")), 9: Gate(cnot(), ("T", "E10"))},
+        backward={
+            7: Gate(exchange, ("T", "E2")),
+            9: Gate(exchange, ("T", "E10")),
+            15: Gate(hadamard(), ("T",)),
+        },
+        template=RoundTemplate(ket_plus("E0"), forward=exchange, backward=exchange),
+    )
+
+
+@pytest.mark.parametrize("ctrl_prob", [0.0, 0.3, 1.0])
+def test_templates_with_explicit_entries_match_dense_reference(ctrl_prob):
+    att = _patched_swap_attack(12)
+    assert att.last_use_map(20) == {**{f"E{i}": i for i in range(12) if i != 9}, "E2": 7}
+    assert att.last_use("E9", 20) == -1
+    for seed in range(5):
+        cfg = ProtocolConfig(rounds=20, ctrl_prob=ctrl_prob, seed=seed)
+        assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_table_blocks_of_any_size_match_dense_reference(monkeypatch, block):
+    # blocks this small leave a round's draws split across blocks all the time
+    monkeypatch.setattr(protocol, "_BLOCK", block)
+    for name in ("identity", "cnot_parity", "swap", "measure_resend_z"):
+        att = SAMPLING_ATTACKS[name]
+        for ctrl_prob in (0.0, 0.3, 1.0):
+            cfg = ProtocolConfig(rounds=REFERENCE_ROUNDS, ctrl_prob=ctrl_prob, seed=block)
+            assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
 
 
 def test_dead_entangled_probes_do_not_grow_the_state(monkeypatch):
