@@ -10,7 +10,8 @@ The central quantities, all computed from exact joint-state evolution:
   bit-flipping components the backward unitary V leaves on a sifted qubit,
   ‖(<1|⊗I)V|0>|E'0>‖² + ‖(<0|⊗I)V|1>|E'1>‖²; ctrl_error_prob is the Born
   probability of |-> on a reflected qubit, reconstructed by linearity from
-  the same branches; f_distance is ‖F'0 − F'1‖₂ on the branches after V.
+  the same branches; f_distance is ‖F'0 − F'1‖₂ on the branches after V,
+  all read off the state a SIFT round's JointEvolution.finish_round leaves.
 
 * Leakage.  Running a fixed CTRL/SIFT choice pattern coherently, condition
   the probe's reduced state on each of Alice's bits and report trace
@@ -50,7 +51,6 @@ from .engine import (
     partial_trace,
     permute,
     phase_deviation,
-    project,
     purity,
     tensor,
     trace_distance,
@@ -126,14 +126,6 @@ def _normalize_pattern(pattern: str) -> str:
     return pattern
 
 
-def _drop_slice(vec, label: str, index: int) -> tuple[np.ndarray, SubsystemLayout]:
-    """Slice one subsystem at a basis index and remove it from the layout."""
-    pos = vec.layout.index(label)
-    dims = tuple(d for i, d in enumerate(vec.layout.dims) if i != pos)
-    labels = tuple(l for i, l in enumerate(vec.layout.labels) if i != pos)
-    return _front(vec, [label])[index], SubsystemLayout(dims, labels)
-
-
 def _bell(label_a: str, label_b: str) -> StateVector:
     amps = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     return StateVector(SubsystemLayout((2, 2), (label_a, label_b)), amps)
@@ -176,40 +168,27 @@ def extract_branches(
     if TRANSIT in eve_state.layout.labels:
         raise AttackLayoutMismatch("eve_state must not contain the transit qubit")
     state = tensor(ket_plus(TRANSIT), eve_state)
-    state = apply_gate(state, attack.forward_gate(round_index))
-    branches = []
-    for b in (0, 1):
-        amps, layout = _drop_slice(state, TRANSIT, b)
-        branches.append(SubnormalizedVector(layout, amps))
-    return branches[0], branches[1]
+    amps = _front(apply_gate(state, attack.forward_gate(round_index)), [TRANSIT])
+    return SubnormalizedVector(eve_state.layout, amps[0]), SubnormalizedVector(eve_state.layout, amps[1])
 
 
-def _constraint_at(attack: AttackSpec, round_index: int, post_forward: StateVector) -> ConstraintReport:
-    """Round residuals from the joint state right after the forward attack.
+def _residuals(round_index: int, sifted: StateVector) -> ConstraintReport:
+    """Round residuals from the state a SIFT round's finish_round leaves.
 
-    post_forward must still contain the transit qubit; any other subsystems
-    (Bob's memory, earlier Alice probes, the probe register) ride along as
-    spectators.
+    s[b][t] is branch b's slice at returned transit value t after V: Alice's
+    XOR tagged each branch with its bit, so V acted on them separately.
     """
-    bg = attack.backward_gate(round_index)
-
-    # SIFT hypothesis: Alice's XOR tags each branch with its bit, so the
-    # backward unitary acts on the collapsed branches separately; v[b][t] is
-    # branch b's slice at transit value t after V.
-    v = [
-        _front(apply_gate(project(post_forward, TRANSIT, b), bg), [TRANSIT])
-        for b in (0, 1)
-    ]
+    s = _front(sifted, [alice_probe(round_index), bob_memory(round_index)])
 
     # CTRL hypothesis: no XOR, the transit stays coherent; by linearity the
     # output is the sum of the two branches, and the error is its |-> weight.
-    ctrl = v[0] + v[1]
+    ctrl = s[0] + s[1]
 
     return ConstraintReport(
         round=round_index,
-        test_residual=_weight(v[0][1]) + _weight(v[1][0]),
+        test_residual=_weight(s[0][1]) + _weight(s[1][0]),
         ctrl_error_prob=_weight((ctrl[0] - ctrl[1]) / math.sqrt(2)),
-        f_distance=float(np.linalg.norm(v[0][0] - v[1][1])),
+        f_distance=float(np.linalg.norm(s[0][0] - s[1][1])),
     )
 
 
@@ -246,12 +225,14 @@ def constraint_check(
 def _walk_patterns(attack: AttackSpec, patterns):
     """Evolve every pattern over the prefix trie of the set, depth first.
 
-    Each distinct prefix is evolved once, the evolution being cloned where
-    the trie branches, and each internal node's round residuals are computed
-    once.  Yields (pattern, final state, reports along its path) for every
-    distinct pattern, CTRL branches before SIFT ones.  While a subtree is
-    walked, the post-forward state of each ancestor that still has a child
-    to visit stays live.
+    Each distinct prefix is evolved once.  At every internal node the SIFT
+    child is evolved, since its state carries the round's residuals; its
+    subtree is walked first, and the CTRL child, if wanted, takes over the
+    parent's evolution afterwards.  Yields (pattern, final state, reports
+    along its path) for every distinct pattern, SIFT branches before CTRL
+    ones.  While a SIFT subtree is walked, the post-forward state of each
+    ancestor with a CTRL child still to visit stays live; walking CTRL first
+    would hold the larger SIFT child instead.
     """
     wanted = set(patterns)
     inner = {p[:k] for p in wanted for k in range(len(p))}
@@ -264,14 +245,18 @@ def _walk_patterns(attack: AttackSpec, patterns):
             return
         i = len(prefix)
         evo.start_round(i)
-        reports = reports + [_constraint_at(attack, i, evo.state)]
-        kids = [ch for ch in "CS" if prefix + ch in nodes]
-        for ch in kids:
-            # the last child takes over the parent's evolution instead of a copy
-            child = evo if ch == kids[-1] else evo.clone()
-            child.alice(i, CTRL if ch == "C" else SIFT)
-            child.finish_round(i)
-            yield from visit(child, prefix + ch, reports)
+        ctrl_wanted = prefix + "C" in nodes
+        sift = evo.clone() if ctrl_wanted else evo
+        sift.alice(i, SIFT)
+        sift.finish_round(i)
+        reports = reports + [_residuals(i, sift.state)]
+        if prefix + "S" in nodes:
+            yield from visit(sift, prefix + "S", reports)
+        del sift  # else the SIFT subtree's last state stays live through the CTRL one
+        if ctrl_wanted:
+            evo.alice(i, CTRL)
+            evo.finish_round(i)
+            yield from visit(evo, prefix + "C", reports)
 
     yield from visit(JointEvolution(attack, max(map(len, wanted))), "", [])
 
@@ -486,11 +471,13 @@ def exact_rate_expectations(
     probs = {"C": ctrl_prob, "S": 1.0 - ctrl_prob}
     choices = [ch for ch in "CS" if probs[ch] != 0.0]
     patterns = ["".join(p) for p in itertools.product(choices, repeat=n_rounds)]
+    # summed in enumeration order, so the float sums do not follow the walk's
+    reports_of = {p: reports for p, _, reports in _walk_patterns(attack, patterns)}
     ce = cc = te = tc = 0.0
-    for pattern, _, reports in _walk_patterns(attack, patterns):
+    for pattern in patterns:
         weight = 1.0
         ctrl_q = test_q = 0.0
-        for ch, rep in zip(pattern, reports):
+        for ch, rep in zip(pattern, reports_of[pattern]):
             weight *= probs[ch]
             if ch == "C":
                 ctrl_q += rep.ctrl_error_prob

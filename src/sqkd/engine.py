@@ -432,22 +432,18 @@ def partial_trace(state: StateVector, keep) -> DensityMatrix:
     return DensityMatrix(m @ m.conj().T)
 
 
-def _abs_eig_sum(m: np.ndarray) -> float:
-    h = (m + m.conj().T) / 2
-    return float(np.abs(np.linalg.eigvalsh(h)).sum())
-
-
 def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
     """(1/2)·Σ|eigenvalues(r1 − r2)|, in [0, 1].
 
-    Evaluated on both operand orders and averaged so the result is exactly
-    symmetric despite eigensolver round-off.
+    The operands are taken in a fixed order, by their bytes, so the result
+    is exactly symmetric despite eigensolver round-off.
     """
     if r1.dim != r2.dim:
         raise DimensionMismatch(f"dims {r1.dim} and {r2.dim} differ")
-    a = _abs_eig_sum(r1.entries - r2.entries)
-    b = _abs_eig_sum(r2.entries - r1.entries)
-    return min(max((a + b) / 4, 0.0), 1.0)
+    a, b = sorted((r1.entries, r2.entries), key=lambda m: m.tobytes())
+    d = a - b
+    evals = np.linalg.eigvalsh((d + d.conj().T) / 2)
+    return min(max(float(np.abs(evals).sum()) / 2, 0.0), 1.0)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -42,14 +42,12 @@ from .engine import (
     apply_unitary,
     basis_state,
     bob_memory,
-    cnot,
     draw_outcome,
     hadamard,
     ket_plus,
-    ket_zero,
     measure,
     outcome_threshold,
-    relabel,
+    project,
     tensor,
 )
 from .errors import (
@@ -177,9 +175,10 @@ class JointEvolution:
     """Threads the exact joint state through protocol rounds.
 
     Probe subsystems are materialized lazily, the first time a gate targets
-    them; an Alice probe qubit is allocated every round (it simply stays |0>
-    on CTRL rounds), and the transit qubit is relabeled into Bob's memory when
-    the round completes.
+    them.  finish_round is the only code that runs a round's backward leg: it
+    appends Alice's probe, holding [V·P₀ψ, V·P₁ψ] on SIFT (her XOR copy tags
+    the transit's two computational branches, so V acts on each separately)
+    and [V·ψ, 0] on CTRL, and relabels the transit into Bob's memory.
     """
 
     def __init__(self, attack: AttackSpec, n_rounds: int):
@@ -187,6 +186,7 @@ class JointEvolution:
         self.n_rounds = n_rounds
         self.state = _empty_state()
         self._materialized: set[str] = set()
+        self._choice = None
 
     def clone(self) -> "JointEvolution":
         other = JointEvolution.__new__(JointEvolution)
@@ -194,6 +194,7 @@ class JointEvolution:
         other.n_rounds = self.n_rounds
         other.state = self.state
         other._materialized = set(self._materialized)
+        other._choice = self._choice
         return other
 
     def _materialize(self, gate: Gate | None):
@@ -214,15 +215,20 @@ class JointEvolution:
         self.state = apply_gate(self.state, self.attack.forward_gate(i))
 
     def alice(self, i: int, choice: str):
-        """Allocate Alice's round probe; XOR the transit onto it when sifting."""
-        self.state = tensor(self.state, ket_zero(alice_probe(i)))
-        if choice == SIFT:
-            self.state = apply_unitary(self.state, cnot(), (TRANSIT, alice_probe(i)))
+        """Record Alice's choice for round i; finish_round acts on it."""
+        self._choice = choice
 
     def finish_round(self, i: int):
-        """Run the backward attack and move the transit into Bob's memory."""
-        self.state = apply_gate(self.state, self.attack.backward_gate(i))
-        self.state = relabel(self.state, TRANSIT, bob_memory(i))
+        """Run the backward attack on Alice's branches; her probe comes last."""
+        gate = self.attack.backward_gate(i)
+        if self._choice == SIFT:
+            branches = [apply_gate(project(self.state, TRANSIT, b), gate).amps for b in (0, 1)]
+        else:
+            out = apply_gate(self.state, gate).amps
+            branches = [out, np.zeros_like(out)]
+        layout = self.state.layout.relabeled(TRANSIT, bob_memory(i))
+        layout = SubsystemLayout(layout.dims + (2,), layout.labels + (alice_probe(i),))
+        self.state = StateVector(layout, np.stack(branches, axis=-1))
 
     def run_round(self, i: int, choice: str):
         self.start_round(i)
@@ -479,24 +485,30 @@ def run_protocol(config: ProtocolConfig, attack: AttackSpec) -> Transcript:
 
 
 def stats_from_records(records, abort_threshold: float) -> RunStats:
-    """Aggregate statistics from role-assigned records."""
-    n_ctrl = sum(1 for r in records if r.role == ROLE_CTRL)
-    n_test = sum(1 for r in records if r.role == ROLE_TEST)
-    n_key = sum(1 for r in records if r.role == ROLE_KEY)
-    ctrl_errors = sum(1 for r in records if r.role == ROLE_CTRL and r.error)
-    test_errors = sum(1 for r in records if r.role == ROLE_TEST and r.error)
-    key_alice = "".join(str(r.alice_bit) for r in records if r.role == ROLE_KEY)
-    key_bob = "".join(str(r.bob_z_outcome) for r in records if r.role == ROLE_KEY)
-    ctrl_rate = ctrl_errors / n_ctrl if n_ctrl else 0.0
-    test_rate = test_errors / n_test if n_test else 0.0
+    """Aggregate statistics from role-assigned records, in one pass."""
+    n = {ROLE_CTRL: 0, ROLE_TEST: 0, ROLE_KEY: 0}
+    errors = dict(n)
+    alice_bits, bob_bits = [], []
+    for r in records:
+        role = r.role
+        if role in n:
+            n[role] += 1
+            if r.error:
+                errors[role] += 1
+            if role == ROLE_KEY:
+                alice_bits.append(str(r.alice_bit))
+                bob_bits.append(str(r.bob_z_outcome))
+    key_alice, key_bob = "".join(alice_bits), "".join(bob_bits)
+    ctrl_rate = errors[ROLE_CTRL] / n[ROLE_CTRL] if n[ROLE_CTRL] else 0.0
+    test_rate = errors[ROLE_TEST] / n[ROLE_TEST] if n[ROLE_TEST] else 0.0
     mismatches = sum(a != b for a, b in zip(key_alice, key_bob))
-    mismatch_rate = mismatches / n_key if n_key else 0.0
+    mismatch_rate = mismatches / n[ROLE_KEY] if n[ROLE_KEY] else 0.0
     return RunStats(
-        n_ctrl=n_ctrl,
-        n_test=n_test,
-        n_key=n_key,
-        ctrl_errors=ctrl_errors,
-        test_errors=test_errors,
+        n_ctrl=n[ROLE_CTRL],
+        n_test=n[ROLE_TEST],
+        n_key=n[ROLE_KEY],
+        ctrl_errors=errors[ROLE_CTRL],
+        test_errors=errors[ROLE_TEST],
         ctrl_error_rate=ctrl_rate,
         test_error_rate=test_rate,
         key_alice=key_alice,

@@ -1,13 +1,14 @@
 """Shared test constructions: custom attacks and brute-force oracles."""
 
 import itertools
+import math
 
 import numpy as np
 
 from sqkd.analysis import (
+    ConstraintReport,
     ExpectedRates,
     TheoremReport,
-    _constraint_at,
     _leakage_from_final,
     _normalize_pattern,
 )
@@ -17,12 +18,15 @@ from sqkd.engine import (
     StateVector,
     SubsystemLayout,
     Unitary,
+    _front,
+    _weight,
     cnot,
     factor_out,
     ket_plus,
     ket_zero,
     measure,
     phase_gate,
+    project,
     random_state,
     random_unitary,
     single,
@@ -142,6 +146,35 @@ def oracle_partial_trace(amps, dims, keep_positions):
 # ---------------------------------------------------------------------------
 # Per-pattern reference evolution: every pattern from round 0, no sharing
 # ---------------------------------------------------------------------------
+
+
+def _constraint_at(attack: AttackSpec, round_index: int, post_forward: StateVector) -> ConstraintReport:
+    """Round residuals from the joint state right after the forward attack.
+
+    post_forward must still contain the transit qubit; any other subsystems
+    (Bob's memory, earlier Alice probes, the probe register) ride along as
+    spectators.
+    """
+    bg = attack.backward_gate(round_index)
+
+    # SIFT hypothesis: Alice's XOR tags each branch with its bit, so the
+    # backward unitary acts on the collapsed branches separately; v[b][t] is
+    # branch b's slice at transit value t after V.
+    v = [
+        _front(apply_gate(project(post_forward, TRANSIT, b), bg), [TRANSIT])
+        for b in (0, 1)
+    ]
+
+    # CTRL hypothesis: no XOR, the transit stays coherent; by linearity the
+    # output is the sum of the two branches, and the error is its |-> weight.
+    ctrl = v[0] + v[1]
+
+    return ConstraintReport(
+        round=round_index,
+        test_residual=_weight(v[0][1]) + _weight(v[1][0]),
+        ctrl_error_prob=_weight((ctrl[0] - ctrl[1]) / math.sqrt(2)),
+        f_distance=float(np.linalg.norm(v[0][0] - v[1][1])),
+    )
 
 
 def reference_evolution(attack, pattern):

@@ -659,3 +659,57 @@ def test_walker_evolves_each_prefix_once(monkeypatch):
     monkeypatch.setattr(JointEvolution, "finish_round", counted)
     theorem_check(phase_probe_attack(0.3), max_pattern_len=6)
     assert len(calls) == 126
+
+
+@st.composite
+def haar_attacks(draw):
+    """A random attack on (T, E0): Haar gates on both legs, per round or shared."""
+    dim = draw(st.integers(1, 4))
+    n_rounds = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gates():
+        return {i: Gate(random_unitary(2 * dim, rng), ("T", "E0")) for i in range(n_rounds)}
+
+    if draw(st.booleans()):
+        legs = {"forward": gates(), "backward": gates()}
+    else:
+        legs = {
+            "default_forward": Gate(random_unitary(2 * dim, rng), ("T", "E0")),
+            "default_backward": Gate(random_unitary(2 * dim, rng), ("T", "E0")),
+        }
+    init = random_state(SubsystemLayout((dim,), ("E0",)), rng)
+    attack = AttackSpec(name="haar", probe_dims=(dim,), probe_factors=(init,), **legs)
+    return attack, n_rounds
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    drawn=haar_attacks(),
+    patterns=st.lists(st.text("CS", min_size=1, max_size=4), min_size=1, max_size=6),
+    ctrl_prob=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+)
+def test_walker_matches_reference_on_random_attacks(drawn, patterns, ctrl_prob):
+    att, n_rounds = drawn
+    patterns = [p[:n_rounds] for p in patterns]
+    got = theorem_check(att, patterns=patterns, compute_holevo=True)
+    assert got == reference_theorem_check(att, patterns, compute_holevo=True)
+    for p in patterns:
+        reports = constraint_reports(att, p)
+        assert reports == [reference_constraint_check(att, i, p[:i]) for i in range(len(p))]
+    got_rates = exact_rate_expectations(att, n_rounds, ctrl_prob)
+    assert got_rates == reference_rate_expectations(att, n_rounds, ctrl_prob)
+
+
+def test_walker_memory_holds_no_sift_child_across_ctrl_subtrees():
+    # the final states of swap_attack(5) hold 2^15 amplitudes (512 KiB); the
+    # walk peaks near 4 of them, and holding each node's SIFT child while its
+    # CTRL subtree is walked would peak near 8.3
+    tracemalloc.start()
+    try:
+        rep = theorem_check(swap_attack(5), max_pattern_len=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.max_leakage == 1.0
+    assert peak < 4.5 * 2**15 * 16

@@ -399,6 +399,25 @@ def test_check_output_bytes_are_pinned(capsys):
     assert capsys.readouterr().out == GOLDEN_CHECK
 
 
+#: SHA-256 of `sqkd check --max-pattern-len 5` stdout; every check passes
+PINNED_CHECKS = {
+    "cnot_parity": ([], "f515558abca27fa446259e73cc0c0528e82c6a3da8724ce06fba4570a18b16a2"),
+    "measure_resend_z": ([], "ddf4319403f57ed9212100e49f5864acd826579e63d49208e50dd6055bae9bc8"),
+    "swap": ([], "3ab90fab7ac1cfcc00d00236a33d4c751115698b48019ac5549254722db91f00"),
+    "phase_probe": (
+        ["--param", "theta=0.5"],
+        "7fec52f53e018e76cd17bb9fdb558879f6006e78be6a2fe01e4e79e2f2799ac9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHECKS))
+def test_check_outputs_of_builtins_are_pinned(capsys, name):
+    params, digest = PINNED_CHECKS[name]
+    assert cli.main(["check", "--attack", name, "--max-pattern-len", "5", *params]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
