@@ -394,29 +394,51 @@ def project(psi, target: str, basis_state: int) -> SubnormalizedVector:
     return SubnormalizedVector(psi.layout, out.reshape(-1))
 
 
-def measure(psi: StateVector, target: str, basis: str, rng: np.random.Generator):
-    """Projectively measure a qubit subsystem in the Z or X basis.
+def measure_out(psi: StateVector, target: str, basis: str, rng: np.random.Generator):
+    """Projectively measure a qubit subsystem in the Z or X basis and drop it.
 
-    Returns (outcome, collapsed, prob) where outcome is 0/1 for Z and
-    "plus"/"minus" for X, collapsed is the renormalized post-measurement
-    state, and prob is the Born probability of the reported outcome, drawn
-    by draw_outcome.
+    Returns (outcome, rest, prob) where outcome is 0/1 for Z and
+    "plus"/"minus" for X, rest is the renormalized state of the other
+    subsystems, in layout order, and prob is the Born probability of the
+    reported outcome, drawn by draw_outcome.
     """
     basis = basis.lower()
     if basis not in ("z", "x"):
         raise ValueError(f"basis must be 'z' or 'x', got {basis!r}")
     if psi.layout.dim_of(target) != 2:
         raise NonQubitTarget(f"target {target!r} has dimension != 2")
-    work = apply_unitary(psi, hadamard(), [target]) if basis == "x" else psi
-    pos = work.layout.index(target)
-    idx, prob = draw_outcome(_weight(np.moveaxis(work.tensor_view(), pos, 0)[0]), rng)
-    collapsed = project(work, target, idx).normalized()
+    t = _front(psi, [target])
     if basis == "x":
-        collapsed = apply_unitary(collapsed, hadamard(), [target])
-        outcome = PLUS if idx == 0 else MINUS
+        t = _H @ t
+    idx, prob = draw_outcome(_weight(t[0]), rng)
+    rest = t[idx]
+    w = float(np.vdot(rest, rest).real)
+    if w <= 0:
+        raise InvalidState("cannot normalize a zero-weight branch")
+    pos = psi.layout.index(target)
+    layout = SubsystemLayout(
+        psi.layout.dims[:pos] + psi.layout.dims[pos + 1 :],
+        psi.layout.labels[:pos] + psi.layout.labels[pos + 1 :],
+    )
+    outcome = (PLUS if idx == 0 else MINUS) if basis == "x" else idx
+    return outcome, StateVector(layout, rest / math.sqrt(w)), prob
+
+
+def measure(psi: StateVector, target: str, basis: str, rng: np.random.Generator):
+    """Projectively measure a qubit subsystem in the Z or X basis.
+
+    Returns (outcome, collapsed, prob) as measure_out does, except that
+    collapsed keeps the layout: the target is put back, at its position, in
+    the measured basis state |k> or |±>.
+    """
+    outcome, rest, prob = measure_out(psi, target, basis, rng)
+    if basis.lower() == "x":
+        ket = _H[:, int(outcome == MINUS)]
     else:
-        outcome = idx
-    return outcome, collapsed, prob
+        ket = np.eye(2)[outcome]
+    pos = psi.layout.index(target)
+    t = np.outer(ket, rest.amps).reshape(2, *rest.layout.dims)
+    return outcome, StateVector(psi.layout, np.moveaxis(t, 0, pos)), prob
 
 
 def partial_trace(state: StateVector, keep) -> DensityMatrix:
@@ -464,10 +486,6 @@ def permute(psi: StateVector, new_order) -> StateVector:
         tuple(psi.layout.dims[p] for p in positions), tuple(new_order)
     )
     return StateVector(layout, t.reshape(-1))
-
-
-def relabel(psi: StateVector, old: str, new: str) -> StateVector:
-    return StateVector(psi.layout.relabeled(old, new), psi.amps)
 
 
 def factor_out(psi: StateVector, label: str) -> tuple[StateVector, StateVector]:

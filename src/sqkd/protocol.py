@@ -14,7 +14,8 @@ returned qubit to his quantum memory.  Two execution modes are provided:
 * Exact — Alice delays measuring by copying the transit qubit onto a fresh
   probe qubit with an XOR; nothing is measured during the quantum phase and
   the full Bob ⊗ Alice ⊗ Eve joint state is retained.  Capped at
-  EXACT_ROUND_CAP rounds.
+  EXACT_ROUND_CAP rounds, and refused before the first round when the final
+  state would hold more than EXACT_AMPLITUDE_CAP amplitudes.
 
 After the quantum phase, classical_phase() announces choices, verifies CTRL
 rounds in the X basis, sacrifices a fraction of SIFT rounds as TEST, and
@@ -25,7 +26,7 @@ aborts the run.
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from operator import attrgetter
+from operator import attrgetter, ne
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +46,7 @@ from .engine import (
     draw_outcome,
     hadamard,
     ket_plus,
-    measure,
+    measure_out,
     outcome_threshold,
     project,
     tensor,
@@ -59,6 +60,9 @@ from .errors import (
 )
 
 EXACT_ROUND_CAP = 8
+#: most amplitudes an exact run's state may hold; swap and measure_resend_z
+#: reach it at EXACT_ROUND_CAP rounds
+EXACT_AMPLITUDE_CAP = 2**24
 
 CTRL = "CTRL"
 SIFT = "SIFT"
@@ -236,7 +240,32 @@ class JointEvolution:
         self.finish_round(i)
 
 
+def exact_state_dim(attack: AttackSpec, n_rounds: int) -> int:
+    """Amplitude count of an exact run's final state, without building it.
+
+    Each round leaves Bob's memory qubit and Alice's probe qubit, and every
+    probe factor some gate of the run targets is materialized once, whole, as
+    JointEvolution does.
+    """
+    dim = 4**n_rounds
+    seen: set[str] = set()
+    for i in range(n_rounds):
+        for gate in (attack.forward_gate(i), attack.backward_gate(i)):
+            for label in gate.targets if gate is not None else ():
+                if label != TRANSIT and label not in seen:
+                    factor = attack.probe_factor(label)
+                    seen.update(factor.layout.labels)
+                    dim *= factor.dim
+    return dim
+
+
 def _run_exact(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript:
+    dim = exact_state_dim(attack, config.rounds)
+    if dim > EXACT_AMPLITUDE_CAP:
+        raise ExactCapExceeded(
+            f"an exact {config.rounds}-round run of {attack.name!r} would hold {dim} "
+            f"amplitudes, above the cap of {EXACT_AMPLITUDE_CAP}"
+        )
     evo = JointEvolution(attack, config.rounds)
     records = []
     for i in range(config.rounds):
@@ -484,8 +513,16 @@ def run_protocol(config: ProtocolConfig, attack: AttackSpec) -> Transcript:
     return _run_sampling(config, attack, rng)
 
 
+#: a Key or Test record's bit as key text; any other value is refused
+_BIT_TEXT = {0: "0", 1: "1"}
+
+
 def stats_from_records(records, abort_threshold: float) -> RunStats:
-    """Aggregate statistics from role-assigned records, in one pass."""
+    """Aggregate statistics from role-assigned records, in one pass.
+
+    Raises IncompleteTranscript when a Key or Test record's alice_bit or
+    bob_z_outcome is not 0 or 1.
+    """
     n = {ROLE_CTRL: 0, ROLE_TEST: 0, ROLE_KEY: 0}
     errors = dict(n)
     alice_bits, bob_bits = [], []
@@ -495,13 +532,20 @@ def stats_from_records(records, abort_threshold: float) -> RunStats:
             n[role] += 1
             if r.error:
                 errors[role] += 1
-            if role == ROLE_KEY:
-                alice_bits.append(str(r.alice_bit))
-                bob_bits.append(str(r.bob_z_outcome))
+            if role != ROLE_CTRL:
+                try:
+                    a, b = _BIT_TEXT[r.alice_bit], _BIT_TEXT[r.bob_z_outcome]
+                except (KeyError, TypeError):
+                    raise IncompleteTranscript(
+                        f"round {r.index} is a {role} record whose bits are not 0 or 1"
+                    ) from None
+                if role == ROLE_KEY:
+                    alice_bits.append(a)
+                    bob_bits.append(b)
     key_alice, key_bob = "".join(alice_bits), "".join(bob_bits)
     ctrl_rate = errors[ROLE_CTRL] / n[ROLE_CTRL] if n[ROLE_CTRL] else 0.0
     test_rate = errors[ROLE_TEST] / n[ROLE_TEST] if n[ROLE_TEST] else 0.0
-    mismatches = sum(a != b for a, b in zip(key_alice, key_bob))
+    mismatches = sum(map(ne, key_alice, key_bob))
     mismatch_rate = mismatches / n[ROLE_KEY] if n[ROLE_KEY] else 0.0
     return RunStats(
         n_ctrl=n[ROLE_CTRL],
@@ -521,10 +565,13 @@ def stats_from_records(records, abort_threshold: float) -> RunStats:
 def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStats:
     """Announcement, CTRL verification, TEST sampling, and sifting.
 
-    In exact mode the stored qubits are measured now: the X basis on CTRL
-    positions, the Z basis on Alice's probe and Bob's memory for SIFT
-    positions.  SIFT rounds are then partitioned into TEST (test_fraction,
-    drawn uniformly without replacement from the supplied rng) and Key.
+    In exact mode the stored qubits are measured now, in round order, with
+    draws from the supplied rng: Bob's memory in the X basis for a CTRL
+    round, Alice's probe and then Bob's memory in the Z basis for a SIFT
+    round.  Each qubit is measured out of the state (engine.measure_out), so
+    the state halves with every measurement.  SIFT rounds are then
+    partitioned into TEST (test_fraction, drawn uniformly without
+    replacement from the same rng) and Key.
     Records are completed in place; the returned stats alone are what the
     parties would publish.
     """
@@ -541,12 +588,12 @@ def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStat
         state = transcript.final_state
         for rec in records:
             if rec.choice == CTRL:
-                outcome, state, _ = measure(state, bob_memory(rec.index), "x", rng)
+                outcome, state, _ = measure_out(state, bob_memory(rec.index), "x", rng)
                 rec.bob_x_outcome = outcome
             else:
-                bit, state, _ = measure(state, alice_probe(rec.index), "z", rng)
+                bit, state, _ = measure_out(state, alice_probe(rec.index), "z", rng)
                 rec.alice_bit = int(bit)
-                outcome, state, _ = measure(state, bob_memory(rec.index), "z", rng)
+                outcome, state, _ = measure_out(state, bob_memory(rec.index), "z", rng)
                 rec.bob_z_outcome = int(outcome)
     else:
         for rec in records:

@@ -14,14 +14,19 @@ from sqkd.analysis import (
 )
 from sqkd.attacks import AttackSpec, Gate
 from sqkd.engine import (
+    MINUS,
+    PLUS,
     TRANSIT,
     StateVector,
     SubsystemLayout,
     Unitary,
     _front,
     _weight,
+    apply_unitary,
     cnot,
+    draw_outcome,
     factor_out,
+    hadamard,
     ket_plus,
     ket_zero,
     measure,
@@ -141,6 +146,22 @@ def oracle_partial_trace(amps, dims, keep_positions):
                 acc += t[tuple(fi)] * np.conj(t[tuple(fj)])
             rho[a, b] = acc
     return rho
+
+
+def reference_measure(psi, target, basis, rng):
+    """Measurement that collapses the target in place: H on the whole state for
+    X, project onto the drawn outcome, normalise, and H back for X."""
+    basis = basis.lower()
+    work = apply_unitary(psi, hadamard(), [target]) if basis == "x" else psi
+    pos = work.layout.index(target)
+    idx, prob = draw_outcome(_weight(np.moveaxis(work.tensor_view(), pos, 0)[0]), rng)
+    collapsed = project(work, target, idx).normalized()
+    if basis == "x":
+        collapsed = apply_unitary(collapsed, hadamard(), [target])
+        outcome = PLUS if idx == 0 else MINUS
+    else:
+        outcome = idx
+    return outcome, collapsed, prob
 
 
 # ---------------------------------------------------------------------------

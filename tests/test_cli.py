@@ -394,6 +394,45 @@ def test_sampled_runs_are_pinned(tmp_path, name):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+#: SHA-256 of the stats JSON followed by the transcript of an exact-mode run,
+#: and the exit code, by seed; the classical phase measures every stored qubit
+PINNED_EXACT_RUNS = {
+    "identity": ({"name": "identity"}, 7, {
+        5: (0, "f711b5ea500da78cbd8f829b8c5aa306e0b5a90dc0f4ec8e0f6e69b88e7e831b"),
+        2024: (0, "bf835c32cc65f3e9f985e588ab83a4a3c30d3c9b94412f26f6ff9bc517a90665"),
+    }),
+    "cnot_parity": ({"name": "cnot_parity", "rounds": [1, 4]}, 7, {
+        5: (0, "13b95557d7978d3726e5c0d6097bf6076bd6e1b73c5f4fc04f9709a9fbbcf20f"),
+        2024: (2, "30f39a606bc6ca8a8070d6c70c64c7764e28a4c9e99fb8144c2ac12f64ab3103"),
+    }),
+    "measure_resend_z": ({"name": "measure_resend_z"}, 5, {
+        5: (0, "21b58839c715e7d9e3cfca1e6836fd921b56bb9b85925575cb59437d8416f26f"),
+        2024: (2, "e6bb175abcec2f066e0e484599cc360b3988d21fac0a58606beadf8c1802b84f"),
+    }),
+    "swap": ({"name": "swap"}, 5, {
+        5: (2, "27ad25f9eab92ad270611aced77624ed1a3821b8be3ba0e832fad3d632b535e2"),
+        2024: (0, "664de3d4116dd8808c58aa18a0bac5aaf9411bdd51c3aed4ddecff7bd1657583"),
+    }),
+    "phase_probe": ({"name": "phase_probe", "params": {"theta": 0.9}}, 7, {
+        5: (2, "88fc5b2a350ebdf922af09b19bfae80ee01b02fb64919ad4749c056b93429b85"),
+        2024: (2, "bc655ed75b954a4021dfc142863c24b0d62846744f98a98fa30d2fcdb06806fe"),
+    }),
+}
+
+
+@pytest.mark.parametrize("seed", [5, 2024])
+@pytest.mark.parametrize("name", sorted(PINNED_EXACT_RUNS))
+def test_exact_runs_are_pinned(tmp_path, name, seed):
+    attack, rounds, digests = PINNED_EXACT_RUNS[name]
+    code, digest = digests[seed]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rounds": rounds, "seed": seed, "mode": "exact", "attack": attack}))
+    out = tmp_path / "stats.json"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == code
+    data = out.read_bytes() + out.with_suffix(".jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_check_output_bytes_are_pinned(capsys):
     assert cli.main(["check", "--attack", "identity", "--max-pattern-len", "2"]) == 0
     assert capsys.readouterr().out == GOLDEN_CHECK

@@ -29,7 +29,6 @@ from sqkd.engine import (
     purity,
     random_state,
     random_unitary,
-    relabel,
     single,
     tensor,
     trace_distance,
@@ -239,6 +238,38 @@ def test_measure_sampling_matches_born_probabilities():
     assert abs(ones / n - p1) < 4 * se
 
 
+from helpers import reference_measure as _reference_measure
+
+_KETS = {0: ket_zero, 1: ket_one, PLUS: ket_plus, MINUS: ket_minus}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), max_size=3),
+    data=st.data(),
+    basis=st.sampled_from(["z", "x"]),
+)
+def test_measure_out_matches_the_collapsing_oracle(dims, data, basis):
+    pos = data.draw(st.integers(0, len(dims)))
+    dims = (*dims[:pos], 2, *dims[pos:])
+    labels = tuple(f"s{i}" for i in range(len(dims)))
+    state_seed, seed = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(0, 2**32 - 1))
+    psi = random_state(SubsystemLayout(dims, labels), np.random.default_rng(state_seed))
+    rng, oracle_rng, measure_rng = (np.random.default_rng(seed) for _ in range(3))
+    want, collapsed, want_prob = _reference_measure(psi, labels[pos], basis, oracle_rng)
+
+    outcome, rest, prob = engine.measure_out(psi, labels[pos], basis, rng)
+    assert (outcome, prob) == (want, want_prob)
+    assert rest.layout.labels == labels[:pos] + labels[pos + 1 :]
+    put_back = permute(tensor(rest, _KETS[outcome](labels[pos])), labels)
+    assert np.abs(put_back.amps - collapsed.amps).max() < 1e-12
+    assert rng.random() == oracle_rng.random()
+
+    outcome, kept, prob = measure(psi, labels[pos], basis, measure_rng)
+    assert (outcome, prob) == (want, want_prob)
+    assert np.abs(kept.amps - collapsed.amps).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # project
 # ---------------------------------------------------------------------------
@@ -413,16 +444,13 @@ def test_purity_bounds():
 # ---------------------------------------------------------------------------
 
 
-def test_permute_and_relabel():
+def test_permute():
     psi = tensor(ket_zero("a"), ket_plus("b"))
     flipped = permute(psi, ["b", "a"])
     assert flipped.layout.labels == ("b", "a")
     np.testing.assert_allclose(
         flipped.amps, tensor(ket_plus("b"), ket_zero("a")).amps, atol=1e-15
     )
-    renamed = relabel(psi, "a", "x")
-    assert renamed.layout.labels == ("x", "b")
-    assert np.array_equal(renamed.amps, psi.amps)
 
 
 def test_factor_out_product_and_entangled():

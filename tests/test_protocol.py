@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqkd import engine, protocol
+from sqkd import cli, engine, protocol
 from sqkd.attacks import (
     ATTACK_NAMES,
     AttackSpec,
@@ -23,6 +24,7 @@ from sqkd.attacks import (
 from sqkd.engine import (
     PLUS,
     SubsystemLayout,
+    Unitary,
     cnot,
     hadamard,
     ket_plus,
@@ -31,21 +33,26 @@ from sqkd.engine import (
     phase_deviation,
     random_state,
     random_unitary,
+    single,
     swap_gate,
     tensor,
 )
 from sqkd.errors import ExactCapExceeded, IncompleteTranscript
 from sqkd.protocol import (
     CTRL,
+    EXACT_AMPLITUDE_CAP,
     EXACT_ROUND_CAP,
     MODE_EXACT,
     MODE_SAMPLING,
     ProtocolConfig,
     ROLE_CTRL,
+    ROLE_KEY,
     ROLE_TEST,
     SIFT,
+    RoundRecord,
     classical_phase,
     derive_seed,
+    exact_state_dim,
     read_transcript,
     run_protocol,
     sift_equivalence_check,
@@ -142,6 +149,57 @@ def test_sampling_mode_has_no_final_state():
     assert run_protocol(cfg, identity_attack()).final_state is None
 
 
+def fresh_qutrit_attack(n_rounds):
+    """A fresh dimension-3 probe every round, so the exact state grows 12^N."""
+    probe = single("E0", [1, 0, 0])
+    return AttackSpec(
+        name="fresh_qutrit",
+        probe_dims=(3,) * n_rounds,
+        template=RoundTemplate(probe, forward=Unitary(np.eye(6))),
+    )
+
+
+def test_exact_size_estimate_refuses_before_allocating(tmp_path, monkeypatch, capsys):
+    attack = fresh_qutrit_attack(8)
+    assert exact_state_dim(attack, 8) == 4**8 * 3**8 > EXACT_AMPLITUDE_CAP
+    monkeypatch.setattr(cli, "build_attack", lambda *args, **kwargs: attack)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rounds": 8, "mode": "exact"}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExactCapExceeded, match=str(4**8 * 3**8)):
+            run_protocol(ProtocolConfig(rounds=8, mode=MODE_EXACT), attack)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the refusal builds no state
+    assert str(4**8 * 3**8) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rounds", range(1, 7))
+@pytest.mark.parametrize("name", ATTACK_NAMES)
+def test_exact_size_estimate_is_the_final_dim(name, rounds):
+    attack = build_attack(name, params={"theta": 0.7} if name == "phase_probe" else {}, n_rounds=rounds)
+    transcript = run_protocol(ProtocolConfig(rounds=rounds, seed=rounds, mode=MODE_EXACT), attack)
+    assert exact_state_dim(attack, rounds) == transcript.final_state.dim
+
+
+def test_swap_at_the_round_cap_is_within_the_amplitude_cap(monkeypatch):
+    attack = swap_attack(EXACT_ROUND_CAP)
+    assert exact_state_dim(attack, EXACT_ROUND_CAP) == 2**24 == EXACT_AMPLITUDE_CAP
+
+    class Accepted(Exception):
+        pass
+
+    def accepted(*args):
+        raise Accepted
+
+    monkeypatch.setattr(protocol, "JointEvolution", accepted)
+    with pytest.raises(Accepted):
+        run_protocol(ProtocolConfig(rounds=EXACT_ROUND_CAP, mode=MODE_EXACT), attack)
+
+
 # ---------------------------------------------------------------------------
 # Classical phase
 # ---------------------------------------------------------------------------
@@ -188,6 +246,35 @@ def test_incomplete_transcript_is_rejected():
     transcript.final_state = None
     with pytest.raises(IncompleteTranscript):
         classical_phase(transcript, stream_rng(0, 1))
+
+
+def test_classical_phase_measures_each_stored_qubit_out():
+    cfg = ProtocolConfig(rounds=7, seed=0, mode=MODE_EXACT)
+    transcript = run_protocol(cfg, swap_attack(7))
+    final_bytes = transcript.final_state.amps.nbytes
+    tracemalloc.start()
+    try:
+        classical_phase(transcript, stream_rng(cfg.seed, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one reordered copy of the state and its half; collapsing in place
+    # costs at least three full copies
+    assert peak < 2 * final_bytes
+
+
+def test_key_and_test_bits_must_be_bits():
+    records = [
+        RoundRecord(0, SIFT, alice_bit=None, role=ROLE_KEY, bob_z_outcome=1),
+        RoundRecord(1, SIFT, alice_bit=1, role=ROLE_KEY, bob_z_outcome=1),
+    ]
+    with pytest.raises(IncompleteTranscript, match="round 0"):
+        stats_from_records(records, 0.0)
+    records[0].alice_bit = 1
+    assert stats_from_records(records, 0.0).key_mismatch_rate == 0.0
+    records[1].role, records[1].error, records[1].bob_z_outcome = ROLE_TEST, False, 2
+    with pytest.raises(IncompleteTranscript, match="round 1"):
+        stats_from_records(records, 0.0)
 
 
 # ---------------------------------------------------------------------------
