@@ -44,13 +44,13 @@ SEED_ENV = "SQKD_SEED"
 
 
 def _coerce(key: str, kind: type, value):
-    """A config value as its field's type; ints refuse bools and fractions."""
+    """A config value as its field's type; numbers refuse bools, ints fractions."""
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{key} must be an integer, got {value!r}")
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{key} must be an integer, got {value!r}")
-    elif kind is float and not isinstance(value, (int, float, str)):
+    elif kind is float and (isinstance(value, bool) or not isinstance(value, (int, float, str))):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return kind(value)
 

@@ -314,21 +314,29 @@ def apply_unitary(psi, u: Unitary, targets):
     the first target is the control).  Accepts a StateVector or an
     unnormalized branch and returns the same kind; the weight is preserved.
     """
-    targets = list(targets)
     positions = [psi.layout.index(t) for t in targets]
-    d_targets = math.prod(psi.layout.dims[p] for p in positions)
+    t = apply_on_axes(psi.amps.reshape(psi.layout.dims), u, positions)
+    if isinstance(psi, SubnormalizedVector):
+        return SubnormalizedVector(psi.layout, t.reshape(-1))
+    return StateVector(psi.layout, t.reshape(-1))
+
+
+def apply_on_axes(t: np.ndarray, u: Unitary, positions) -> np.ndarray:
+    """u on the axes of tensor t at positions, in u's index order.
+
+    Axes not listed, trailing ones included, are left as they are, so a
+    trailing column axis applies u to every column at once.
+    """
+    positions = list(positions)
+    d_targets = math.prod(t.shape[p] for p in positions)
     if u.dim != d_targets:
         raise DimensionMismatch(
             f"operator dim {u.dim} != product of target dims {d_targets}"
         )
-    t = psi.amps.reshape(psi.layout.dims)
     t = np.moveaxis(t, positions, range(len(positions)))
     moved_shape = t.shape
     t = u.entries @ t.reshape(d_targets, -1)
-    t = np.moveaxis(t.reshape(moved_shape), range(len(positions)), positions)
-    if isinstance(psi, SubnormalizedVector):
-        return SubnormalizedVector(psi.layout, t.reshape(-1))
-    return StateVector(psi.layout, t.reshape(-1))
+    return np.moveaxis(t.reshape(moved_shape), range(len(positions)), positions)
 
 
 def _weight(amps: np.ndarray) -> float:

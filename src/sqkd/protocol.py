@@ -26,6 +26,7 @@ aborts the run.
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from operator import attrgetter, ne
 from typing import NamedTuple
 
@@ -40,10 +41,9 @@ from .engine import (
     SubsystemLayout,
     TRANSIT,
     alice_probe,
+    apply_on_axes,
     apply_unitary,
-    basis_state,
     bob_memory,
-    draw_outcome,
     hadamard,
     ket_plus,
     measure_out,
@@ -297,9 +297,19 @@ def _gate_key(gate: Gate | None, positions: dict[str, int]):
 
 
 def _gate_matrix(gate: Gate | None, layout: SubsystemLayout) -> np.ndarray:
-    """Matrix of a gate on layout, one basis column at a time through apply_gate."""
-    cols = [apply_gate(basis_state(layout, k), gate).amps for k in range(layout.dim)]
-    return np.stack(cols, axis=1)
+    """Matrix of a gate on layout: its unitary on the identity's output axes.
+
+    A gate naming a subsystem the layout lacks raises AttackLayoutMismatch.
+    """
+    eye = np.eye(layout.dim, dtype=complex)
+    if gate is None:
+        return eye
+    try:
+        positions = [layout.index(t) for t in gate.targets]
+    except UnknownLabel as exc:
+        raise AttackLayoutMismatch(str(exc)) from exc
+    columns = eye.reshape(*layout.dims, layout.dim)
+    return apply_on_axes(columns, gate.unitary, positions).reshape(layout.dim, layout.dim)
 
 
 def _compile_round(fwd, bwd, labels, dims) -> _Instrument:
@@ -321,13 +331,46 @@ def _normalized(branch: np.ndarray) -> np.ndarray:
     return branch / math.sqrt(weight)
 
 
-def _collapse(kraus: np.ndarray, psi: np.ndarray, rng) -> tuple[int, np.ndarray]:
-    """Draw a two-outcome instrument on psi; returns (outcome, renormalised state)."""
+def _collapse(kraus: np.ndarray, psi: np.ndarray, u: float) -> tuple[int, np.ndarray]:
+    """A two-outcome instrument on psi for the uniform draw u.
+
+    Returns (outcome, renormalised state); outcome 0 when u falls below
+    outcome_threshold of its weight, as engine.draw_outcome decides.
+    """
     branch = kraus[0] @ psi
-    idx, _ = draw_outcome(float(np.vdot(branch, branch).real), rng)
+    idx = 0 if u < outcome_threshold(float(np.vdot(branch, branch).real)) else 1
     if idx:
         branch = kraus[1] @ psi
     return idx, _normalized(branch)
+
+
+#: rows @ p on Python complex lists, by len(p), unrolled: a generic
+#: sum(map(mul, row, p)) takes several times as long per row
+_MATVEC = {
+    1: lambda rows, p: [a * p[0] for (a,) in rows],
+    2: lambda rows, p: [a * p[0] + b * p[1] for a, b in rows],
+    3: lambda rows, p: [a * p[0] + b * p[1] + c * p[2] for a, b, c in rows],
+    4: lambda rows, p: [a * p[0] + b * p[1] + c * p[2] + e * p[3] for a, b, c, e in rows],
+}
+
+
+def _list_collapse(matvec, kraus: list, psi: list, u: float) -> tuple[int, list]:
+    """_collapse on Python complex lists, for the live dims _MATVEC holds.
+
+    kraus[k] is outcome k's matrix as rows and matvec is _MATVEC[len(psi)].
+    numpy's per-call overhead dominates _collapse on so few amplitudes; the
+    sums here differ from its BLAS ones only in the last bits.
+    """
+    branch = matvec(kraus[0], psi)
+    norm = math.hypot(*map(abs, branch))
+    idx = 0 if u < outcome_threshold(norm * norm) else 1
+    if idx:
+        branch = matvec(kraus[1], psi)
+        norm = math.hypot(*map(abs, branch))
+    if norm <= 0:
+        raise InvalidState("cannot normalize a zero-weight branch")
+    scale = 1.0 / norm
+    return idx, [b * scale for b in branch]
 
 
 def _outcomes(kraus: np.ndarray, psi: np.ndarray) -> tuple[float, list]:
@@ -404,6 +447,52 @@ def _sample_table(table: _Table, first: int, end: int, ctrl_prob: float, rng) ->
     return records
 
 
+#: most doubles drawn from stream 0 at once by _sample_live, as one list
+_LIVE_BLOCK = 1 << 12
+
+
+def _sample_live(inst: _Instrument, psi, first: int, end: int, ctrl_prob: float, rng):
+    """Records of rounds [first, end) on one instrument, and the live probe after them.
+
+    Each round takes the per-round loop's draws in its order and its checks:
+    the zero-weight refusal in every Kraus step and the live-probe norm at
+    the round's end.  Draws come in blocks of at most _LIVE_BLOCK, and never
+    more than the remaining rounds take at the least, as in _sample_table, so
+    the rng ends where the per-round loop would leave it.  Live dims that
+    _MATVEC holds step through Python lists (_list_collapse), larger ones
+    through _collapse.
+    """
+    if len(psi) in _MATVEC:
+        step = partial(_list_collapse, _MATVEC[len(psi)])
+        kraus = (inst.alice.tolist(), inst.bob_z.tolist(), inst.bob_x.tolist())
+        psi = psi.tolist()
+    else:
+        step, kraus = _collapse, (inst.alice, inst.bob_z, inst.bob_x)
+    alice, bob_z, bob_x = kraus
+    records = []
+    u: list[float] = []  # draws of this round onwards
+    p = 0
+    for r in range(first, end):
+        if len(u) - p < 3:  # the round may lack draws: at most 3 are pending
+            u, p = u[p:], 0
+            while not u or len(u) < (2 if u[0] < ctrl_prob else 3):
+                least = 2 * (end - r) + int(len(u) > 0 and u[0] >= ctrl_prob)
+                u += rng.random(min(least - len(u), _LIVE_BLOCK)).tolist()
+        if u[p] < ctrl_prob:
+            code, psi = step(bob_x, psi, u[p + 1])
+            p += 2
+        else:
+            bit, psi = step(alice, psi, u[p + 1])
+            z, psi = step(bob_z[bit], psi, u[p + 2])
+            code = 2 + 2 * bit + z
+            p += 3
+        records.append(RoundRecord(r, *_TABLED_FIELDS[code]))
+        norm = math.hypot(*map(abs, psi))
+        if not abs(norm - 1.0) <= NORM_ATOL:
+            raise InvalidState(f"live probe norm {norm!r} deviates from 1 in round {r}")
+    return records, np.asarray(psi, dtype=complex)
+
+
 def _measure_out(psi, dims, pos, rng) -> np.ndarray:
     """Measure subsystem pos in its computational basis; returns the rest, renormalised."""
     t = np.moveaxis(psi.reshape(dims), pos, 0).reshape(dims[pos], -1)
@@ -428,6 +517,12 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
     state, and neither do the rounds after it that follow its gate rule
     (AttackSpec.run_end): they are all drawn from one outcome table per
     shape and fresh probe state.
+
+    Rounds that carry a live probe keep one instrument from a round up to
+    the next live label's last use, within the round's gate rule: nothing is
+    materialized or dropped there.  _sample_live draws that whole span in
+    one tight loop.  The per-round loop below is left only for rounds after
+    which some live label is dropped.
     """
     records = []
     last_use: dict[str, int] = {}  # of each materialized probe label
@@ -470,14 +565,28 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
             i = end
             continue
 
+        # rounds of this gate rule before any live label's last use drop
+        # nothing, and on these very gates materialize nothing: the
+        # instrument stays fixed (a template builds new gates every round)
+        stop = min(attack.run_end(i, config.rounds), *(last_use[l] for l in labels))
+        if stop > i + 1 and (
+            attack.forward_gate(i + 1) is not fwd or attack.backward_gate(i + 1) is not bwd
+        ):
+            stop = i + 1
+        if stop > i:
+            live, psi = _sample_live(inst, psi, i, stop, config.ctrl_prob, rng)
+            records += live
+            i = stop
+            continue
+
         choice = CTRL if rng.random() < config.ctrl_prob else SIFT
         rec = RoundRecord(index=i, choice=choice)
         if choice == SIFT:
             # measure-and-resend: Alice's Z outcome picks the resent basis state
-            rec.alice_bit, psi = _collapse(inst.alice, psi, rng)
-            rec.bob_z_outcome, psi = _collapse(inst.bob_z[rec.alice_bit], psi, rng)
+            rec.alice_bit, psi = _collapse(inst.alice, psi, rng.random())
+            rec.bob_z_outcome, psi = _collapse(inst.bob_z[rec.alice_bit], psi, rng.random())
         else:
-            x, psi = _collapse(inst.bob_x, psi, rng)
+            x, psi = _collapse(inst.bob_x, psi, rng.random())
             rec.bob_x_outcome = PLUS if x == 0 else MINUS
         records.append(rec)
 

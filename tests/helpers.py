@@ -23,6 +23,7 @@ from sqkd.engine import (
     _front,
     _weight,
     apply_unitary,
+    basis_state,
     cnot,
     draw_outcome,
     factor_out,
@@ -274,6 +275,17 @@ def reference_rate_expectations(attack, n_rounds, ctrl_prob):
         ctrl_error_rate=ce / cc if cc else 0.0,
         test_error_rate=te / tc if tc else 0.0,
     )
+
+
+# ---------------------------------------------------------------------------
+# Compiled-round oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_gate_matrix(gate, layout):
+    """Matrix of a gate on layout, one basis column at a time through apply_gate."""
+    cols = [apply_gate(basis_state(layout, k), gate).amps for k in range(layout.dim)]
+    return np.stack(cols, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_run_rejects_non_integer_rounds_and_seed(tmp_path, capsys):
 def test_run_rejects_non_numeric_probabilities(tmp_path, capsys):
     out = tmp_path / "o.json"
     for key in ("ctrl_prob", "test_fraction", "abort_threshold"):
-        for value in (None, [0.5], {}):
+        for value in (None, [0.5], {}, True, False):
             cfg = write_config(tmp_path, **{key: value})
             assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
             assert f"{key} must be a number" in capsys.readouterr().err
@@ -151,6 +151,8 @@ def test_run_rejects_malformed_attack_params(tmp_path, capsys):
         ("theta", "attack params must be an object"),
         ({"theta": None}, "param theta must be a number"),
         ({"theta": [0.5]}, "param theta must be a number"),
+        ({"theta": True}, "param theta must be a number"),
+        ({"theta": False}, "param theta must be a number"),
     ):
         cfg = write_config(tmp_path, attack={"name": "phase_probe", "params": params})
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
@@ -386,6 +388,39 @@ PINNED_SAMPLED_RUNS = {
 @pytest.mark.parametrize("name", sorted(PINNED_SAMPLED_RUNS))
 def test_sampled_runs_are_pinned(tmp_path, name):
     attack, code, digest = PINNED_SAMPLED_RUNS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rounds": 10_000, "seed": 2024, "attack": attack}))
+    out = tmp_path / "stats.json"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == code
+    data = out.read_bytes() + out.with_suffix(".jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+#: as PINNED_SAMPLED_RUNS, at the edges of the live-probe loop: a theta so
+#: small that every outcome weight snaps to 0 or 1, theta = pi, and a window
+#: that keeps cnot_parity's probe live from round 1 to round 9998
+PINNED_EDGE_RUNS = {
+    "phase_probe_tiny_theta": (
+        {"name": "phase_probe", "params": {"theta": 1e-7}},
+        0,
+        "80e4aa7ef199fdd6e6b182ed8e9a5fb7e4cc81dc784edc76915f95d0a85d126b",
+    ),
+    "phase_probe_pi": (
+        {"name": "phase_probe", "params": {"theta": math.pi}},
+        2,
+        "eb815cbe13a247978f4b797b4ffd3c3ee89a4c71940c650b7bfc4f965da5630d",
+    ),
+    "cnot_parity_widest_window": (
+        {"name": "cnot_parity", "rounds": [1, 9998]},
+        2,
+        "b43527d30d308cfb2fdc78c2ea379b56a244269397b2f6f053f1c73611f80445",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EDGE_RUNS))
+def test_sampled_edge_runs_are_pinned(tmp_path, name):
+    attack, code, digest = PINNED_EDGE_RUNS[name]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rounds": 10_000, "seed": 2024, "attack": attack}))
     out = tmp_path / "stats.json"

@@ -61,7 +61,12 @@ from sqkd.protocol import (
     write_transcript,
 )
 
-from helpers import dead_probe_entangler_attack, probe_decoupled_attack, reference_sampling
+from helpers import (
+    dead_probe_entangler_attack,
+    probe_decoupled_attack,
+    reference_gate_matrix,
+    reference_sampling,
+)
 
 
 def run_with_stats(config, attack):
@@ -506,6 +511,138 @@ def test_table_blocks_of_any_size_match_dense_reference(monkeypatch, block):
         for ctrl_prob in (0.0, 0.3, 1.0):
             cfg = ProtocolConfig(rounds=REFERENCE_ROUNDS, ctrl_prob=ctrl_prob, seed=block)
             assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+
+
+def _haar_probe_attack(rng, dim, forward=None, backward=None, default_legs="fb"):
+    """Haar gates on (T, E0) for a probe of dim dim prepared in a random state:
+    explicit entries by round, and default gates on the legs default_legs names."""
+    def haar():
+        return Gate(random_unitary(2 * dim, rng), ("T", "E0"))
+
+    return AttackSpec(
+        name=f"haar_probe_{dim}",
+        probe_dims=(dim,),
+        probe_factors=(random_state(SubsystemLayout((dim,), ("E0",)), rng),),
+        forward={r: haar() for r in forward or ()},
+        backward={r: haar() for r in backward or ()},
+        default_forward=haar() if "f" in default_legs else None,
+        default_backward=haar() if "b" in default_legs else None,
+    )
+
+
+def _live_spans(monkeypatch):
+    """Record the [first, end) of every _sample_live call."""
+    spans = []
+    sample_live = protocol._sample_live
+
+    def spy(inst, psi, first, end, ctrl_prob, rng):
+        spans.append((first, end))
+        return sample_live(inst, psi, first, end, ctrl_prob, rng)
+
+    monkeypatch.setattr(protocol, "_sample_live", spy)
+    return spans
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    legs=st.sampled_from(["fb", "f", "b"]),
+    window=st.booleans(),
+    ctrl_prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    rounds=st.integers(1, 200),
+    block=st.sampled_from([1, 2, 5, protocol._LIVE_BLOCK]),
+    data=st.data(),
+)
+def test_live_probe_rounds_match_dense_reference(
+    seed, dim, legs, window, ctrl_prob, rounds, block, data
+):
+    # a persistent probe under default gates is live from round 0 to the
+    # last round, a window of gateless rounds carries it from r0 to r1, and
+    # every round before its last use takes the tight loop
+    rng = np.random.default_rng(seed)
+    if window and rounds >= 2:
+        pair = st.lists(st.integers(0, rounds - 1), min_size=2, max_size=2, unique=True)
+        r0, r1 = sorted(data.draw(pair))
+        att = _haar_probe_attack(rng, dim, forward=(r0, r1), backward=(r1,), default_legs="")
+        live_rounds = r1 - r0
+    else:
+        att = _haar_probe_attack(rng, dim, default_legs=legs)
+        live_rounds = rounds - 1
+    cfg = ProtocolConfig(rounds=rounds, ctrl_prob=ctrl_prob, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_LIVE_BLOCK", block)
+        spans = _live_spans(mp)
+        records = run_protocol(cfg, att).records
+    assert records == reference_sampling(cfg, att)
+    assert sum(end - first for first, end in spans) == live_rounds
+
+
+def test_live_probe_rounds_past_the_list_dims_match_dense_reference(monkeypatch):
+    # dim 5 steps through _collapse on numpy inside the same loop
+    steps = []
+    collapse = protocol._collapse
+
+    def counted(kraus, psi, u):
+        steps.append(len(psi))
+        return collapse(kraus, psi, u)
+
+    monkeypatch.setattr(protocol, "_collapse", counted)
+    spans = _live_spans(monkeypatch)
+    for seed, ctrl_prob in ((0, 0.0), (1, 0.5), (2, 1.0)):
+        att = _haar_probe_attack(np.random.default_rng(seed), 5)
+        cfg = ProtocolConfig(rounds=150, ctrl_prob=ctrl_prob, seed=seed)
+        assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+    assert spans == [(0, 149)] * 3
+    assert len(steps) >= 3 * 150 and set(steps) == {5}
+
+
+def _compiled_arrays(fwd, bwd, labels, dims):
+    inst = protocol._compile_round(fwd, bwd, labels, dims)
+    return inst.alice, inst.bob_z, inst.bob_x
+
+
+def _assert_compiles_like_the_oracle(monkeypatch, fwd, bwd, labels, dims):
+    compiled = _compiled_arrays(fwd, bwd, labels, dims)
+    with monkeypatch.context() as mp:
+        mp.setattr(protocol, "_gate_matrix", reference_gate_matrix)
+        oracle = _compiled_arrays(fwd, bwd, labels, dims)
+    for got, want in zip(compiled, oracle):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ATTACK_NAMES)
+def test_compiled_rounds_of_builtins_match_the_per_column_oracle(monkeypatch, name):
+    att = build_attack(name, params={"theta": 0.7} if name == "phase_probe" else {},
+                       n_rounds=3, rounds=(0, 2))
+    for i in range(3):
+        fwd, bwd = att.forward_gate(i), att.backward_gate(i)
+        labels = list(dict.fromkeys(
+            t for g in (fwd, bwd) if g is not None for t in g.targets if t != "T"
+        ))
+        dims = [att.probe_factor(l).dim for l in labels]
+        _assert_compiles_like_the_oracle(monkeypatch, fwd, bwd, labels, dims)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_compiled_haar_rounds_match_the_per_column_oracle(seed, dims, data):
+    # each gate acts on the transit and some probes, its targets shuffled
+    rng = np.random.default_rng(seed)
+    labels = [f"E{k}" for k in range(len(dims))]
+    dim_of = {"T": 2, **dict(zip(labels, dims))}
+    gates = []
+    for _ in range(2):
+        targets = ["T", *data.draw(st.lists(st.sampled_from(labels), unique=True))]
+        targets = data.draw(st.permutations(targets))
+        d = math.prod(dim_of[t] for t in targets)
+        gates.append(data.draw(st.sampled_from([None, Gate(random_unitary(d, rng), targets)])))
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_compiles_like_the_oracle(mp, *gates, labels, dims)
 
 
 def test_dead_entangled_probes_do_not_grow_the_state(monkeypatch):
