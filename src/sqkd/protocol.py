@@ -26,7 +26,6 @@ aborts the run.
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
 from operator import attrgetter, ne
 from typing import NamedTuple
 
@@ -344,33 +343,26 @@ def _collapse(kraus: np.ndarray, psi: np.ndarray, u: float) -> tuple[int, np.nda
     return idx, _normalized(branch)
 
 
-#: rows @ p on Python complex lists, by len(p), unrolled: a generic
-#: sum(map(mul, row, p)) takes several times as long per row
-_MATVEC = {
-    1: lambda rows, p: [a * p[0] for (a,) in rows],
-    2: lambda rows, p: [a * p[0] + b * p[1] for a, b in rows],
-    3: lambda rows, p: [a * p[0] + b * p[1] + c * p[2] for a, b, c in rows],
-    4: lambda rows, p: [a * p[0] + b * p[1] + c * p[2] + e * p[3] for a, b, c, e in rows],
-}
+def _pair_collapse(kraus: list, psi: list, u: float) -> tuple[int, list]:
+    """_collapse for a live probe of dim 2, on Python complex lists.
 
-
-def _list_collapse(matvec, kraus: list, psi: list, u: float) -> tuple[int, list]:
-    """_collapse on Python complex lists, for the live dims _MATVEC holds.
-
-    kraus[k] is outcome k's matrix as rows and matvec is _MATVEC[len(psi)].
-    numpy's per-call overhead dominates _collapse on so few amplitudes; the
-    sums here differ from its BLAS ones only in the last bits.
+    kraus[k] is outcome k's 2x2 matrix as rows.  numpy's per-call overhead
+    dominates _collapse on two amplitudes; the sums here differ from its
+    BLAS ones only in the last bits.
     """
-    branch = matvec(kraus[0], psi)
+    p0, p1 = psi
+    (a, b), (c, d) = kraus[0]
+    branch = [a * p0 + b * p1, c * p0 + d * p1]
     norm = math.hypot(*map(abs, branch))
     idx = 0 if u < outcome_threshold(norm * norm) else 1
     if idx:
-        branch = matvec(kraus[1], psi)
+        (a, b), (c, d) = kraus[1]
+        branch = [a * p0 + b * p1, c * p0 + d * p1]
         norm = math.hypot(*map(abs, branch))
     if norm <= 0:
         raise InvalidState("cannot normalize a zero-weight branch")
     scale = 1.0 / norm
-    return idx, [b * scale for b in branch]
+    return idx, [x * scale for x in branch]
 
 
 def _outcomes(kraus: np.ndarray, psi: np.ndarray) -> tuple[float, list]:
@@ -404,8 +396,21 @@ def _round_table(inst: _Instrument, psi: np.ndarray) -> _Table:
     return _Table(x, a, z)
 
 
-#: most doubles drawn from stream 0 at once by _sample_table
+#: most doubles drawn from stream 0 at once by _sample_table and _sample_live
 _BLOCK = 1 << 16
+
+
+def _next_draws(rng, pending, rounds: int, ctrl_prob: float) -> np.ndarray:
+    """The next block of stream 0 for rounds yet to sample, after pending.
+
+    pending holds the draws already taken from the first of those rounds on.
+    The block is at most _BLOCK doubles, and never more than the rounds take
+    at the least (2 per CTRL round, 3 per SIFT one, known only once its
+    choice is drawn), so the rng ends where the per-round loop would leave it.
+    """
+    least = 2 * rounds + int(len(pending) > 0 and pending[0] >= ctrl_prob)
+    return rng.random(min(least - len(pending), _BLOCK))
+
 
 #: a tabled record's fields after its index, by outcome code: 0/1 for a CTRL
 #: round reading PLUS/MINUS, 2 + 2*bit + z for a SIFT round
@@ -418,15 +423,12 @@ def _sample_table(table: _Table, first: int, end: int, ctrl_prob: float, rng) ->
     """Records of rounds [first, end), all drawn from one table.
 
     Each round takes the loop's draws in the loop's order: the choice, then
-    one (CTRL) or two (SIFT) outcomes.  Draws come in blocks of at most what
-    the remaining rounds take at the least, so the rng ends where the
-    per-round loop would leave it.
+    one (CTRL) or two (SIFT) outcomes, in blocks from _next_draws.
     """
     records = []
     u = np.empty(0)  # draws of a round not yet complete, then the next block
     while first < end:
-        least = 2 * (end - first) + int(len(u) > 0 and u[0] >= ctrl_prob)
-        u = np.concatenate([u, rng.random(min(least - len(u), _BLOCK))])
+        u = np.concatenate([u, _next_draws(rng, u, end - first, ctrl_prob)])
         ctrl = u < ctrl_prob
         is_ctrl = ctrl.tolist()
         starts = []
@@ -447,23 +449,17 @@ def _sample_table(table: _Table, first: int, end: int, ctrl_prob: float, rng) ->
     return records
 
 
-#: most doubles drawn from stream 0 at once by _sample_live, as one list
-_LIVE_BLOCK = 1 << 12
-
-
 def _sample_live(inst: _Instrument, psi, first: int, end: int, ctrl_prob: float, rng):
     """Records of rounds [first, end) on one instrument, and the live probe after them.
 
     Each round takes the per-round loop's draws in its order and its checks:
     the zero-weight refusal in every Kraus step and the live-probe norm at
-    the round's end.  Draws come in blocks of at most _LIVE_BLOCK, and never
-    more than the remaining rounds take at the least, as in _sample_table, so
-    the rng ends where the per-round loop would leave it.  Live dims that
-    _MATVEC holds step through Python lists (_list_collapse), larger ones
-    through _collapse.
+    the round's end.  Draws come in blocks from _next_draws.  A live probe of
+    dim 2, the only one the built-in attacks keep, steps through Python lists
+    (_pair_collapse), any other through _collapse.
     """
-    if len(psi) in _MATVEC:
-        step = partial(_list_collapse, _MATVEC[len(psi)])
+    if len(psi) == 2:
+        step = _pair_collapse
         kraus = (inst.alice.tolist(), inst.bob_z.tolist(), inst.bob_x.tolist())
         psi = psi.tolist()
     else:
@@ -476,8 +472,7 @@ def _sample_live(inst: _Instrument, psi, first: int, end: int, ctrl_prob: float,
         if len(u) - p < 3:  # the round may lack draws: at most 3 are pending
             u, p = u[p:], 0
             while not u or len(u) < (2 if u[0] < ctrl_prob else 3):
-                least = 2 * (end - r) + int(len(u) > 0 and u[0] >= ctrl_prob)
-                u += rng.random(min(least - len(u), _LIVE_BLOCK)).tolist()
+                u += _next_draws(rng, u, end - r, ctrl_prob).tolist()
         if u[p] < ctrl_prob:
             code, psi = step(bob_x, psi, u[p + 1])
             p += 2
@@ -523,6 +518,11 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
     materialized or dropped there.  _sample_live draws that whole span in
     one tight loop.  The per-round loop below is left only for rounds after
     which some live label is dropped.
+
+    Draws, weights and the outcome_threshold snap are engine.measure's, so
+    the records are those of the dense engine; a span on a live probe of
+    dim 2 sums on Python lists instead of BLAS, and could differ only where
+    a draw lands within about 1e-16 of a threshold.
     """
     records = []
     last_use: dict[str, int] = {}  # of each materialized probe label

@@ -551,7 +551,7 @@ def _live_spans(monkeypatch):
     window=st.booleans(),
     ctrl_prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     rounds=st.integers(1, 200),
-    block=st.sampled_from([1, 2, 5, protocol._LIVE_BLOCK]),
+    block=st.sampled_from([1, 2, 5, protocol._BLOCK]),
     data=st.data(),
 )
 def test_live_probe_rounds_match_dense_reference(
@@ -571,15 +571,44 @@ def test_live_probe_rounds_match_dense_reference(
         live_rounds = rounds - 1
     cfg = ProtocolConfig(rounds=rounds, ctrl_prob=ctrl_prob, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "_LIVE_BLOCK", block)
+        mp.setattr(protocol, "_BLOCK", block)
         spans = _live_spans(mp)
         records = run_protocol(cfg, att).records
     assert records == reference_sampling(cfg, att)
     assert sum(end - first for first, end in spans) == live_rounds
 
 
-def test_live_probe_rounds_past_the_list_dims_match_dense_reference(monkeypatch):
-    # dim 5 steps through _collapse on numpy inside the same loop
+class _RoundByRoundGates(AttackSpec):
+    """A default-gate attack whose forward gate is built anew each round,
+    with its own Haar unitary on (T, E0)."""
+
+    def forward_gate(self, round_index):
+        return Gate(random_unitary(4, np.random.default_rng(round_index)), ("T", "E0"))
+
+
+def test_live_span_ends_where_the_gates_change(monkeypatch):
+    # one gate rule and one live probe E0 up to the last round, but the
+    # rounds' gates are not the same objects: each round gets its own
+    # instrument, never the one before it
+    rng = np.random.default_rng(7)
+    att = _RoundByRoundGates(
+        name="round_by_round",
+        probe_dims=(2,),
+        probe_factors=(random_state(SubsystemLayout((2,), ("E0",)), rng),),
+        default_forward=Gate(random_unitary(4, rng), ("T", "E0")),
+        default_backward=Gate(random_unitary(4, rng), ("T", "E0")),
+    )
+    assert att.run_end(0, 30) == 30 and att.last_use("E0", 30) == 29
+    spans = _live_spans(monkeypatch)
+    for seed, ctrl_prob in ((0, 0.0), (1, 0.5), (2, 1.0)):
+        cfg = ProtocolConfig(rounds=30, ctrl_prob=ctrl_prob, seed=seed)
+        assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+    assert spans == [(r, r + 1) for r in range(29)] * 3
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_live_probe_rounds_off_dim_2_step_through_numpy(monkeypatch, dim):
+    # a live probe of any dim but 2 steps through _collapse in the same loop
     steps = []
     collapse = protocol._collapse
 
@@ -590,11 +619,11 @@ def test_live_probe_rounds_past_the_list_dims_match_dense_reference(monkeypatch)
     monkeypatch.setattr(protocol, "_collapse", counted)
     spans = _live_spans(monkeypatch)
     for seed, ctrl_prob in ((0, 0.0), (1, 0.5), (2, 1.0)):
-        att = _haar_probe_attack(np.random.default_rng(seed), 5)
+        att = _haar_probe_attack(np.random.default_rng(seed), dim)
         cfg = ProtocolConfig(rounds=150, ctrl_prob=ctrl_prob, seed=seed)
         assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
     assert spans == [(0, 149)] * 3
-    assert len(steps) >= 3 * 150 and set(steps) == {5}
+    assert len(steps) >= 3 * 150 and set(steps) == {dim}
 
 
 def _compiled_arrays(fwd, bwd, labels, dims):
