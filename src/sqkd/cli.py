@@ -44,13 +44,13 @@ SEED_ENV = "SQKD_SEED"
 
 
 def _coerce(key: str, kind: type, value):
-    """A config value as its field's type; numbers refuse bools, ints fractions."""
+    """A config value as its field's type; numbers refuse bools and strings, ints fractions."""
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{key} must be an integer, got {value!r}")
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{key} must be an integer, got {value!r}")
-    elif kind is float and (isinstance(value, bool) or not isinstance(value, (int, float, str))):
+    elif kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return kind(value)
 
@@ -83,7 +83,10 @@ def _load_run_config(path: str) -> tuple[ProtocolConfig, dict]:
     }
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
-        kwargs["seed"] = int(env_seed)
+        try:
+            kwargs["seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from None
     return ProtocolConfig(**kwargs), attack_raw
 
 
@@ -206,7 +209,10 @@ def _parse_params(pairs) -> dict:
         if "=" not in pair:
             raise ValueError(f"--param expects k=v, got {pair!r}")
         key, value = pair.split("=", 1)
-        params[key] = float(value)
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise ValueError(f"--param {key} must be a number, got {value!r}") from None
     return params
 
 

@@ -174,6 +174,20 @@ def apply_gate(state, gate: Gate | None):
         raise AttackLayoutMismatch(str(exc)) from exc
 
 
+def _new_factors(attack: AttackSpec, i: int, materialized: set[str]):
+    """Probe factors round i's gates touch first, in target order, forward gate first.
+
+    Each factor's labels join materialized as it is yielded, so a factor over
+    several labels comes once, whole.
+    """
+    for gate in (attack.forward_gate(i), attack.backward_gate(i)):
+        for label in gate.targets if gate is not None else ():
+            if label != TRANSIT and label not in materialized:
+                factor = attack.probe_factor(label)
+                materialized.update(factor.layout.labels)
+                yield factor
+
+
 class JointEvolution:
     """Threads the exact joint state through protocol rounds.
 
@@ -200,21 +214,11 @@ class JointEvolution:
         other._choice = self._choice
         return other
 
-    def _materialize(self, gate: Gate | None):
-        if gate is None:
-            return
-        for label in gate.targets:
-            if label == TRANSIT or label in self._materialized:
-                continue
-            factor = self.attack.probe_factor(label)
-            self.state = tensor(self.state, factor)
-            self._materialized.update(factor.layout.labels)
-
     def start_round(self, i: int):
         """Emit |+> into the transit slot and run the forward attack."""
         self.state = tensor(self.state, ket_plus(TRANSIT))
-        self._materialize(self.attack.forward_gate(i))
-        self._materialize(self.attack.backward_gate(i))
+        for factor in _new_factors(self.attack, i, self._materialized):
+            self.state = tensor(self.state, factor)
         self.state = apply_gate(self.state, self.attack.forward_gate(i))
 
     def alice(self, i: int, choice: str):
@@ -243,19 +247,12 @@ def exact_state_dim(attack: AttackSpec, n_rounds: int) -> int:
     """Amplitude count of an exact run's final state, without building it.
 
     Each round leaves Bob's memory qubit and Alice's probe qubit, and every
-    probe factor some gate of the run targets is materialized once, whole, as
-    JointEvolution does.
+    probe factor some gate of the run targets is materialized once, whole, by
+    _new_factors as in JointEvolution.
     """
-    dim = 4**n_rounds
     seen: set[str] = set()
-    for i in range(n_rounds):
-        for gate in (attack.forward_gate(i), attack.backward_gate(i)):
-            for label in gate.targets if gate is not None else ():
-                if label != TRANSIT and label not in seen:
-                    factor = attack.probe_factor(label)
-                    seen.update(factor.layout.labels)
-                    dim *= factor.dim
-    return dim
+    factors = (f for i in range(n_rounds) for f in _new_factors(attack, i, seen))
+    return 4**n_rounds * math.prod(f.dim for f in factors)
 
 
 def _run_exact(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript:
@@ -279,20 +276,18 @@ class _Instrument(NamedTuple):
 
     alice[a] = <a|_T F |+>_T, bob_z[a][z] = <z|_T B |a>_T and
     bob_x[x] = <x|_T H B F |+>_T, for forward gate F and backward gate B.
-    gates holds the two gates, so the unitaries whose ids key the cache stay
-    alive while it does.
     """
 
     alice: np.ndarray
     bob_z: np.ndarray
     bob_x: np.ndarray
-    gates: tuple
 
 
 def _gate_key(gate: Gate | None, positions: dict[str, int]):
+    """A gate's unitary entries and target positions: equal keys, equal matrices."""
     if gate is None:
         return None
-    return id(gate.unitary), tuple(positions.get(t, -1) for t in gate.targets)
+    return gate.unitary.entries.tobytes(), tuple(positions.get(t, -1) for t in gate.targets)
 
 
 def _gate_matrix(gate: Gate | None, layout: SubsystemLayout) -> np.ndarray:
@@ -320,7 +315,7 @@ def _compile_round(fwd, bwd, labels, dims) -> _Instrument:
     bob_z = np.ascontiguousarray(b.transpose(2, 0, 1, 3))
     returned = np.einsum("zpaq,aqr->zpr", b, alice)
     bob_x = np.einsum("xz,zpr->xpr", hadamard().entries, returned)
-    return _Instrument(alice, bob_z, bob_x, (fwd, bwd))
+    return _Instrument(alice, bob_z, bob_x)
 
 
 def _normalized(branch: np.ndarray) -> np.ndarray:
@@ -406,7 +401,7 @@ def _next_draws(rng, pending, rounds: int, ctrl_prob: float) -> np.ndarray:
     pending holds the draws already taken from the first of those rounds on.
     The block is at most _BLOCK doubles, and never more than the rounds take
     at the least (2 per CTRL round, 3 per SIFT one, known only once its
-    choice is drawn), so the rng ends where the per-round loop would leave it.
+    choice is drawn), so the rng ends where single draws would.
     """
     least = 2 * rounds + int(len(pending) > 0 and pending[0] >= ctrl_prob)
     return rng.random(min(least - len(pending), _BLOCK))
@@ -422,8 +417,8 @@ _TABLED_FIELDS = [(CTRL, None, None, x, None, None) for x in (PLUS, MINUS)] + [
 def _sample_table(table: _Table, first: int, end: int, ctrl_prob: float, rng) -> list[RoundRecord]:
     """Records of rounds [first, end), all drawn from one table.
 
-    Each round takes the loop's draws in the loop's order: the choice, then
-    one (CTRL) or two (SIFT) outcomes, in blocks from _next_draws.
+    Each round takes its draws in the order single draws would: the choice,
+    then one (CTRL) or two (SIFT) outcomes, in blocks from _next_draws.
     """
     records = []
     u = np.empty(0)  # draws of a round not yet complete, then the next block
@@ -452,11 +447,12 @@ def _sample_table(table: _Table, first: int, end: int, ctrl_prob: float, rng) ->
 def _sample_live(inst: _Instrument, psi, first: int, end: int, ctrl_prob: float, rng):
     """Records of rounds [first, end) on one instrument, and the live probe after them.
 
-    Each round takes the per-round loop's draws in its order and its checks:
-    the zero-weight refusal in every Kraus step and the live-probe norm at
-    the round's end.  Draws come in blocks from _next_draws.  A live probe of
-    dim 2, the only one the built-in attacks keep, steps through Python lists
-    (_pair_collapse), any other through _collapse.
+    Each round takes its draws in the order single draws would: the choice,
+    then one (CTRL) or two (SIFT) Kraus steps, each refusing a zero-weight
+    branch; the live-probe norm is checked at the round's end.  Draws come in
+    blocks from _next_draws.  A live probe of dim 2, the only one the
+    built-in attacks keep, steps through Python lists (_pair_collapse), any
+    other through _collapse.
     """
     if len(psi) == 2:
         step = _pair_collapse
@@ -501,23 +497,23 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
     """Sample each round from a compiled instrument on Eve's live probe.
 
     Only the live probe persists between rounds, as a raw vector over labels
-    and dims.  Each distinct round shape (the two gates' unitaries and target
-    positions, and the live dims) is compiled once into an _Instrument.
-    Probes past their last use are dropped after the round: all at once when
-    no live label remains, and otherwise by measuring each in Z with draws
-    from its own substream, which no later round can notice since nothing
-    acts on it again.
+    and dims.  Each distinct round shape (the two gates' unitary entries and
+    target positions, and the live dims) is compiled once into an
+    _Instrument.  Probes past their last use are dropped after the span of
+    rounds that used them last: all at once when no live label remains, and
+    otherwise by measuring each in Z with draws from its own substream, which
+    no later round can notice since nothing acts on it again.
 
     A round that starts with no live probe and leaves none behind carries no
     state, and neither do the rounds after it that follow its gate rule
     (AttackSpec.run_end): they are all drawn from one outcome table per
-    shape and fresh probe state.
+    shape and fresh probe state (_sample_table).
 
-    Rounds that carry a live probe keep one instrument from a round up to
-    the next live label's last use, within the round's gate rule: nothing is
-    materialized or dropped there.  _sample_live draws that whole span in
-    one tight loop.  The per-round loop below is left only for rounds after
-    which some live label is dropped.
+    Every other round carries a live probe.  Its instrument stays fixed from
+    the round up to the next live label's last use, within the round's gate
+    rule, and _sample_live draws that span in one loop; a round after which
+    some label is dropped is a span of its own.  Neither sampler ever draws
+    past its span, so the rng ends where single draws would.
 
     Draws, weights and the outcome_threshold snap are engine.measure's, so
     the records are those of the dense engine; a span on a live probe of
@@ -537,16 +533,12 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
     i = 0
     while i < config.rounds:
         fresh = not labels
-        fwd, bwd = attack.forward_gate(i), attack.backward_gate(i)
-        for label in [t for g in (fwd, bwd) if g is not None for t in g.targets]:
-            if label == TRANSIT or label in materialized:
-                continue
-            factor = attack.probe_factor(label)
+        for factor in _new_factors(attack, i, materialized):
             psi = np.outer(psi, factor.amps).reshape(-1)  # psi ⊗ factor
             labels += factor.layout.labels
             dims += factor.layout.dims
-            materialized.update(factor.layout.labels)
             last_use.update((l, attack.last_use(l, config.rounds)) for l in factor.layout.labels)
+        fwd, bwd = attack.forward_gate(i), attack.backward_gate(i)
         positions = {label: k + 1 for k, label in enumerate(labels)}
         positions[TRANSIT] = 0
         key = (_gate_key(fwd, positions), _gate_key(bwd, positions), tuple(dims))
@@ -559,38 +551,22 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
             table = tables.get(table_key)
             if table is None:
                 table = tables[table_key] = _round_table(inst, psi)
-            end = attack.run_end(i, config.rounds)
-            records += _sample_table(table, i, end, config.ctrl_prob, rng)
-            labels, dims, psi = [], [], np.ones(1, dtype=complex)
-            i = end
-            continue
-
-        # rounds of this gate rule before any live label's last use drop
-        # nothing, and on these very gates materialize nothing: the
-        # instrument stays fixed (a template builds new gates every round)
-        stop = min(attack.run_end(i, config.rounds), *(last_use[l] for l in labels))
-        if stop > i + 1 and (
-            attack.forward_gate(i + 1) is not fwd or attack.backward_gate(i + 1) is not bwd
-        ):
-            stop = i + 1
-        if stop > i:
+            stop = attack.run_end(i, config.rounds)
+            records += _sample_table(table, i, stop, config.ctrl_prob, rng)
+        else:
+            # rounds of this gate rule before any live label's last use drop
+            # nothing, and on these very gates materialize nothing: the
+            # instrument stays fixed (a template builds new gates every round);
+            # a round after which a label is dropped is a span of its own
+            stop = min(attack.run_end(i, config.rounds), *(last_use[l] for l in labels))
+            if stop <= i + 1 or (
+                attack.forward_gate(i + 1) is not fwd or attack.backward_gate(i + 1) is not bwd
+            ):
+                stop = i + 1
             live, psi = _sample_live(inst, psi, i, stop, config.ctrl_prob, rng)
             records += live
-            i = stop
-            continue
 
-        choice = CTRL if rng.random() < config.ctrl_prob else SIFT
-        rec = RoundRecord(index=i, choice=choice)
-        if choice == SIFT:
-            # measure-and-resend: Alice's Z outcome picks the resent basis state
-            rec.alice_bit, psi = _collapse(inst.alice, psi, rng.random())
-            rec.bob_z_outcome, psi = _collapse(inst.bob_z[rec.alice_bit], psi, rng.random())
-        else:
-            x, psi = _collapse(inst.bob_x, psi, rng.random())
-            rec.bob_x_outcome = PLUS if x == 0 else MINUS
-        records.append(rec)
-
-        dead = [l for l in labels if last_use[l] <= i]
+        dead = [l for l in labels if last_use[l] < stop]
         if len(dead) == len(labels):
             labels, dims, psi = [], [], np.ones(1, dtype=complex)
             dead = []
@@ -602,8 +578,8 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
             del labels[pos], dims[pos]
         norm = math.sqrt(float(np.vdot(psi, psi).real))
         if not abs(norm - 1.0) <= NORM_ATOL:
-            raise InvalidState(f"live probe norm {norm!r} deviates from 1 in round {i}")
-        i += 1
+            raise InvalidState(f"live probe norm {norm!r} deviates from 1 in round {stop - 1}")
+        i = stop
 
     return Transcript(config=config, records=records, final_state=None)
 

@@ -138,7 +138,7 @@ def test_run_rejects_non_integer_rounds_and_seed(tmp_path, capsys):
 def test_run_rejects_non_numeric_probabilities(tmp_path, capsys):
     out = tmp_path / "o.json"
     for key in ("ctrl_prob", "test_fraction", "abort_threshold"):
-        for value in (None, [0.5], {}, True, False):
+        for value in (None, [0.5], {}, True, False, "0.5", "abc"):
             cfg = write_config(tmp_path, **{key: value})
             assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
             assert f"{key} must be a number" in capsys.readouterr().err
@@ -153,6 +153,8 @@ def test_run_rejects_malformed_attack_params(tmp_path, capsys):
         ({"theta": [0.5]}, "param theta must be a number"),
         ({"theta": True}, "param theta must be a number"),
         ({"theta": False}, "param theta must be a number"),
+        ({"theta": "0.5"}, "param theta must be a number"),
+        ({"theta": "abc"}, "param theta must be a number"),
     ):
         cfg = write_config(tmp_path, attack={"name": "phase_probe", "params": params})
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
@@ -189,7 +191,7 @@ def test_run_is_deterministic_byte_for_byte(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
+def test_seed_env_override(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, seed=1)
     out_env = tmp_path / "env.json"
     monkeypatch.setenv(cli.SEED_ENV, "2")
@@ -200,6 +202,11 @@ def test_seed_env_override(tmp_path, monkeypatch):
     out_direct = tmp_path / "direct.json"
     cli.main(["run", "--config", str(cfg2), "--out", str(out_direct)])
     assert (tmp_path / "env.jsonl").read_text() == (tmp_path / "direct.jsonl").read_text()
+
+    for value in ("abc", "1.5"):
+        monkeypatch.setenv(cli.SEED_ENV, value)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "bad.json")]) == 1
+        assert cli.SEED_ENV in capsys.readouterr().err
 
 
 def test_exact_mode_run(tmp_path):
@@ -278,6 +285,9 @@ def test_check_rejects_params_the_attack_does_not_take(capsys):
 
 def test_check_bad_param_syntax(capsys):
     assert cli.main(["check", "--attack", "phase_probe", "--param", "theta"]) == 1
+    capsys.readouterr()
+    assert cli.main(["check", "--attack", "phase_probe", "--param", "theta=abc"]) == 1
+    assert "--param theta must be a number" in capsys.readouterr().err
 
 
 def test_check_rejects_checks_it_cannot_honour(capsys):

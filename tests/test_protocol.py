@@ -205,6 +205,30 @@ def test_swap_at_the_round_cap_is_within_the_amplitude_cap(monkeypatch):
         run_protocol(ProtocolConfig(rounds=EXACT_ROUND_CAP, mode=MODE_EXACT), attack)
 
 
+def test_a_factor_over_two_labels_is_materialized_once():
+    # one factor holds E0 and E1: round 0's gate touches E1, round 3's E0,
+    # and round 5's backward gate both, so each is last used in the last round
+    rng = np.random.default_rng(3)
+    att = AttackSpec(
+        name="shared_factor",
+        probe_dims=(2, 3),
+        probe_factors=(random_state(SubsystemLayout((2, 3), ("E0", "E1")), rng),),
+        forward={
+            0: Gate(random_unitary(6, rng), ("T", "E1")),
+            3: Gate(random_unitary(4, rng), ("E0", "T")),
+        },
+        backward={5: Gate(random_unitary(12, rng), ("E1", "T", "E0"))},
+    )
+    assert att.last_use("E0", 6) == att.last_use("E1", 6) == 5
+    final = run_protocol(ProtocolConfig(rounds=6, seed=3, mode=MODE_EXACT), att).final_state
+    assert exact_state_dim(att, 6) == final.dim == 4**6 * 6
+    labels = final.layout.labels
+    assert labels.count("E0") == labels.count("E1") == 1
+    for seed, ctrl_prob in ((0, 0.0), (1, 0.5), (2, 1.0), (3, 0.3)):
+        cfg = ProtocolConfig(rounds=6, ctrl_prob=ctrl_prob, seed=seed)
+        assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+
+
 # ---------------------------------------------------------------------------
 # Classical phase
 # ---------------------------------------------------------------------------
@@ -559,7 +583,7 @@ def test_live_probe_rounds_match_dense_reference(
 ):
     # a persistent probe under default gates is live from round 0 to the
     # last round, a window of gateless rounds carries it from r0 to r1, and
-    # every round before its last use takes the tight loop
+    # every round up to its last use takes the live loop
     rng = np.random.default_rng(seed)
     if window and rounds >= 2:
         pair = st.lists(st.integers(0, rounds - 1), min_size=2, max_size=2, unique=True)
@@ -575,7 +599,7 @@ def test_live_probe_rounds_match_dense_reference(
         spans = _live_spans(mp)
         records = run_protocol(cfg, att).records
     assert records == reference_sampling(cfg, att)
-    assert sum(end - first for first, end in spans) == live_rounds
+    assert sum(end - first for first, end in spans) == (live_rounds + 1 if live_rounds else 0)
 
 
 class _RoundByRoundGates(AttackSpec):
@@ -603,7 +627,7 @@ def test_live_span_ends_where_the_gates_change(monkeypatch):
     for seed, ctrl_prob in ((0, 0.0), (1, 0.5), (2, 1.0)):
         cfg = ProtocolConfig(rounds=30, ctrl_prob=ctrl_prob, seed=seed)
         assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
-    assert spans == [(r, r + 1) for r in range(29)] * 3
+    assert spans == [(r, r + 1) for r in range(30)] * 3
 
 
 @pytest.mark.parametrize("dim", [1, 3, 5])
@@ -622,8 +646,34 @@ def test_live_probe_rounds_off_dim_2_step_through_numpy(monkeypatch, dim):
         att = _haar_probe_attack(np.random.default_rng(seed), dim)
         cfg = ProtocolConfig(rounds=150, ctrl_prob=ctrl_prob, seed=seed)
         assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
-    assert spans == [(0, 149)] * 3
+    assert spans == [(0, 149), (149, 150)] * 3
     assert len(steps) >= 3 * 150 and set(steps) == {dim}
+
+
+def test_rounds_with_equal_unitaries_share_one_instrument(monkeypatch):
+    # every round names its own Unitary object, all with the same entries
+    rng = np.random.default_rng(11)
+    entries = random_unitary(4, rng).entries
+    att = AttackSpec(
+        name="equal_entries",
+        probe_dims=(2,),
+        probe_factors=(random_state(SubsystemLayout((2,), ("E0",)), rng),),
+        forward={r: Gate(Unitary(entries.copy()), ("T", "E0")) for r in range(40)},
+    )
+    assert len({id(g.unitary) for g in att.forward.values()}) == 40
+    compiles = []
+    compile_round = protocol._compile_round
+
+    def counted(*args):
+        compiles.append(args)
+        return compile_round(*args)
+
+    monkeypatch.setattr(protocol, "_compile_round", counted)
+    for seed, ctrl_prob in ((0, 0.0), (1, 0.5), (2, 1.0)):
+        cfg = ProtocolConfig(rounds=40, ctrl_prob=ctrl_prob, seed=seed)
+        compiles.clear()
+        assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+        assert len(compiles) == 1
 
 
 def _compiled_arrays(fwd, bwd, labels, dims):
