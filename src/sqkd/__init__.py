@@ -14,7 +14,6 @@ from .analysis import (
     TheoremReport,
     constraint_check,
     eve_leakage,
-    extract_branches,
     product_structure_check,
     theorem_check,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "cnot_parity_attack",
     "constraint_check",
     "eve_leakage",
-    "extract_branches",
     "identity_attack",
     "measure",
     "measure_resend_z_attack",

@@ -3,8 +3,9 @@
 The central quantities, all computed from exact joint-state evolution:
 
 * Branch decomposition.  After the forward attack acts on |+> ⊗ |probe>,
-  projecting the transit qubit onto |0> and |1> yields two unnormalized
-  branches whose weights sum to 1.
+  a SIFT round's JointEvolution.finish_round projects the transit qubit onto
+  |0> and |1> and keeps the two unnormalized branches, whose weights sum to
+  1, as the halves of Alice's probe.
 
 * Constraint residuals per round.  test_residual is the total weight of
   bit-flipping components the backward unitary V leaves on a sifted qubit,
@@ -39,9 +40,7 @@ from .attacks import AttackSpec
 from .engine import (
     DensityMatrix,
     StateVector,
-    SubnormalizedVector,
     SubsystemLayout,
-    TRANSIT,
     _front,
     _weight,
     alice_probe,
@@ -55,8 +54,8 @@ from .engine import (
     tensor,
     trace_distance,
 )
-from .errors import AttackLayoutMismatch, ExactCapExceeded
-from .protocol import CTRL, EXACT_ROUND_CAP, JointEvolution, SIFT, apply_gate
+from .errors import ExactCapExceeded
+from .protocol import CTRL, EXACT_ROUND_CAP, JointEvolution, SIFT
 
 RESIDUAL_TOL = 1e-9
 
@@ -152,24 +151,8 @@ def holevo_bound(ensemble) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Branch extraction and per-round constraints
+# Per-round constraints
 # ---------------------------------------------------------------------------
-
-
-def extract_branches(
-    attack: AttackSpec, round_index: int, eve_state: StateVector
-) -> tuple[SubnormalizedVector, SubnormalizedVector]:
-    """Forward-attack a fresh |+> against Eve's current state and split it.
-
-    Returns the two unnormalized branches tagged by the transit qubit's
-    computational value, as vectors over eve_state's own layout; their
-    weights sum to 1.
-    """
-    if TRANSIT in eve_state.layout.labels:
-        raise AttackLayoutMismatch("eve_state must not contain the transit qubit")
-    state = tensor(ket_plus(TRANSIT), eve_state)
-    amps = _front(apply_gate(state, attack.forward_gate(round_index)), [TRANSIT])
-    return SubnormalizedVector(eve_state.layout, amps[0]), SubnormalizedVector(eve_state.layout, amps[1])
 
 
 def _residuals(round_index: int, sifted: StateVector) -> ConstraintReport:
@@ -247,18 +230,16 @@ def _walk_patterns(attack: AttackSpec, patterns):
         evo.start_round(i)
         ctrl_wanted = prefix + "C" in nodes
         sift = evo.clone() if ctrl_wanted else evo
-        sift.alice(i, SIFT)
-        sift.finish_round(i)
+        sift.finish_round(i, SIFT)
         reports = reports + [_residuals(i, sift.state)]
         if prefix + "S" in nodes:
             yield from visit(sift, prefix + "S", reports)
         del sift  # else the SIFT subtree's last state stays live through the CTRL one
         if ctrl_wanted:
-            evo.alice(i, CTRL)
-            evo.finish_round(i)
+            evo.finish_round(i, CTRL)
             yield from visit(evo, prefix + "C", reports)
 
-    yield from visit(JointEvolution(attack, max(map(len, wanted))), "", [])
+    yield from visit(JointEvolution(attack), "", [])
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,11 @@ class AttackSpec:
                     by_label[l] = f
             if sorted(by_label) != sorted(self.probe_labels):
                 raise InvalidState("probe factors must cover the probe labels exactly once")
+            dims = tuple(by_label[l].layout.dim_of(l) for l in self.probe_labels)
+            if dims != self.probe_dims:
+                raise InvalidState(
+                    f"probe_dims {self.probe_dims} disagree with the factors' dims {dims}"
+                )
         else:
             # taken as given: a template attack is built without a step per probe
             object.__setattr__(self, "probe_dims", tuple(self.probe_dims))

@@ -154,7 +154,10 @@ def _parse_grid(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {spec!r}")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        start, stop, step = map(float, parts)
+    except ValueError as exc:
+        raise ValueError(f"--grid {spec!r}: {exc}") from None
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"grid bounds and step must be finite, got {spec!r}")
     if step == 0:

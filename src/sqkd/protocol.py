@@ -192,43 +192,33 @@ class JointEvolution:
     """Threads the exact joint state through protocol rounds.
 
     Probe subsystems are materialized lazily, the first time a gate targets
-    them.  finish_round is the only code that runs a round's backward leg: it
-    appends Alice's probe, holding [V·P₀ψ, V·P₁ψ] on SIFT (her XOR copy tags
-    the transit's two computational branches, so V acts on each separately)
-    and [V·ψ, 0] on CTRL, and relabels the transit into Bob's memory.
+    them; the state's labels say which already are.  finish_round is the only
+    code that runs a round's backward leg: it appends Alice's probe, holding
+    [V·P₀ψ, V·P₁ψ] on SIFT (her XOR copy tags the transit's two computational
+    branches, so V acts on each separately) and [V·ψ, 0] on CTRL, and relabels
+    the transit into Bob's memory.
     """
 
-    def __init__(self, attack: AttackSpec, n_rounds: int):
+    def __init__(self, attack: AttackSpec):
         self.attack = attack
-        self.n_rounds = n_rounds
         self.state = _empty_state()
-        self._materialized: set[str] = set()
-        self._choice = None
 
     def clone(self) -> "JointEvolution":
-        other = JointEvolution.__new__(JointEvolution)
-        other.attack = self.attack
-        other.n_rounds = self.n_rounds
+        other = JointEvolution(self.attack)
         other.state = self.state
-        other._materialized = set(self._materialized)
-        other._choice = self._choice
         return other
 
     def start_round(self, i: int):
         """Emit |+> into the transit slot and run the forward attack."""
         self.state = tensor(self.state, ket_plus(TRANSIT))
-        for factor in _new_factors(self.attack, i, self._materialized):
+        for factor in _new_factors(self.attack, i, set(self.state.layout.labels)):
             self.state = tensor(self.state, factor)
         self.state = apply_gate(self.state, self.attack.forward_gate(i))
 
-    def alice(self, i: int, choice: str):
-        """Record Alice's choice for round i; finish_round acts on it."""
-        self._choice = choice
-
-    def finish_round(self, i: int):
-        """Run the backward attack on Alice's branches; her probe comes last."""
+    def finish_round(self, i: int, choice: str):
+        """Run the backward attack on the branches of Alice's choice; her probe comes last."""
         gate = self.attack.backward_gate(i)
-        if self._choice == SIFT:
+        if choice == SIFT:
             branches = [apply_gate(project(self.state, TRANSIT, b), gate).amps for b in (0, 1)]
         else:
             out = apply_gate(self.state, gate).amps
@@ -239,8 +229,7 @@ class JointEvolution:
 
     def run_round(self, i: int, choice: str):
         self.start_round(i)
-        self.alice(i, choice)
-        self.finish_round(i)
+        self.finish_round(i, choice)
 
 
 def exact_state_dim(attack: AttackSpec, n_rounds: int) -> int:
@@ -262,7 +251,7 @@ def _run_exact(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript:
             f"an exact {config.rounds}-round run of {attack.name!r} would hold {dim} "
             f"amplitudes, above the cap of {EXACT_AMPLITUDE_CAP}"
         )
-    evo = JointEvolution(attack, config.rounds)
+    evo = JointEvolution(attack)
     records = []
     for i in range(config.rounds):
         choice = CTRL if rng.random() < config.ctrl_prob else SIFT
@@ -318,11 +307,10 @@ def _compile_round(fwd, bwd, labels, dims) -> _Instrument:
     return _Instrument(alice, bob_z, bob_x)
 
 
-def _normalized(branch: np.ndarray) -> np.ndarray:
-    weight = float(np.vdot(branch, branch).real)
-    if weight <= 0:
-        raise InvalidState("cannot normalize a zero-weight branch")
-    return branch / math.sqrt(weight)
+def _threshold(kraus: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
+    """Outcome 0's threshold on psi (a draw below it gives 0) and its raw branch."""
+    branch = kraus[0] @ psi
+    return outcome_threshold(float(np.vdot(branch, branch).real)), branch
 
 
 def _collapse(kraus: np.ndarray, psi: np.ndarray, u: float) -> tuple[int, np.ndarray]:
@@ -331,11 +319,14 @@ def _collapse(kraus: np.ndarray, psi: np.ndarray, u: float) -> tuple[int, np.nda
     Returns (outcome, renormalised state); outcome 0 when u falls below
     outcome_threshold of its weight, as engine.draw_outcome decides.
     """
-    branch = kraus[0] @ psi
-    idx = 0 if u < outcome_threshold(float(np.vdot(branch, branch).real)) else 1
+    t, branch = _threshold(kraus, psi)
+    idx = 0 if u < t else 1
     if idx:
         branch = kraus[1] @ psi
-    return idx, _normalized(branch)
+    weight = float(np.vdot(branch, branch).real)
+    if weight <= 0:
+        raise InvalidState("cannot normalize a zero-weight branch")
+    return idx, branch / math.sqrt(weight)
 
 
 def _pair_collapse(kraus: list, psi: list, u: float) -> tuple[int, list]:
@@ -360,23 +351,12 @@ def _pair_collapse(kraus: list, psi: list, u: float) -> tuple[int, list]:
     return idx, [x * scale for x in branch]
 
 
-def _outcomes(kraus: np.ndarray, psi: np.ndarray) -> tuple[float, list]:
-    """What _collapse would do on psi, for every draw at once.
-
-    Returns outcome 0's threshold (a draw below it gives 0) and the
-    renormalised branch of each outcome some draw reaches, None for the other;
-    the floating-point steps are _collapse's own.
-    """
-    branch = kraus[0] @ psi
-    t = outcome_threshold(float(np.vdot(branch, branch).real))
-    return t, [_normalized(kraus[k] @ psi) if hit else None for k, hit in enumerate((t > 0, t < 1))]
-
-
 class _Table(NamedTuple):
     """Outcome thresholds of a round that starts and ends with no live probe.
 
     A CTRL round reads PLUS when its draw is below x; a SIFT round gives
-    Alice bit 0 below a, then Bob's Z outcome 0 below z[bit].
+    Alice bit 0 below a, then Bob's Z outcome 0 below z[bit] (1.0 for a bit
+    no draw gives).  Each is the threshold _collapse would draw against.
     """
 
     x: float
@@ -385,26 +365,45 @@ class _Table(NamedTuple):
 
 
 def _round_table(inst: _Instrument, psi: np.ndarray) -> _Table:
-    x, _ = _outcomes(inst.bob_x, psi)
-    a, resent = _outcomes(inst.alice, psi)
-    z = tuple(1.0 if b is None else _outcomes(inst.bob_z[bit], b)[0] for bit, b in enumerate(resent))
-    return _Table(x, a, z)
+    a, _ = _threshold(inst.alice, psi)
+    # the draw u = bit gives Alice that bit wherever some draw reaches it
+    z = tuple(
+        _threshold(inst.bob_z[bit], _collapse(inst.alice, psi, bit)[1])[0] if reached else 1.0
+        for bit, reached in enumerate((a > 0, a < 1))
+    )
+    return _Table(_threshold(inst.bob_x, psi)[0], a, z)
 
 
-#: most doubles drawn from stream 0 at once by _sample_table and _sample_live
+#: most doubles drawn from stream 0 at once by _round_draws
 _BLOCK = 1 << 16
 
 
-def _next_draws(rng, pending, rounds: int, ctrl_prob: float) -> np.ndarray:
-    """The next block of stream 0 for rounds yet to sample, after pending.
+def _round_draws(rng, rounds: int, ctrl_prob: float):
+    """Stream 0 for the next rounds, in blocks cut at round boundaries.
 
-    pending holds the draws already taken from the first of those rounds on.
-    The block is at most _BLOCK doubles, and never more than the rounds take
-    at the least (2 per CTRL round, 3 per SIFT one, known only once its
-    choice is drawn), so the rng ends where single draws would.
+    Yields (u, starts): the draws of whole rounds, and the index in u of each
+    round's choice draw.  A CTRL round takes 2 draws and a SIFT round 3, known
+    only once its choice is drawn; a round split across blocks is carried
+    into the next.  Each block draws at most _BLOCK doubles, and never more
+    than the rounds left take at the least, so the rng ends where single
+    draws would.
     """
-    least = 2 * rounds + int(len(pending) > 0 and pending[0] >= ctrl_prob)
-    return rng.random(min(least - len(pending), _BLOCK))
+    u = np.empty(0)  # draws of a round not yet complete
+    while rounds:
+        least = 2 * rounds + int(len(u) > 0 and u[0] >= ctrl_prob)
+        u = np.concatenate([u, rng.random(min(least - len(u), _BLOCK))])
+        is_ctrl = (u < ctrl_prob).tolist()
+        starts = []
+        p = 0
+        while p < len(u):
+            starts.append(p)
+            p += 2 if is_ctrl[p] else 3
+        if p > len(u):
+            p = starts.pop()
+        if starts:
+            yield u[:p], starts
+            rounds -= len(starts)
+        u = u[p:]
 
 
 #: a tabled record's fields after its index, by outcome code: 0/1 for a CTRL
@@ -417,42 +416,29 @@ _TABLED_FIELDS = [(CTRL, None, None, x, None, None) for x in (PLUS, MINUS)] + [
 def _sample_table(table: _Table, first: int, end: int, ctrl_prob: float, rng) -> list[RoundRecord]:
     """Records of rounds [first, end), all drawn from one table.
 
-    Each round takes its draws in the order single draws would: the choice,
-    then one (CTRL) or two (SIFT) outcomes, in blocks from _next_draws.
+    Each round takes its draws from _round_draws: the choice, then one (CTRL)
+    or two (SIFT) outcomes.
     """
     records = []
-    u = np.empty(0)  # draws of a round not yet complete, then the next block
-    while first < end:
-        u = np.concatenate([u, _next_draws(rng, u, end - first, ctrl_prob)])
-        ctrl = u < ctrl_prob
-        is_ctrl = ctrl.tolist()
-        starts = []
-        p = 0
-        while p < len(u):
-            starts.append(p)
-            p += 2 if is_ctrl[p] else 3
-        if p > len(u):  # the last round needs draws from the next block
-            p = starts.pop()
+    for u, starts in _round_draws(rng, end - first, ctrl_prob):
         s = np.array(starts, dtype=np.intp)
         second, third = u[s + 1], u[np.minimum(s + 2, len(u) - 1)]
         bit = second >= table.a
         sift = 2 + 2 * bit + (third >= np.where(bit, table.z[1], table.z[0]))
-        codes = np.where(ctrl[s], second >= table.x, sift).tolist()
+        codes = np.where(u[s] < ctrl_prob, second >= table.x, sift).tolist()
         records += [RoundRecord(i, *_TABLED_FIELDS[c]) for i, c in zip(range(first, end), codes)]
         first += len(starts)
-        u = u[p:]
     return records
 
 
 def _sample_live(inst: _Instrument, psi, first: int, end: int, ctrl_prob: float, rng):
     """Records of rounds [first, end) on one instrument, and the live probe after them.
 
-    Each round takes its draws in the order single draws would: the choice,
-    then one (CTRL) or two (SIFT) Kraus steps, each refusing a zero-weight
-    branch; the live-probe norm is checked at the round's end.  Draws come in
-    blocks from _next_draws.  A live probe of dim 2, the only one the
-    built-in attacks keep, steps through Python lists (_pair_collapse), any
-    other through _collapse.
+    Each round takes its draws from _round_draws: the choice, then one (CTRL)
+    or two (SIFT) Kraus steps, each refusing a zero-weight branch; the
+    live-probe norm is checked at the round's end.  A live probe of dim 2, the
+    only one the built-in attacks keep, steps through Python lists
+    (_pair_collapse), any other through _collapse.
     """
     if len(psi) == 2:
         step = _pair_collapse
@@ -462,25 +448,21 @@ def _sample_live(inst: _Instrument, psi, first: int, end: int, ctrl_prob: float,
         step, kraus = _collapse, (inst.alice, inst.bob_z, inst.bob_x)
     alice, bob_z, bob_x = kraus
     records = []
-    u: list[float] = []  # draws of this round onwards
-    p = 0
-    for r in range(first, end):
-        if len(u) - p < 3:  # the round may lack draws: at most 3 are pending
-            u, p = u[p:], 0
-            while not u or len(u) < (2 if u[0] < ctrl_prob else 3):
-                u += _next_draws(rng, u, end - r, ctrl_prob).tolist()
-        if u[p] < ctrl_prob:
-            code, psi = step(bob_x, psi, u[p + 1])
-            p += 2
-        else:
-            bit, psi = step(alice, psi, u[p + 1])
-            z, psi = step(bob_z[bit], psi, u[p + 2])
-            code = 2 + 2 * bit + z
-            p += 3
-        records.append(RoundRecord(r, *_TABLED_FIELDS[code]))
-        norm = math.hypot(*map(abs, psi))
-        if not abs(norm - 1.0) <= NORM_ATOL:
-            raise InvalidState(f"live probe norm {norm!r} deviates from 1 in round {r}")
+    r = first
+    for block, starts in _round_draws(rng, end - first, ctrl_prob):
+        u = block.tolist()
+        for p in starts:
+            if u[p] < ctrl_prob:
+                code, psi = step(bob_x, psi, u[p + 1])
+            else:
+                bit, psi = step(alice, psi, u[p + 1])
+                z, psi = step(bob_z[bit], psi, u[p + 2])
+                code = 2 + 2 * bit + z
+            records.append(RoundRecord(r, *_TABLED_FIELDS[code]))
+            norm = math.hypot(*map(abs, psi))
+            if not abs(norm - 1.0) <= NORM_ATOL:
+                raise InvalidState(f"live probe norm {norm!r} deviates from 1 in round {r}")
+            r += 1
     return records, np.asarray(psi, dtype=complex)
 
 
@@ -820,12 +802,10 @@ def sift_equivalence_check(
     the delayed-measurement (XOR-probe) model by enumerating Alice's choice
     tree.  The sampled side runs `trials` independent measure-and-resend
     simulations with per-trial derived seeds and pools the observed rates.
-    The two are declared equivalent when they agree within 4 standard errors.
+    The two are declared equivalent when they agree within 4 standard errors;
+    exact_rate_expectations refuses more than EXACT_ROUND_CAP rounds before
+    any trial runs.
     """
-    if config.rounds > EXACT_ROUND_CAP:
-        raise ExactCapExceeded(
-            f"equivalence check enumerates at most {EXACT_ROUND_CAP} rounds"
-        )
     from .analysis import exact_rate_expectations
 
     exact = exact_rate_expectations(attack, config.rounds, config.ctrl_prob)

@@ -205,7 +205,7 @@ def reference_evolution(attack, pattern):
     Each round's residuals come from a copy that runs just the forward leg;
     the evolution itself advances with JointEvolution.run_round.
     """
-    evo = JointEvolution(attack, len(pattern))
+    evo = JointEvolution(attack)
     reports = []
     for i, ch in enumerate(pattern):
         probe = evo.clone()
@@ -217,7 +217,7 @@ def reference_evolution(attack, pattern):
 
 def reference_constraint_check(attack, round_index, prefix):
     """Residuals for one round after evolving prefix round by round."""
-    evo = JointEvolution(attack, round_index + 1)
+    evo = JointEvolution(attack)
     for i, ch in enumerate(prefix.upper()):
         evo.run_round(i, CTRL if ch == "C" else SIFT)
     evo.start_round(round_index)
@@ -302,7 +302,7 @@ def reference_sampling(config, attack):
     rng = stream_rng(config.seed, 0)
     empty = StateVector(SubsystemLayout((), ()), np.ones(1, dtype=complex))
     records = []
-    evo = JointEvolution(attack, config.rounds)
+    evo = JointEvolution(attack)
     last_use = attack.last_use_map(config.rounds)
 
     for i in range(config.rounds):

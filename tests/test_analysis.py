@@ -13,7 +13,6 @@ from sqkd.analysis import (
     default_patterns,
     eve_leakage,
     exact_rate_expectations,
-    extract_branches,
     holevo_bound,
     product_structure_check,
     theorem_check,
@@ -39,7 +38,7 @@ from sqkd.engine import (
     random_unitary,
     single,
 )
-from sqkd.errors import AttackLayoutMismatch, ExactCapExceeded
+from sqkd.errors import ExactCapExceeded
 from sqkd.protocol import CTRL, JointEvolution, SIFT
 
 from helpers import (
@@ -149,60 +148,6 @@ def test_constraint_check_matches_oracle_on_random_attacks():
         assert abs(rep.test_residual - want[0]) < 1e-12
         assert abs(rep.ctrl_error_prob - want[1]) < 1e-12
         assert abs(rep.f_distance - want[2]) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# extract_branches
-# ---------------------------------------------------------------------------
-
-
-def test_extract_branches_identity():
-    att = identity_attack()
-    e0, e1 = extract_branches(att, 0, att.probe_state())
-    assert abs(e0.weight - 0.5) < 1e-12 and abs(e1.weight - 0.5) < 1e-12
-    assert np.abs(e0.amps - e1.amps).max() < 1e-15
-
-
-def test_extract_branches_cnot():
-    att = cnot_parity_attack()
-    e0, e1 = extract_branches(att, 0, att.probe_state())
-    inv = 1 / math.sqrt(2)
-    np.testing.assert_allclose(e0.amps, [inv, 0], atol=1e-15)
-    np.testing.assert_allclose(e1.amps, [0, inv], atol=1e-15)
-
-
-def test_extract_branches_phase_probe():
-    theta = 1.1
-    att = phase_probe_attack(theta)
-    e0, e1 = extract_branches(att, 0, att.probe_state())
-    inv = 1 / math.sqrt(2)
-    np.testing.assert_allclose(e0.amps, [inv, 0], atol=1e-15)
-    np.testing.assert_allclose(
-        e1.amps, [inv * math.cos(theta), inv * math.sin(theta)], atol=1e-12
-    )
-
-
-def test_extract_branches_weight_conservation():
-    rng = np.random.default_rng(13)
-    for seed in range(20):
-        u = random_unitary(8, rng)
-        init = random_state(SubsystemLayout((2, 2), ("E0", "E1")), rng)
-        att = AttackSpec(
-            name="rand8",
-            probe_dims=(2, 2),
-            probe_factors=(init,),
-            forward={0: Gate(u, ("T", "E0", "E1"))},
-        )
-        e0, e1 = extract_branches(att, 0, init)
-        assert abs(e0.weight + e1.weight - 1) < 1e-9
-
-
-def test_extract_branches_layout_mismatch():
-    att = measure_resend_z_attack(2)
-    with pytest.raises(AttackLayoutMismatch):
-        extract_branches(att, 1, ket_zero("E0"))  # round 1 targets E1
-    with pytest.raises(AttackLayoutMismatch):
-        extract_branches(att, 0, ket_zero("T"))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +346,7 @@ ORACLE_CASES = [
     ],
 )
 def test_leakage_matches_density_matrix_oracle(att, pattern):
-    evo = JointEvolution(att, len(pattern))
+    evo = JointEvolution(att)
     for i, ch in enumerate(pattern):
         evo.run_round(i, CTRL if ch == "C" else SIFT)
     final = evo.state
@@ -652,9 +597,9 @@ def test_walker_evolves_each_prefix_once(monkeypatch):
     calls = []
     finish_round = JointEvolution.finish_round
 
-    def counted(self, i):
+    def counted(self, i, choice):
         calls.append(i)
-        return finish_round(self, i)
+        return finish_round(self, i, choice)
 
     monkeypatch.setattr(JointEvolution, "finish_round", counted)
     theorem_check(phase_probe_attack(0.3), max_pattern_len=6)

@@ -111,6 +111,16 @@ def test_attack_gates_must_reference_probe_labels():
         )
 
 
+def test_probe_dims_must_match_the_factors():
+    with pytest.raises(InvalidState, match=r"\(5,\).*\(2,\)"):
+        AttackSpec(
+            name="x",
+            probe_dims=(5,),
+            probe_factors=(ket_zero("E0"),),
+            default_forward=Gate(cnot(), ("T", "E0")),
+        )
+
+
 def test_build_attack_registry():
     assert set(ATTACK_NAMES) == {
         "identity",
@@ -226,7 +236,7 @@ def test_template_construction_is_validated():
 
 def test_cnot_parity_probe_holds_parity():
     # reflect both qubits, then read each computational branch of Bob's memory
-    evo = JointEvolution(cnot_parity_attack(), 2)
+    evo = JointEvolution(cnot_parity_attack())
     evo.run_round(0, protocol.CTRL)
     evo.run_round(1, protocol.CTRL)
     final = evo.state
@@ -239,7 +249,7 @@ def test_cnot_parity_probe_holds_parity():
 
 
 def test_cnot_parity_bob_state_is_not_a_product():
-    evo = JointEvolution(cnot_parity_attack(), 2)
+    evo = JointEvolution(cnot_parity_attack())
     evo.run_round(0, protocol.CTRL)
     evo.run_round(1, protocol.CTRL)
     rho = partial_trace(evo.state, ["B0", "B1"])
@@ -248,7 +258,7 @@ def test_cnot_parity_bob_state_is_not_a_product():
 
 def test_cnot_parity_joint_x_outcomes():
     # exact Born weights of the four X⊗X outcomes: only ++ and --, each 1/2
-    evo = JointEvolution(cnot_parity_attack(), 2)
+    evo = JointEvolution(cnot_parity_attack())
     evo.run_round(0, protocol.CTRL)
     evo.run_round(1, protocol.CTRL)
     rotated = apply_unitary(
@@ -285,7 +295,7 @@ def test_deferred_probe_measurement_equivalence():
     # Measuring Eve's probe right after the forward CNOT and continuing
     # classically must reproduce the coherent-probe statistics exactly.
     att = measure_resend_z_attack(1)
-    evo = JointEvolution(att, 1)
+    evo = JointEvolution(att)
     evo.start_round(0)
     post_forward = evo.state
 

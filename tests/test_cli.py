@@ -583,13 +583,15 @@ def test_scan_empty_grid(tmp_path):
     assert code == 1
 
 
-def test_scan_non_finite_grid(tmp_path):
-    for grid in ("0:inf:1", "nan:1:0.5", "0:1:inf"):
+def test_scan_non_finite_grid(tmp_path, capsys):
+    for grid, says in (("0:inf:1", "finite"), ("nan:1:0.5", "finite"), ("0:1:inf", "finite"),
+                       ("a:1:0.1", "--grid 'a:1:0.1': could not convert string to float: 'a'")):
         code = cli.main(
             ["scan", "--attack", "phase_probe", "--param", "theta", "--grid", grid,
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 1, grid
+        assert says in capsys.readouterr().err, grid
 
 
 def test_scan_refuses_grids_above_the_point_cap(tmp_path, capsys):

@@ -537,6 +537,31 @@ def test_table_blocks_of_any_size_match_dense_reference(monkeypatch, block):
             assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ctrl_prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    rounds=st.integers(1, 300),
+    block=st.sampled_from([1, 2, 5, 2**16]),
+)
+def test_round_draws_cut_single_draws_at_round_boundaries(seed, ctrl_prob, rounds, block):
+    rng = np.random.default_rng(seed)
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_BLOCK", block)
+        for u, starts in protocol._round_draws(rng, rounds, ctrl_prob):
+            assert len(u) <= block + 2  # a block plus the draws a split round carried
+            got += [u[p:q].tolist() for p, q in zip(starts, starts[1:] + [len(u)])]
+    # each round drawn alone: its choice, then one outcome (CTRL) or two (SIFT)
+    single = np.random.default_rng(seed)
+    want = []
+    for _ in range(rounds):
+        choice = single.random()
+        want.append([choice] + [single.random() for _ in range(1 if choice < ctrl_prob else 2)])
+    assert got == want
+    assert rng.random() == single.random()
+
+
 def _haar_probe_attack(rng, dim, forward=None, backward=None, default_legs="fb"):
     """Haar gates on (T, E0) for a probe of dim dim prepared in a random state:
     explicit entries by round, and default gates on the legs default_legs names."""
