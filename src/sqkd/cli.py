@@ -212,6 +212,8 @@ def _parse_params(pairs) -> dict:
         if "=" not in pair:
             raise ValueError(f"--param expects k=v, got {pair!r}")
         key, value = pair.split("=", 1)
+        if key in params:
+            raise ValueError(f"--param {key} is given more than once")
         try:
             params[key] = float(value)
         except ValueError:

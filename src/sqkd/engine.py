@@ -232,10 +232,6 @@ def ket_plus(label: str) -> StateVector:
     return single(label, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
-def ket_minus(label: str) -> StateVector:
-    return single(label, [1 / math.sqrt(2), -1 / math.sqrt(2)])
-
-
 def basis_state(layout: SubsystemLayout, index: int) -> StateVector:
     amps = np.zeros(layout.dim, dtype=complex)
     amps[index] = 1.0
@@ -256,10 +252,6 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 def hadamard() -> Unitary:
     return Unitary(_H)
-
-
-def identity_gate(dim: int = 2) -> Unitary:
-    return Unitary(np.eye(dim, dtype=complex))
 
 
 def cnot() -> Unitary:
@@ -287,10 +279,6 @@ def controlled(u: Unitary) -> Unitary:
     m = np.eye(2 * d, dtype=complex)
     m[d:, d:] = u.entries
     return Unitary(m)
-
-
-def phase_gate(phi: float) -> Unitary:
-    return Unitary(np.diag([1.0, np.exp(1j * phi)]))
 
 
 # ---------------------------------------------------------------------------
@@ -415,21 +403,28 @@ def measure_out(psi: StateVector, target: str, basis: str, rng: np.random.Genera
         raise ValueError(f"basis must be 'z' or 'x', got {basis!r}")
     if psi.layout.dim_of(target) != 2:
         raise NonQubitTarget(f"target {target!r} has dimension != 2")
-    t = _front(psi, [target])
+    pos = psi.layout.index(target)
+    view = psi.amps.reshape(math.prod(psi.layout.dims[:pos]), 2, -1)
     if basis == "x":
-        t = _H @ t
-    idx, prob = draw_outcome(_weight(t[0]), rng)
-    rest = t[idx]
+        # _H @ view is one matrix product per leading index; on a last target
+        # each is a matrix-vector product, which may round apart from _H on
+        # the target's (2, rest) matrix, so that matrix is used transposed
+        if view.shape[2] > 1:
+            view = _H @ view
+        else:
+            view = (_H @ view[:, :, 0].T).T[:, :, None]
+    idx, prob = draw_outcome(_weight(view[:, 0]), rng)
+    rest = np.take(view, idx, axis=1)  # the kept half alone is copied
     w = float(np.vdot(rest, rest).real)
     if w <= 0:
         raise InvalidState("cannot normalize a zero-weight branch")
-    pos = psi.layout.index(target)
+    rest /= math.sqrt(w)
     layout = SubsystemLayout(
         psi.layout.dims[:pos] + psi.layout.dims[pos + 1 :],
         psi.layout.labels[:pos] + psi.layout.labels[pos + 1 :],
     )
     outcome = (PLUS if idx == 0 else MINUS) if basis == "x" else idx
-    return outcome, StateVector(layout, rest / math.sqrt(w)), prob
+    return outcome, StateVector(layout, rest), prob
 
 
 def measure(psi: StateVector, target: str, basis: str, rng: np.random.Generator):

@@ -26,7 +26,6 @@ aborts the run.
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from operator import attrgetter, ne
 from typing import NamedTuple
 
 import numpy as np
@@ -135,11 +134,33 @@ class RoundRecord:
     error: bool | None = None
 
 
-@dataclass
+#: outcome codes of an exact round before the classical phase measures it,
+#: by Alice's choice; a code below 2 is a CTRL round throughout
+_PENDING_CTRL = -1
+_PENDING_SIFT = 6
+
+
+@dataclass(eq=False)
 class Transcript:
+    """A run's rounds as one int8 outcome code each.
+
+    A code is 0/1 for a CTRL round reading PLUS/MINUS and 2 + 2*bit + z for a
+    SIFT round; an exact run's rounds hold _PENDING_CTRL or _PENDING_SIFT
+    until classical_phase measures them.  test marks the Test rounds once
+    classical_phase has assigned roles, and is None before.  Transcripts
+    compare by identity; compare their records instead.
+    """
+
     config: ProtocolConfig
-    records: list[RoundRecord]
+    codes: np.ndarray
     final_state: StateVector | None = None
+    test: np.ndarray | None = None
+
+    @property
+    def records(self) -> list[RoundRecord]:
+        """One RoundRecord per round, built from the codes and roles."""
+        keys, classes = _round_classes(self)
+        return [RoundRecord(i, *classes[k]) for i, k in enumerate(keys)]
 
 
 @dataclass(frozen=True)
@@ -252,12 +273,12 @@ def _run_exact(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript:
             f"amplitudes, above the cap of {EXACT_AMPLITUDE_CAP}"
         )
     evo = JointEvolution(attack)
-    records = []
+    codes = np.empty(config.rounds, dtype=np.int8)
     for i in range(config.rounds):
         choice = CTRL if rng.random() < config.ctrl_prob else SIFT
         evo.run_round(i, choice)
-        records.append(RoundRecord(index=i, choice=choice))
-    return Transcript(config=config, records=records, final_state=evo.state)
+        codes[i] = _PENDING_CTRL if choice == CTRL else _PENDING_SIFT
+    return Transcript(config=config, codes=codes, final_state=evo.state)
 
 
 class _Instrument(NamedTuple):
@@ -406,33 +427,24 @@ def _round_draws(rng, rounds: int, ctrl_prob: float):
         u = u[p:]
 
 
-#: a tabled record's fields after its index, by outcome code: 0/1 for a CTRL
-#: round reading PLUS/MINUS, 2 + 2*bit + z for a SIFT round
-_TABLED_FIELDS = [(CTRL, None, None, x, None, None) for x in (PLUS, MINUS)] + [
-    (SIFT, bit, None, None, z, None) for bit in (0, 1) for z in (0, 1)
-]
-
-
-def _sample_table(table: _Table, first: int, end: int, ctrl_prob: float, rng) -> list[RoundRecord]:
-    """Records of rounds [first, end), all drawn from one table.
+def _sample_table(table: _Table, rounds: int, ctrl_prob: float, rng) -> np.ndarray:
+    """Outcome codes of the next rounds, all drawn from one table.
 
     Each round takes its draws from _round_draws: the choice, then one (CTRL)
     or two (SIFT) outcomes.
     """
-    records = []
-    for u, starts in _round_draws(rng, end - first, ctrl_prob):
+    codes = []
+    for u, starts in _round_draws(rng, rounds, ctrl_prob):
         s = np.array(starts, dtype=np.intp)
         second, third = u[s + 1], u[np.minimum(s + 2, len(u) - 1)]
         bit = second >= table.a
         sift = 2 + 2 * bit + (third >= np.where(bit, table.z[1], table.z[0]))
-        codes = np.where(u[s] < ctrl_prob, second >= table.x, sift).tolist()
-        records += [RoundRecord(i, *_TABLED_FIELDS[c]) for i, c in zip(range(first, end), codes)]
-        first += len(starts)
-    return records
+        codes.append(np.where(u[s] < ctrl_prob, second >= table.x, sift))
+    return np.concatenate(codes)
 
 
 def _sample_live(inst: _Instrument, psi, first: int, end: int, ctrl_prob: float, rng):
-    """Records of rounds [first, end) on one instrument, and the live probe after them.
+    """Outcome codes of rounds [first, end) on one instrument, and the live probe after them.
 
     Each round takes its draws from _round_draws: the choice, then one (CTRL)
     or two (SIFT) Kraus steps, each refusing a zero-weight branch; the
@@ -447,7 +459,7 @@ def _sample_live(inst: _Instrument, psi, first: int, end: int, ctrl_prob: float,
     else:
         step, kraus = _collapse, (inst.alice, inst.bob_z, inst.bob_x)
     alice, bob_z, bob_x = kraus
-    records = []
+    codes = []
     r = first
     for block, starts in _round_draws(rng, end - first, ctrl_prob):
         u = block.tolist()
@@ -458,12 +470,12 @@ def _sample_live(inst: _Instrument, psi, first: int, end: int, ctrl_prob: float,
                 bit, psi = step(alice, psi, u[p + 1])
                 z, psi = step(bob_z[bit], psi, u[p + 2])
                 code = 2 + 2 * bit + z
-            records.append(RoundRecord(r, *_TABLED_FIELDS[code]))
+            codes.append(code)
             norm = math.hypot(*map(abs, psi))
             if not abs(norm - 1.0) <= NORM_ATOL:
                 raise InvalidState(f"live probe norm {norm!r} deviates from 1 in round {r}")
             r += 1
-    return records, np.asarray(psi, dtype=complex)
+    return codes, np.asarray(psi, dtype=complex)
 
 
 def _measure_out(psi, dims, pos, rng) -> np.ndarray:
@@ -498,11 +510,11 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
     past its span, so the rng ends where single draws would.
 
     Draws, weights and the outcome_threshold snap are engine.measure's, so
-    the records are those of the dense engine; a span on a live probe of
+    the outcomes are those of the dense engine; a span on a live probe of
     dim 2 sums on Python lists instead of BLAS, and could differ only where
     a draw lands within about 1e-16 of a threshold.
     """
-    records = []
+    codes = np.empty(config.rounds, dtype=np.int8)
     last_use: dict[str, int] = {}  # of each materialized probe label
     labels: list[str] = []
     dims: list[int] = []
@@ -534,7 +546,7 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
             if table is None:
                 table = tables[table_key] = _round_table(inst, psi)
             stop = attack.run_end(i, config.rounds)
-            records += _sample_table(table, i, stop, config.ctrl_prob, rng)
+            codes[i:stop] = _sample_table(table, stop - i, config.ctrl_prob, rng)
         else:
             # rounds of this gate rule before any live label's last use drop
             # nothing, and on these very gates materialize nothing: the
@@ -545,8 +557,7 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
                 attack.forward_gate(i + 1) is not fwd or attack.backward_gate(i + 1) is not bwd
             ):
                 stop = i + 1
-            live, psi = _sample_live(inst, psi, i, stop, config.ctrl_prob, rng)
-            records += live
+            codes[i:stop], psi = _sample_live(inst, psi, i, stop, config.ctrl_prob, rng)
 
         dead = [l for l in labels if last_use[l] < stop]
         if len(dead) == len(labels):
@@ -563,14 +574,14 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
             raise InvalidState(f"live probe norm {norm!r} deviates from 1 in round {stop - 1}")
         i = stop
 
-    return Transcript(config=config, records=records, final_state=None)
+    return Transcript(config=config, codes=codes)
 
 
 def run_protocol(config: ProtocolConfig, attack: AttackSpec) -> Transcript:
     """Execute the quantum phase of a full N-round run.
 
-    Returns a transcript holding one record per round; in exact mode the
-    records carry only Alice's choices (measurements happen later, in the
+    Returns a transcript holding one outcome code per round; in exact mode the
+    codes carry only Alice's choices (measurements happen later, in the
     classical phase, on the retained final_state), while in sampling mode all
     outcomes are already recorded.
     """
@@ -580,53 +591,67 @@ def run_protocol(config: ProtocolConfig, attack: AttackSpec) -> Transcript:
     return _run_sampling(config, attack, rng)
 
 
-#: a Key or Test record's bit as key text; any other value is refused
-_BIT_TEXT = {0: "0", 1: "1"}
+#: a Key or Test record's bit; any other value is refused
+_BITS = {0: 0, 1: 1}
+
+
+def _key_text(bits: np.ndarray) -> str:
+    """An array of 0/1 bits as the text "0110..."."""
+    return (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+
+
+def _count(codes: np.ndarray, test: np.ndarray, abort_threshold: float) -> RunStats:
+    """Statistics of rounds with roles, by outcome code: a code below 2 is a
+    Ctrl round, any other a Test round where test is set and a Key round
+    elsewhere."""
+    sift = codes >= 2
+    key = sift & ~test
+    alice, bob = (codes - 2) >> 1, (codes - 2) & 1
+    wrong = alice != bob
+    n_ctrl, n_test, n_key = len(codes) - int(sift.sum()), int(test.sum()), int(key.sum())
+    ctrl_errors, test_errors = int((codes == 1).sum()), int((wrong & test).sum())
+    ctrl_rate = ctrl_errors / n_ctrl if n_ctrl else 0.0
+    test_rate = test_errors / n_test if n_test else 0.0
+    mismatches = int((wrong & key).sum())
+    return RunStats(
+        n_ctrl=n_ctrl,
+        n_test=n_test,
+        n_key=n_key,
+        ctrl_errors=ctrl_errors,
+        test_errors=test_errors,
+        ctrl_error_rate=ctrl_rate,
+        test_error_rate=test_rate,
+        key_alice=_key_text(alice[key]),
+        key_bob=_key_text(bob[key]),
+        key_mismatch_rate=mismatches / n_key if n_key else 0.0,
+        aborted=bool(ctrl_rate > abort_threshold or test_rate > abort_threshold),
+    )
 
 
 def stats_from_records(records, abort_threshold: float) -> RunStats:
-    """Aggregate statistics from role-assigned records, in one pass.
+    """Statistics of role-assigned records, counted as classical_phase counts codes.
 
-    Raises IncompleteTranscript when a Key or Test record's alice_bit or
+    Each record with a role is encoded as an outcome code: a Ctrl record from
+    its X outcome, a Key or Test record from its bits; errors follow from the
+    outcomes.  Records without a role are left out.  Raises
+    IncompleteTranscript when a Key or Test record's alice_bit or
     bob_z_outcome is not 0 or 1.
     """
-    n = {ROLE_CTRL: 0, ROLE_TEST: 0, ROLE_KEY: 0}
-    errors = dict(n)
-    alice_bits, bob_bits = [], []
+    codes, test = [], []
     for r in records:
-        role = r.role
-        if role in n:
-            n[role] += 1
-            if r.error:
-                errors[role] += 1
-            if role != ROLE_CTRL:
-                try:
-                    a, b = _BIT_TEXT[r.alice_bit], _BIT_TEXT[r.bob_z_outcome]
-                except (KeyError, TypeError):
-                    raise IncompleteTranscript(
-                        f"round {r.index} is a {role} record whose bits are not 0 or 1"
-                    ) from None
-                if role == ROLE_KEY:
-                    alice_bits.append(a)
-                    bob_bits.append(b)
-    key_alice, key_bob = "".join(alice_bits), "".join(bob_bits)
-    ctrl_rate = errors[ROLE_CTRL] / n[ROLE_CTRL] if n[ROLE_CTRL] else 0.0
-    test_rate = errors[ROLE_TEST] / n[ROLE_TEST] if n[ROLE_TEST] else 0.0
-    mismatches = sum(map(ne, key_alice, key_bob))
-    mismatch_rate = mismatches / n[ROLE_KEY] if n[ROLE_KEY] else 0.0
-    return RunStats(
-        n_ctrl=n[ROLE_CTRL],
-        n_test=n[ROLE_TEST],
-        n_key=n[ROLE_KEY],
-        ctrl_errors=errors[ROLE_CTRL],
-        test_errors=errors[ROLE_TEST],
-        ctrl_error_rate=ctrl_rate,
-        test_error_rate=test_rate,
-        key_alice=key_alice,
-        key_bob=key_bob,
-        key_mismatch_rate=mismatch_rate,
-        aborted=bool(ctrl_rate > abort_threshold or test_rate > abort_threshold),
-    )
+        if r.role == ROLE_CTRL:
+            codes.append(int(r.bob_x_outcome == MINUS))
+        elif r.role in (ROLE_TEST, ROLE_KEY):
+            try:
+                codes.append(2 + 2 * _BITS[r.alice_bit] + _BITS[r.bob_z_outcome])
+            except (KeyError, TypeError):
+                raise IncompleteTranscript(
+                    f"round {r.index} is a {r.role} record whose bits are not 0 or 1"
+                ) from None
+        else:
+            continue
+        test.append(r.role == ROLE_TEST)
+    return _count(np.array(codes, dtype=np.int8), np.array(test, dtype=bool), abort_threshold)
 
 
 def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStats:
@@ -639,59 +664,38 @@ def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStat
     the state halves with every measurement.  SIFT rounds are then
     partitioned into TEST (test_fraction, drawn uniformly without
     replacement from the same rng) and Key.
-    Records are completed in place; the returned stats alone are what the
-    parties would publish.
+    The transcript's codes are completed and its Test rounds marked in place;
+    the returned stats alone are what the parties would publish.
     """
     config = transcript.config
-    records = transcript.records
-    if len(records) != config.rounds:
-        raise IncompleteTranscript(
-            f"{len(records)} records for a {config.rounds}-round config"
-        )
+    codes = transcript.codes
+    if len(codes) != config.rounds:
+        raise IncompleteTranscript(f"{len(codes)} rounds for a {config.rounds}-round config")
 
     if config.mode == MODE_EXACT:
         if transcript.final_state is None:
             raise IncompleteTranscript("exact-mode transcript lacks its final state")
         state = transcript.final_state
-        for rec in records:
-            if rec.choice == CTRL:
-                outcome, state, _ = measure_out(state, bob_memory(rec.index), "x", rng)
-                rec.bob_x_outcome = outcome
+        for i, code in enumerate(codes.tolist()):
+            if code < 2:
+                outcome, state, _ = measure_out(state, bob_memory(i), "x", rng)
+                codes[i] = outcome == MINUS
             else:
-                bit, state, _ = measure_out(state, alice_probe(rec.index), "z", rng)
-                rec.alice_bit = int(bit)
-                outcome, state, _ = measure_out(state, bob_memory(rec.index), "z", rng)
-                rec.bob_z_outcome = int(outcome)
+                bit, state, _ = measure_out(state, alice_probe(i), "z", rng)
+                z, state, _ = measure_out(state, bob_memory(i), "z", rng)
+                codes[i] = 2 + 2 * bit + z
     else:
-        for rec in records:
-            missing = (
-                rec.bob_x_outcome is None
-                if rec.choice == CTRL
-                else (rec.alice_bit is None or rec.bob_z_outcome is None)
-            )
-            if missing:
-                raise IncompleteTranscript(f"round {rec.index} lacks recorded outcomes")
+        pending = np.flatnonzero((codes < 0) | (codes >= _PENDING_SIFT))
+        if len(pending):
+            raise IncompleteTranscript(f"round {pending[0]} lacks recorded outcomes")
 
-    sift_indices = [r.index for r in records if r.choice == SIFT]
-    n_test = int(round(config.test_fraction * len(sift_indices)))
+    sift = np.flatnonzero(codes >= 2)
+    n_test = int(round(config.test_fraction * len(sift)))
+    test = np.zeros(len(codes), dtype=bool)
     if n_test:
-        picks = rng.choice(len(sift_indices), size=n_test, replace=False)
-        test_set = {sift_indices[p] for p in picks}
-    else:
-        test_set = set()
-
-    for rec in records:
-        if rec.choice == CTRL:
-            rec.role = ROLE_CTRL
-            rec.error = rec.bob_x_outcome == MINUS
-        elif rec.index in test_set:
-            rec.role = ROLE_TEST
-            rec.error = rec.alice_bit != rec.bob_z_outcome
-        else:
-            rec.role = ROLE_KEY
-            rec.error = None
-
-    return stats_from_records(records, config.abort_threshold)
+        test[sift[rng.choice(len(sift), size=n_test, replace=False)]] = True
+    transcript.test = test
+    return _count(codes, test, config.abort_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -700,34 +704,55 @@ def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStat
 
 
 _CONFIG_FIELDS = {f.name for f in fields(ProtocolConfig)}
-_RECORD_FIELDS = {f.name for f in fields(RoundRecord)}
+_RECORD_NAMES = [f.name for f in fields(RoundRecord)]
+_RECORD_FIELDS = set(_RECORD_NAMES)
 
 
-#: a record's fields after its index, the key of its cached line tail
-_RECORD_TAIL = attrgetter(*[f.name for f in fields(RoundRecord)][1:])
+def _record_fields(code: int, role: str | None) -> tuple:
+    """A record's fields after its index, from its outcome code and role."""
+    if code in (_PENDING_CTRL, _PENDING_SIFT):
+        return (CTRL if code == _PENDING_CTRL else SIFT, None, None, None, None, None)
+    if code < 2:
+        x = (PLUS, MINUS)[code]
+        return CTRL, None, role, x, None, None if role is None else x == MINUS
+    bit, z = divmod(code - 2, 2)
+    return SIFT, bit, role, None, z, bit != z if role == ROLE_TEST else None
+
+
+def _round_classes(transcript: Transcript) -> tuple[list[int], dict[int, tuple]]:
+    """Each round's class, 2*code plus 1 on a Test round, and each class's
+    record fields after the index; at most 10 classes once roles are set."""
+    keys = 2 * transcript.codes.astype(np.intp)
+    if transcript.test is not None:
+        keys += transcript.test
+
+    def role(k):
+        if transcript.test is None:
+            return None
+        return ROLE_CTRL if k < 4 else ROLE_TEST if k & 1 else ROLE_KEY
+
+    keys = keys.tolist()
+    return keys, {k: _record_fields(k >> 1, role(k)) for k in set(keys)}
 
 
 def write_transcript(path, transcript: Transcript, header_extra: dict | None = None):
     """One JSON record per line, preceded by a header line with the config.
 
     The header is the config's fields, then header_extra; each record line is
-    the RoundRecord's fields in field order, json.dumps(vars(rec)).  Records
-    that differ only in their index share the text after it, so that tail is
-    serialised once per distinct tuple of the other fields; each field holds
-    values of one JSON type, so equal tuples serialise alike.
+    the RoundRecord's fields in field order, as json.dumps(vars(rec)) writes
+    them.  Rounds of one class (_round_classes) share the text after the
+    index, so that tail is serialised once per class.
     """
     header = asdict(transcript.config)
     if header_extra:
         header.update(header_extra)
+    keys, classes = _round_classes(transcript)
+    head = '{"index": 0'
+    tails = {
+        k: json.dumps(dict(zip(_RECORD_NAMES, (0, *f))))[len(head) :] for k, f in classes.items()
+    }
     lines = [json.dumps(header)]
-    tails: dict = {}
-    for rec in transcript.records:
-        head = '{"index": ' + str(rec.index)
-        key = _RECORD_TAIL(rec)
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = json.dumps(vars(rec))[len(head) :]
-        lines.append(head + tail)
+    lines += [f'{{"index": {i}{tails[k]}' for i, k in enumerate(keys)]
     lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))

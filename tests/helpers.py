@@ -1,7 +1,10 @@
 """Shared test constructions: custom attacks and brute-force oracles."""
 
 import itertools
+import json
 import math
+from dataclasses import asdict
+from operator import attrgetter, ne
 
 import numpy as np
 
@@ -22,8 +25,10 @@ from sqkd.engine import (
     Unitary,
     _front,
     _weight,
+    alice_probe,
     apply_unitary,
     basis_state,
+    bob_memory,
     cnot,
     draw_outcome,
     factor_out,
@@ -31,7 +36,7 @@ from sqkd.engine import (
     ket_plus,
     ket_zero,
     measure,
-    phase_gate,
+    measure_out,
     project,
     random_state,
     random_unitary,
@@ -41,12 +46,29 @@ from sqkd.engine import (
 from sqkd.errors import FactorizationError
 from sqkd.protocol import (
     CTRL,
+    MODE_EXACT,
+    ROLE_CTRL,
+    ROLE_KEY,
+    ROLE_TEST,
     SIFT,
     JointEvolution,
     RoundRecord,
+    RunStats,
     apply_gate,
     stream_rng,
 )
+
+
+def ket_minus(label: str) -> StateVector:
+    return single(label, [1 / math.sqrt(2), -1 / math.sqrt(2)])
+
+
+def identity_gate(dim: int = 2) -> Unitary:
+    return Unitary(np.eye(dim, dtype=complex))
+
+
+def phase_gate(phi: float) -> Unitary:
+    return Unitary(np.diag([1.0, np.exp(1j * phi)]))
 
 
 def transit_phase_attack(phi):
@@ -338,3 +360,99 @@ def reference_sampling(config, attack):
                 pass
 
     return records
+
+
+# ---------------------------------------------------------------------------
+# Record-based classical phase and transcript writer
+# ---------------------------------------------------------------------------
+
+
+def reference_classical_phase(config, records, final_state, rng):
+    """The classical phase on RoundRecords: completes them in place and counts.
+
+    In exact mode each record's qubits are measured out of final_state in
+    round order; then the SIFT rounds are split into Test and Key with one
+    rng.choice, and each record gets its role and error.
+    """
+    if config.mode == MODE_EXACT:
+        state = final_state
+        for rec in records:
+            if rec.choice == CTRL:
+                rec.bob_x_outcome, state, _ = measure_out(state, bob_memory(rec.index), "x", rng)
+            else:
+                bit, state, _ = measure_out(state, alice_probe(rec.index), "z", rng)
+                rec.alice_bit = int(bit)
+                outcome, state, _ = measure_out(state, bob_memory(rec.index), "z", rng)
+                rec.bob_z_outcome = int(outcome)
+
+    sift_indices = [r.index for r in records if r.choice == SIFT]
+    n_test = int(round(config.test_fraction * len(sift_indices)))
+    test_set = set()
+    if n_test:
+        picks = rng.choice(len(sift_indices), size=n_test, replace=False)
+        test_set = {sift_indices[p] for p in picks}
+
+    for rec in records:
+        if rec.choice == CTRL:
+            rec.role = ROLE_CTRL
+            rec.error = rec.bob_x_outcome == MINUS
+        elif rec.index in test_set:
+            rec.role = ROLE_TEST
+            rec.error = rec.alice_bit != rec.bob_z_outcome
+        else:
+            rec.role = ROLE_KEY
+            rec.error = None
+    return reference_stats(records, config.abort_threshold)
+
+
+def reference_stats(records, abort_threshold):
+    """Statistics counted record by record from the roles and error flags."""
+    n = {ROLE_CTRL: 0, ROLE_TEST: 0, ROLE_KEY: 0}
+    errors = dict(n)
+    key_alice, key_bob = "", ""
+    for r in records:
+        n[r.role] += 1
+        errors[r.role] += bool(r.error)
+        if r.role == ROLE_KEY:
+            key_alice += str(r.alice_bit)
+            key_bob += str(r.bob_z_outcome)
+    ctrl_rate = errors[ROLE_CTRL] / n[ROLE_CTRL] if n[ROLE_CTRL] else 0.0
+    test_rate = errors[ROLE_TEST] / n[ROLE_TEST] if n[ROLE_TEST] else 0.0
+    mismatches = sum(map(ne, key_alice, key_bob))
+    return RunStats(
+        n_ctrl=n[ROLE_CTRL],
+        n_test=n[ROLE_TEST],
+        n_key=n[ROLE_KEY],
+        ctrl_errors=errors[ROLE_CTRL],
+        test_errors=errors[ROLE_TEST],
+        ctrl_error_rate=ctrl_rate,
+        test_error_rate=test_rate,
+        key_alice=key_alice,
+        key_bob=key_bob,
+        key_mismatch_rate=mismatches / n[ROLE_KEY] if n[ROLE_KEY] else 0.0,
+        aborted=bool(ctrl_rate > abort_threshold or test_rate > abort_threshold),
+    )
+
+
+#: a record's fields after its index, the key of its cached line tail
+_RECORD_TAIL = attrgetter("choice", "alice_bit", "role", "bob_x_outcome", "bob_z_outcome", "error")
+
+
+def reference_write_transcript(path, config, records, header_extra=None):
+    """The transcript file from RoundRecords: a header line with the config,
+    then json.dumps(vars(rec)) per record, its text after the index cached
+    per distinct tuple of the other fields."""
+    header = asdict(config)
+    if header_extra:
+        header.update(header_extra)
+    lines = [json.dumps(header)]
+    tails = {}
+    for rec in records:
+        head = '{"index": ' + str(rec.index)
+        key = _RECORD_TAIL(rec)
+        if key not in tails:
+            tails[key] = json.dumps(vars(rec))[len(head) :]
+        lines.append(head + tails[key])
+    lines.append("")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))

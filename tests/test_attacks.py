@@ -20,7 +20,6 @@ from sqkd.engine import (
     apply_unitary,
     cnot,
     hadamard,
-    identity_gate,
     ket_zero,
     partial_trace,
     project,
@@ -42,7 +41,7 @@ from sqkd.protocol import (
     stream_rng,
 )
 
-from helpers import explicit_measure_resend_z_attack, explicit_swap_attack
+from helpers import explicit_measure_resend_z_attack, explicit_swap_attack, identity_gate
 
 
 def run_stats(attack, rounds, seed=0, ctrl_prob=0.5, test_fraction=0.5):

@@ -288,6 +288,9 @@ def test_check_bad_param_syntax(capsys):
     capsys.readouterr()
     assert cli.main(["check", "--attack", "phase_probe", "--param", "theta=abc"]) == 1
     assert "--param theta must be a number" in capsys.readouterr().err
+    argv = ["check", "--attack", "phase_probe", "--param", "theta=0.5", "--param", "theta=0.7"]
+    assert cli.main(argv) == 1
+    assert "--param theta is given more than once" in capsys.readouterr().err
 
 
 def test_check_rejects_checks_it_cannot_honour(capsys):

@@ -17,7 +17,6 @@ from sqkd.engine import (
     cnot,
     factor_out,
     hadamard,
-    ket_minus,
     ket_one,
     ket_plus,
     ket_zero,
@@ -43,6 +42,8 @@ from sqkd.errors import (
     NonQubitTarget,
     UnknownLabel,
 )
+
+from helpers import identity_gate, ket_minus
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -150,7 +151,7 @@ def test_cnot_builds_bell_state():
 def test_identity_is_exact():
     rng = np.random.default_rng(3)
     psi = random_state(SubsystemLayout((2, 3), ("a", "b")), rng)
-    out = apply_unitary(psi, engine.identity_gate(6), ["a", "b"])
+    out = apply_unitary(psi, identity_gate(6), ["a", "b"])
     assert np.array_equal(out.amps, psi.amps)
 
 

@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqkd import cli, engine, protocol
@@ -64,8 +64,10 @@ from sqkd.protocol import (
 from helpers import (
     dead_probe_entangler_attack,
     probe_decoupled_attack,
+    reference_classical_phase,
     reference_gate_matrix,
     reference_sampling,
+    reference_write_transcript,
 )
 
 
@@ -266,7 +268,7 @@ def test_transcript_conservation():
 def test_incomplete_transcript_is_rejected():
     cfg = ProtocolConfig(rounds=10, seed=0)
     transcript = run_protocol(cfg, identity_attack())
-    transcript.records.pop()
+    transcript.codes = transcript.codes[:-1]
     with pytest.raises(IncompleteTranscript):
         classical_phase(transcript, stream_rng(0, 1))
 
@@ -290,6 +292,23 @@ def test_classical_phase_measures_each_stored_qubit_out():
     # one reordered copy of the state and its half; collapsing in place
     # costs at least three full copies
     assert peak < 2 * final_bytes
+
+
+def test_measure_out_copies_only_the_half_it_keeps():
+    # round 0 sifts, so the first measurement reads Alice's probe in Z from
+    # the middle of the full final state
+    cfg = ProtocolConfig(rounds=7, seed=0, mode=MODE_EXACT)
+    transcript = run_protocol(cfg, swap_attack(7))
+    assert transcript.records[0].choice == SIFT
+    final_bytes = transcript.final_state.amps.nbytes
+    tracemalloc.start()
+    try:
+        classical_phase(transcript, stream_rng(cfg.seed, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the kept half of the first measurement and the quarter the second keeps
+    assert peak < 1.25 * final_bytes
 
 
 def test_key_and_test_bits_must_be_bits():
@@ -362,6 +381,74 @@ def test_transcript_round_trip_on_random_runs(tmp_path_factory, run):
     assert header == {**asdict(cfg), "attack": {"name": name}}
     assert records == transcript.records
     assert stats_from_records(records, header["abort_threshold"]) == stats
+
+
+@st.composite
+def oracle_runs(draw):
+    """A config at the edges of ctrl_prob, test_fraction and abort_threshold,
+    and a built-in attack or dead_probe_entangler_attack."""
+    mode, rounds = draw(
+        st.one_of(
+            st.tuples(st.just(MODE_SAMPLING), st.integers(1, 60)),
+            st.tuples(st.just(MODE_EXACT), st.integers(1, 5)),
+        )
+    )
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    cfg = ProtocolConfig(
+        rounds=rounds,
+        ctrl_prob=draw(unit),
+        test_fraction=draw(unit),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        mode=mode,
+        abort_threshold=draw(st.sampled_from([0.0, 0.3])),
+    )
+    name = draw(st.sampled_from(ATTACK_NAMES + ("dead_probe_entangler",)))
+    if name == "dead_probe_entangler":
+        return cfg, name, dead_probe_entangler_attack(rounds)
+    params = {"theta": draw(st.floats(0.0, math.pi))} if name == "phase_probe" else None
+    return cfg, name, build_attack(name, params=params, n_rounds=rounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=oracle_runs())
+@example(  # key bits that disagree, Test errors, and an abort above 0.3
+    run=(ProtocolConfig(rounds=60, seed=3, abort_threshold=0.3), "swap", swap_attack(60))
+)
+def test_codes_match_the_record_oracles(tmp_path_factory, run):
+    cfg, name, att = run
+    transcript = run_protocol(cfg, att)
+    records = transcript.records
+    want = reference_classical_phase(cfg, records, transcript.final_state, stream_rng(cfg.seed, 1))
+    stats = classical_phase(transcript, stream_rng(cfg.seed, 1))
+    assert stats == want
+    assert transcript.records == records
+    tmp = tmp_path_factory.mktemp("transcripts")
+    extra = {"attack": {"name": name}}
+    reference_write_transcript(tmp / "want.jsonl", cfg, records, header_extra=extra)
+    write_transcript(tmp / "got.jsonl", transcript, header_extra=extra)
+    assert (tmp / "got.jsonl").read_bytes() == (tmp / "want.jsonl").read_bytes()
+    header, read = read_transcript(tmp / "got.jsonl")
+    assert stats_from_records(read, header["abort_threshold"]) == stats
+
+
+@pytest.mark.parametrize("mode", [MODE_SAMPLING, MODE_EXACT])
+@pytest.mark.parametrize("name", ATTACK_NAMES)
+def test_runs_build_no_round_record(tmp_path, monkeypatch, mode, name):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a RoundRecord was built")
+
+    monkeypatch.setattr(RoundRecord, "__init__", refuse)
+    rounds = 4 if mode == MODE_EXACT else 500
+    attack = {"name": name}
+    if name == "cnot_parity":
+        attack["rounds"] = [1, 2]
+    if name == "phase_probe":
+        attack["params"] = {"theta": 0.9}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rounds": rounds, "seed": 8, "mode": mode, "attack": attack}))
+    out = tmp_path / "stats.json"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) in (0, 2)
+    assert out.with_suffix(".jsonl").read_text().count("\n") == rounds + 1
 
 
 def test_derive_seed_is_deterministic_and_splits():
