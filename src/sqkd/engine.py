@@ -349,10 +349,10 @@ def _front(psi, labels) -> np.ndarray:
 def outcome_threshold(w0: float) -> float:
     """Outcome 0's Born weight w0 as draw_outcome compares it to a uniform draw.
 
-    w0 is clamped to [0, 1], and weights within 1e-12 of 0 or 1 are snapped
-    so that deterministic outcomes are exact.
+    Weights within 1e-12 of 0 or 1, and any beyond them, are snapped to 0 or
+    1 so that deterministic outcomes are exact; the snaps alone keep the
+    result in [0, 1] for any w0 but NaN, which is returned as it is.
     """
-    w0 = min(max(w0, 0.0), 1.0)
     if w0 > 1 - 1e-12:
         return 1.0
     if w0 < 1e-12:

@@ -350,26 +350,30 @@ def _collapse(kraus: np.ndarray, psi: np.ndarray, u: float) -> tuple[int, np.nda
     return idx, branch / math.sqrt(weight)
 
 
-def _pair_collapse(kraus: list, psi: list, u: float) -> tuple[int, list]:
-    """_collapse for a live probe of dim 2, on Python complex lists.
+def _pair_collapse(kraus: list, psi: tuple, u: float) -> tuple[int, tuple]:
+    """_collapse for a live probe of dim 2, on Python scalars.
 
-    kraus[k] is outcome k's 2x2 matrix as rows.  numpy's per-call overhead
-    dominates _collapse on two amplitudes; the sums here differ from its
-    BLAS ones only in the last bits.
+    kraus[k] is outcome k's 2x2 matrix as rows and psi the pair (p0, p1):
+    complex numbers, or floats when the instrument and psi are real.  numpy's
+    per-call overhead dominates _collapse on two amplitudes; the sums here
+    differ from its BLAS ones only in the last bits.  On floats every step
+    gives the real part of its complex counterpart exactly, since a product
+    of complex numbers whose imaginary parts are zero has the float product
+    as its real part.
     """
     p0, p1 = psi
     (a, b), (c, d) = kraus[0]
-    branch = [a * p0 + b * p1, c * p0 + d * p1]
-    norm = math.hypot(*map(abs, branch))
+    b0, b1 = a * p0 + b * p1, c * p0 + d * p1
+    norm = math.hypot(abs(b0), abs(b1))
     idx = 0 if u < outcome_threshold(norm * norm) else 1
     if idx:
         (a, b), (c, d) = kraus[1]
-        branch = [a * p0 + b * p1, c * p0 + d * p1]
-        norm = math.hypot(*map(abs, branch))
+        b0, b1 = a * p0 + b * p1, c * p0 + d * p1
+        norm = math.hypot(abs(b0), abs(b1))
     if norm <= 0:
         raise InvalidState("cannot normalize a zero-weight branch")
     scale = 1.0 / norm
-    return idx, [x * scale for x in branch]
+    return idx, (b0 * scale, b1 * scale)
 
 
 class _Table(NamedTuple):
@@ -449,16 +453,22 @@ def _sample_live(inst: _Instrument, psi, first: int, end: int, ctrl_prob: float,
     Each round takes its draws from _round_draws: the choice, then one (CTRL)
     or two (SIFT) Kraus steps, each refusing a zero-weight branch; the
     live-probe norm is checked at the round's end.  A live probe of dim 2, the
-    only one the built-in attacks keep, steps through Python lists
-    (_pair_collapse), any other through _collapse.
+    only one the built-in attacks keep, steps on Python scalars
+    (_pair_collapse): floats when the instrument and psi have no nonzero
+    imaginary part, as for phase_probe and cnot_parity, and complex numbers
+    otherwise.  Any other dim steps through _collapse.  The live probe comes
+    back as a complex array either way.
     """
-    if len(psi) == 2:
+    pair = len(psi) == 2
+    if pair:
         step = _pair_collapse
-        kraus = (inst.alice.tolist(), inst.bob_z.tolist(), inst.bob_x.tolist())
-        psi = psi.tolist()
+        operands = (inst.alice, inst.bob_z, inst.bob_x, psi)
+        if not any(m.imag.any() for m in operands):
+            operands = tuple(m.real for m in operands)
+        alice, bob_z, bob_x, psi = (m.tolist() for m in operands)
+        psi = tuple(psi)
     else:
-        step, kraus = _collapse, (inst.alice, inst.bob_z, inst.bob_x)
-    alice, bob_z, bob_x = kraus
+        step, (alice, bob_z, bob_x) = _collapse, inst
     codes = []
     r = first
     for block, starts in _round_draws(rng, end - first, ctrl_prob):
@@ -471,7 +481,11 @@ def _sample_live(inst: _Instrument, psi, first: int, end: int, ctrl_prob: float,
                 z, psi = step(bob_z[bit], psi, u[p + 2])
                 code = 2 + 2 * bit + z
             codes.append(code)
-            norm = math.hypot(*map(abs, psi))
+            if pair:
+                p0, p1 = psi
+                norm = math.hypot(abs(p0), abs(p1))
+            else:
+                norm = math.hypot(*map(abs, psi))
             if not abs(norm - 1.0) <= NORM_ATOL:
                 raise InvalidState(f"live probe norm {norm!r} deviates from 1 in round {r}")
             r += 1
@@ -511,7 +525,7 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
 
     Draws, weights and the outcome_threshold snap are engine.measure's, so
     the outcomes are those of the dense engine; a span on a live probe of
-    dim 2 sums on Python lists instead of BLAS, and could differ only where
+    dim 2 sums on Python scalars instead of BLAS, and could differ only where
     a draw lands within about 1e-16 of a threshold.
     """
     codes = np.empty(config.rounds, dtype=np.int8)
@@ -591,10 +605,6 @@ def run_protocol(config: ProtocolConfig, attack: AttackSpec) -> Transcript:
     return _run_sampling(config, attack, rng)
 
 
-#: a Key or Test record's bit; any other value is refused
-_BITS = {0: 0, 1: 1}
-
-
 def _key_text(bits: np.ndarray) -> str:
     """An array of 0/1 bits as the text "0110..."."""
     return (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
@@ -635,19 +645,19 @@ def stats_from_records(records, abort_threshold: float) -> RunStats:
     its X outcome, a Key or Test record from its bits; errors follow from the
     outcomes.  Records without a role are left out.  Raises
     IncompleteTranscript when a Key or Test record's alice_bit or
-    bob_z_outcome is not 0 or 1.
+    bob_z_outcome is not the int 0 or 1: True, 1.0 and the like are refused.
     """
     codes, test = [], []
     for r in records:
         if r.role == ROLE_CTRL:
             codes.append(int(r.bob_x_outcome == MINUS))
         elif r.role in (ROLE_TEST, ROLE_KEY):
-            try:
-                codes.append(2 + 2 * _BITS[r.alice_bit] + _BITS[r.bob_z_outcome])
-            except (KeyError, TypeError):
+            bit, z = r.alice_bit, r.bob_z_outcome
+            if not (type(bit) is int and type(z) is int and bit in (0, 1) and z in (0, 1)):
                 raise IncompleteTranscript(
                     f"round {r.index} is a {r.role} record whose bits are not 0 or 1"
-                ) from None
+                )
+            codes.append(2 + 2 * bit + z)
         else:
             continue
         test.append(r.role == ROLE_TEST)

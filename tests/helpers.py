@@ -18,6 +18,7 @@ from sqkd.analysis import (
 from sqkd.attacks import AttackSpec, Gate
 from sqkd.engine import (
     MINUS,
+    NORM_ATOL,
     PLUS,
     TRANSIT,
     StateVector,
@@ -43,7 +44,7 @@ from sqkd.engine import (
     single,
     swap_gate,
 )
-from sqkd.errors import FactorizationError
+from sqkd.errors import FactorizationError, InvalidState
 from sqkd.protocol import (
     CTRL,
     MODE_EXACT,
@@ -54,6 +55,7 @@ from sqkd.protocol import (
     JointEvolution,
     RoundRecord,
     RunStats,
+    _round_draws,
     apply_gate,
     stream_rng,
 )
@@ -169,6 +171,16 @@ def oracle_partial_trace(amps, dims, keep_positions):
                 acc += t[tuple(fi)] * np.conj(t[tuple(fj)])
             rho[a, b] = acc
     return rho
+
+
+def reference_outcome_threshold(w0: float) -> float:
+    """engine.outcome_threshold with its clamp to [0, 1] ahead of the snaps."""
+    w0 = min(max(w0, 0.0), 1.0)
+    if w0 > 1 - 1e-12:
+        return 1.0
+    if w0 < 1e-12:
+        return 0.0
+    return w0
 
 
 def reference_measure(psi, target, basis, rng):
@@ -360,6 +372,47 @@ def reference_sampling(config, attack):
                 pass
 
     return records
+
+
+def _reference_pair_collapse(kraus, psi, u):
+    """One Kraus step of a dim-2 live probe on Python complex lists."""
+    p0, p1 = psi
+    (a, b), (c, d) = kraus[0]
+    branch = [a * p0 + b * p1, c * p0 + d * p1]
+    norm = math.hypot(*map(abs, branch))
+    idx = 0 if u < reference_outcome_threshold(norm * norm) else 1
+    if idx:
+        (a, b), (c, d) = kraus[1]
+        branch = [a * p0 + b * p1, c * p0 + d * p1]
+        norm = math.hypot(*map(abs, branch))
+    if norm <= 0:
+        raise InvalidState("cannot normalize a zero-weight branch")
+    scale = 1.0 / norm
+    return idx, [x * scale for x in branch]
+
+
+def reference_pair_live(inst, psi, first, end, ctrl_prob, rng):
+    """protocol._sample_live for a live probe of dim 2, stepped on Python
+    complex lists whether or not the instrument is real."""
+    alice, bob_z, bob_x = (m.tolist() for m in inst)
+    psi = psi.tolist()
+    codes = []
+    r = first
+    for block, starts in _round_draws(rng, end - first, ctrl_prob):
+        u = block.tolist()
+        for p in starts:
+            if u[p] < ctrl_prob:
+                code, psi = _reference_pair_collapse(bob_x, psi, u[p + 1])
+            else:
+                bit, psi = _reference_pair_collapse(alice, psi, u[p + 1])
+                z, psi = _reference_pair_collapse(bob_z[bit], psi, u[p + 2])
+                code = 2 + 2 * bit + z
+            codes.append(code)
+            norm = math.hypot(*map(abs, psi))
+            if not abs(norm - 1.0) <= NORM_ATOL:
+                raise InvalidState(f"live probe norm {norm!r} deviates from 1 in round {r}")
+            r += 1
+    return codes, np.asarray(psi, dtype=complex)
 
 
 # ---------------------------------------------------------------------------

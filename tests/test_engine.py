@@ -239,6 +239,35 @@ def test_measure_sampling_matches_born_probabilities():
     assert abs(ones / n - p1) < 4 * se
 
 
+from helpers import reference_outcome_threshold as _reference_outcome_threshold
+
+_THRESHOLD_EDGES = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072009e-308,  # the largest subnormal
+    -2.2250738585072009e-308,
+    # each snap bound and the floats beside it
+    *(y for x in (1e-12, 1 - 1e-12) for y in (math.nextafter(x, 0), x, math.nextafter(x, 1))),
+]
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(w0=st.floats(allow_nan=True, allow_infinity=True))
+def test_outcome_threshold_matches_the_clamped_oracle(w0):
+    assert _same_bits(engine.outcome_threshold(w0), _reference_outcome_threshold(w0))
+
+
+def test_outcome_threshold_matches_the_clamped_oracle_at_its_edges():
+    for w0 in _THRESHOLD_EDGES + [math.nan, -math.inf, math.inf, -1.0, 2.0]:
+        assert _same_bits(engine.outcome_threshold(w0), _reference_outcome_threshold(w0)), w0
+
+
 from helpers import reference_measure as _reference_measure
 
 _KETS = {0: ket_zero, 1: ket_one, PLUS: ket_plus, MINUS: ket_minus}

@@ -23,6 +23,7 @@ from sqkd.attacks import (
 )
 from sqkd.engine import (
     PLUS,
+    StateVector,
     SubsystemLayout,
     Unitary,
     cnot,
@@ -66,6 +67,7 @@ from helpers import (
     probe_decoupled_attack,
     reference_classical_phase,
     reference_gate_matrix,
+    reference_pair_live,
     reference_sampling,
     reference_write_transcript,
 )
@@ -316,8 +318,15 @@ def test_key_and_test_bits_must_be_bits():
         RoundRecord(0, SIFT, alice_bit=None, role=ROLE_KEY, bob_z_outcome=1),
         RoundRecord(1, SIFT, alice_bit=1, role=ROLE_KEY, bob_z_outcome=1),
     ]
-    with pytest.raises(IncompleteTranscript, match="round 0"):
-        stats_from_records(records, 0.0)
+    # bools and floats equal to a bit, as JSON true or 1.0 reads back, are no bits
+    for bad in (None, True, False, 1.0, 0.0):
+        records[0].alice_bit = bad
+        with pytest.raises(IncompleteTranscript, match="round 0"):
+            stats_from_records(records, 0.0)
+        records[0].alice_bit, records[0].bob_z_outcome = 1, bad
+        with pytest.raises(IncompleteTranscript, match="round 0"):
+            stats_from_records(records, 0.0)
+        records[0].bob_z_outcome = 1
     records[0].alice_bit = 1
     assert stats_from_records(records, 0.0).key_mismatch_rate == 0.0
     records[1].role, records[1].error, records[1].bob_z_outcome = ROLE_TEST, False, 2
@@ -649,16 +658,33 @@ def test_round_draws_cut_single_draws_at_round_boundaries(seed, ctrl_prob, round
     assert rng.random() == single.random()
 
 
-def _haar_probe_attack(rng, dim, forward=None, backward=None, default_legs="fb"):
-    """Haar gates on (T, E0) for a probe of dim dim prepared in a random state:
-    explicit entries by round, and default gates on the legs default_legs names."""
-    def haar():
-        return Gate(random_unitary(2 * dim, rng), ("T", "E0"))
+def _real_orthogonal(n, rng) -> Unitary:
+    """A random real orthogonal n x n matrix, held as a complex unitary."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Unitary(q.astype(complex))
 
+
+def _real_state(dim, rng) -> np.ndarray:
+    """A random real unit vector of dim dim, held as complex amplitudes."""
+    v = rng.standard_normal(dim)
+    return (v / np.linalg.norm(v)).astype(complex)
+
+
+def _haar_probe_attack(rng, dim, forward=None, backward=None, default_legs="fb", real=False):
+    """Haar gates on (T, E0) for a probe of dim dim prepared in a random state:
+    explicit entries by round, and default gates on the legs default_legs names.
+    With real set, the gates are real orthogonal and the probe state real."""
+    def haar():
+        unitary = _real_orthogonal(2 * dim, rng) if real else random_unitary(2 * dim, rng)
+        return Gate(unitary, ("T", "E0"))
+
+    layout = SubsystemLayout((dim,), ("E0",))
     return AttackSpec(
-        name=f"haar_probe_{dim}",
+        name=f"{'real' if real else 'haar'}_probe_{dim}",
         probe_dims=(dim,),
-        probe_factors=(random_state(SubsystemLayout((dim,), ("E0",)), rng),),
+        probe_factors=(
+            StateVector(layout, _real_state(dim, rng)) if real else random_state(layout, rng),
+        ),
         forward={r: haar() for r in forward or ()},
         backward={r: haar() for r in backward or ()},
         default_forward=haar() if "f" in default_legs else None,
@@ -685,25 +711,29 @@ def _live_spans(monkeypatch):
     dim=st.integers(1, 4),
     legs=st.sampled_from(["fb", "f", "b"]),
     window=st.booleans(),
+    real=st.booleans(),
     ctrl_prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     rounds=st.integers(1, 200),
     block=st.sampled_from([1, 2, 5, protocol._BLOCK]),
     data=st.data(),
 )
 def test_live_probe_rounds_match_dense_reference(
-    seed, dim, legs, window, ctrl_prob, rounds, block, data
+    seed, dim, legs, window, real, ctrl_prob, rounds, block, data
 ):
     # a persistent probe under default gates is live from round 0 to the
     # last round, a window of gateless rounds carries it from r0 to r1, and
-    # every round up to its last use takes the live loop
+    # every round up to its last use takes the live loop; a real instrument
+    # of dim 2 steps on floats
     rng = np.random.default_rng(seed)
     if window and rounds >= 2:
         pair = st.lists(st.integers(0, rounds - 1), min_size=2, max_size=2, unique=True)
         r0, r1 = sorted(data.draw(pair))
-        att = _haar_probe_attack(rng, dim, forward=(r0, r1), backward=(r1,), default_legs="")
+        att = _haar_probe_attack(
+            rng, dim, forward=(r0, r1), backward=(r1,), default_legs="", real=real
+        )
         live_rounds = r1 - r0
     else:
-        att = _haar_probe_attack(rng, dim, default_legs=legs)
+        att = _haar_probe_attack(rng, dim, default_legs=legs, real=real)
         live_rounds = rounds - 1
     cfg = ProtocolConfig(rounds=rounds, ctrl_prob=ctrl_prob, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
@@ -712,6 +742,65 @@ def test_live_probe_rounds_match_dense_reference(
         records = run_protocol(cfg, att).records
     assert records == reference_sampling(cfg, att)
     assert sum(end - first for first, end in spans) == (live_rounds + 1 if live_rounds else 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["haar", "real", "real_with_signed_zero", "real_gates_haar_psi"]),
+    ctrl_prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    rounds=st.integers(1, 300),
+    block=st.sampled_from([1, 2, 2**16]),
+    data=st.data(),
+)
+def test_pair_live_matches_the_complex_list_oracle(seed, kind, ctrl_prob, rounds, block, data):
+    rng = np.random.default_rng(seed)
+    unitary = random_unitary if kind == "haar" else _real_orthogonal
+    fwd, bwd = unitary(4, rng), unitary(4, rng)
+    if kind in ("real", "real_with_signed_zero"):
+        psi = _real_state(2, rng)
+    else:
+        psi = random_state(SubsystemLayout((2,), ("E0",)), rng).amps
+    inst = protocol._compile_round(Gate(fwd, ("T", "E0")), Gate(bwd, ("T", "E0")), ["E0"], [2])
+    if kind == "real_with_signed_zero":
+        # an imaginary part of exactly -0.0 or +0.0 is no imaginary part
+        operands = [m.copy() for m in (*inst, psi)]
+        target = operands[data.draw(st.integers(0, 3))]
+        target.imag.flat[data.draw(st.integers(0, target.size - 1))] = data.draw(
+            st.sampled_from([-0.0, 0.0])
+        )
+        *inst, psi = operands
+        inst = protocol._Instrument(*inst)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_BLOCK", block)
+        codes, out = protocol._sample_live(inst, psi, 0, rounds, ctrl_prob, stream_rng(seed, 0))
+        want_codes, want_psi = reference_pair_live(
+            inst, psi, 0, rounds, ctrl_prob, stream_rng(seed, 0)
+        )
+    assert codes == want_codes
+    assert out.dtype == complex and np.array_equal(out, want_psi)
+
+
+def test_real_dim_2_instruments_step_on_floats(monkeypatch):
+    # phase_probe and cnot_parity are real, so their live probe steps on
+    # floats; a Haar probe stays on complex numbers
+    steps = []
+    pair_collapse = protocol._pair_collapse
+
+    def spy(kraus, psi, u):
+        steps.append({type(psi[0]), type(psi[1]), type(kraus[0][0][0])})
+        return pair_collapse(kraus, psi, u)
+
+    monkeypatch.setattr(protocol, "_pair_collapse", spy)
+    cases = (
+        (phase_probe_attack(0.9), float),
+        (cnot_parity_attack((3, 40)), float),
+        (_haar_probe_attack(np.random.default_rng(0), 2), complex),
+    )
+    for att, amplitude in cases:
+        steps.clear()
+        run_protocol(ProtocolConfig(rounds=60, seed=1), att)
+        assert steps and all(types == {amplitude} for types in steps), att.name
 
 
 class _RoundByRoundGates(AttackSpec):
