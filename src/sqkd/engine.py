@@ -249,6 +249,13 @@ def trivial_state(label: str) -> StateVector:
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
+#: most columns one matrix product of apply_on_axes or _hadamard_row takes
+_BLOCK_COLUMNS = 1 << 14
+#: BLAS gemm computes a product's columns in groups of this many; the last
+#: few columns go through narrower kernels that round apart from the groups,
+#: so a product is cut into blocks only at multiples of it
+_GEMM_GRAIN = 4
+
 
 def hadamard() -> Unitary:
     return Unitary(_H)
@@ -309,11 +316,19 @@ def apply_unitary(psi, u: Unitary, targets):
     return StateVector(psi.layout, t.reshape(-1))
 
 
-def apply_on_axes(t: np.ndarray, u: Unitary, positions) -> np.ndarray:
-    """u on the axes of tensor t at positions, in u's index order.
+def apply_on_axes(
+    t: np.ndarray, u: Unitary, positions, out: np.ndarray | None = None
+) -> np.ndarray:
+    """u on the axes of tensor t at positions, in u's index order, written into out.
 
     Axes not listed, trailing ones included, are left as they are, so a
-    trailing column axis applies u to every column at once.
+    trailing column axis applies u to every column at once.  out has t's
+    shape and may be t itself; it is allocated when None.  With the target
+    axes moved to the front (as views), the leading other axes are walked
+    until a block holds at most _BLOCK_COLUMNS columns, and each block is one
+    u.entries @ block product written into out, so nothing the size of t is
+    held beside out.  Blocks are not cut below a multiple of _GEMM_GRAIN
+    columns, so every column rounds as in one product over all of them.
     """
     positions = list(positions)
     d_targets = math.prod(t.shape[p] for p in positions)
@@ -321,10 +336,21 @@ def apply_on_axes(t: np.ndarray, u: Unitary, positions) -> np.ndarray:
         raise DimensionMismatch(
             f"operator dim {u.dim} != product of target dims {d_targets}"
         )
-    t = np.moveaxis(t, positions, range(len(positions)))
-    moved_shape = t.shape
-    t = u.entries @ t.reshape(d_targets, -1)
-    return np.moveaxis(t.reshape(moved_shape), range(len(positions)), positions)
+    if out is None:
+        out = np.empty(t.shape, dtype=complex)
+    k = len(positions)
+    src = np.moveaxis(t, positions, range(k))
+    dst = np.moveaxis(out, positions, range(k))
+    rest = src.shape[k:]
+    lead, cols = 0, math.prod(rest)
+    while cols > _BLOCK_COLUMNS and cols // rest[lead] % _GEMM_GRAIN == 0:
+        cols //= rest[lead]
+        lead += 1
+    targets = (slice(None),) * k
+    for index in np.ndindex(*rest[:lead]):
+        block = src[targets + index]
+        dst[targets + index] = (u.entries @ block.reshape(d_targets, -1)).reshape(block.shape)
+    return out
 
 
 def _weight(amps: np.ndarray) -> float:
@@ -390,13 +416,41 @@ def project(psi, target: str, basis_state: int) -> SubnormalizedVector:
     return SubnormalizedVector(psi.layout, out.reshape(-1))
 
 
+def _hadamard_row(view: np.ndarray, k: int) -> np.ndarray:
+    """Row k of _H @ view for view of shape (lead, 2, rest), as a (lead, rest) array.
+
+    _H @ view is one matrix product per leading index; on a last target
+    (rest 1) each is a matrix-vector product, which may round apart from _H
+    on the target's (2, lead) matrix, so that matrix is used, transposed.
+    The products run block by block, over about _BLOCK_COLUMNS columns each,
+    cut at multiples of _GEMM_GRAIN, and only row k of each is kept, so every
+    entry has the bits of the full product's.
+    """
+    lead, _, rest = view.shape
+    mats = view[:, :, 0].T[None] if rest == 1 else view
+    n, _, cols = mats.shape
+    width = min(cols, max(_GEMM_GRAIN, _BLOCK_COLUMNS - _BLOCK_COLUMNS % _GEMM_GRAIN))
+    rows = max(1, _BLOCK_COLUMNS // width)
+    # the last block takes the columns left over, so none is a lone column,
+    # which would be a matrix-vector product
+    cuts = [*range(0, cols - width + 1, width), cols]
+    row = np.empty((n, cols), dtype=complex)
+    for a in range(0, n, rows):
+        for b, e in zip(cuts, cuts[1:]):
+            row[a : a + rows, b:e] = (_H @ mats[a : a + rows, :, b:e])[:, k]
+    return row.reshape(lead, rest)
+
+
 def measure_out(psi: StateVector, target: str, basis: str, rng: np.random.Generator):
     """Projectively measure a qubit subsystem in the Z or X basis and drop it.
 
     Returns (outcome, rest, prob) where outcome is 0/1 for Z and
     "plus"/"minus" for X, rest is the renormalized state of the other
     subsystems, in layout order, and prob is the Born probability of the
-    reported outcome, drawn by draw_outcome.
+    reported outcome, drawn by draw_outcome.  Beside psi, only the kept half
+    is held: in Z it is copied out of psi; in X the |+> half of the
+    Hadamard-rotated state is built first, since outcome 0's weight needs it,
+    and the |-> half only when drawn, after the |+> half is released.
     """
     basis = basis.lower()
     if basis not in ("z", "x"):
@@ -406,15 +460,14 @@ def measure_out(psi: StateVector, target: str, basis: str, rng: np.random.Genera
     pos = psi.layout.index(target)
     view = psi.amps.reshape(math.prod(psi.layout.dims[:pos]), 2, -1)
     if basis == "x":
-        # _H @ view is one matrix product per leading index; on a last target
-        # each is a matrix-vector product, which may round apart from _H on
-        # the target's (2, rest) matrix, so that matrix is used transposed
-        if view.shape[2] > 1:
-            view = _H @ view
-        else:
-            view = (_H @ view[:, :, 0].T).T[:, :, None]
-    idx, prob = draw_outcome(_weight(view[:, 0]), rng)
-    rest = np.take(view, idx, axis=1)  # the kept half alone is copied
+        rest = _hadamard_row(view, 0)
+        idx, prob = draw_outcome(_weight(rest), rng)
+        if idx:
+            del rest
+            rest = _hadamard_row(view, 1)
+    else:
+        idx, prob = draw_outcome(_weight(view[:, 0]), rng)
+        rest = np.take(view, idx, axis=1)  # the kept half alone is copied
     w = float(np.vdot(rest, rest).real)
     if w <= 0:
         raise InvalidState("cannot normalize a zero-weight branch")

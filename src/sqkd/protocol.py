@@ -46,7 +46,6 @@ from .engine import (
     ket_plus,
     measure_out,
     outcome_threshold,
-    project,
     tensor,
 )
 from .errors import (
@@ -146,9 +145,11 @@ class Transcript:
 
     A code is 0/1 for a CTRL round reading PLUS/MINUS and 2 + 2*bit + z for a
     SIFT round; an exact run's rounds hold _PENDING_CTRL or _PENDING_SIFT
-    until classical_phase measures them.  test marks the Test rounds once
-    classical_phase has assigned roles, and is None before.  Transcripts
-    compare by identity; compare their records instead.
+    until classical_phase measures them.  final_state holds an exact run's
+    joint state until classical_phase takes it, and is None after.  test
+    marks the Test rounds once classical_phase has assigned roles, and is
+    None before.  Transcripts compare by identity; compare their records
+    instead.
     """
 
     config: ProtocolConfig
@@ -195,6 +196,17 @@ def apply_gate(state, gate: Gate | None):
         raise AttackLayoutMismatch(str(exc)) from exc
 
 
+def _gate_axes(gate: Gate, layout: SubsystemLayout) -> list[int]:
+    """Axes of a gate's targets in layout, in target order.
+
+    A target the layout lacks raises AttackLayoutMismatch.
+    """
+    try:
+        return [layout.index(t) for t in gate.targets]
+    except UnknownLabel as exc:
+        raise AttackLayoutMismatch(str(exc)) from exc
+
+
 def _new_factors(attack: AttackSpec, i: int, materialized: set[str]):
     """Probe factors round i's gates touch first, in target order, forward gate first.
 
@@ -237,16 +249,31 @@ class JointEvolution:
         self.state = apply_gate(self.state, self.attack.forward_gate(i))
 
     def finish_round(self, i: int, choice: str):
-        """Run the backward attack on the branches of Alice's choice; her probe comes last."""
+        """Run the backward attack on the branches of Alice's choice; her probe comes last.
+
+        The (..., 2) output is allocated once, as zeros.  On SIFT, half b gets
+        ψ's slice with the transit at b; on CTRL, half 0 gets ψ.  V is then
+        applied in place on each written half (engine.apply_on_axes), so the
+        round holds ψ and the output, and no more than a block beside them.
+        """
         gate = self.attack.backward_gate(i)
+        layout = self.state.layout
+        psi = self.state.amps.reshape(layout.dims)
+        out = np.zeros((*layout.dims, 2), dtype=complex)
         if choice == SIFT:
-            branches = [apply_gate(project(self.state, TRANSIT, b), gate).amps for b in (0, 1)]
+            pos = layout.index(TRANSIT)
+            for b in (0, 1):
+                np.moveaxis(out[..., b], pos, 0)[b] = np.moveaxis(psi, pos, 0)[b]
         else:
-            out = apply_gate(self.state, gate).amps
-            branches = [out, np.zeros_like(out)]
-        layout = self.state.layout.relabeled(TRANSIT, bob_memory(i))
+            out[..., 0] = psi
+        if gate is not None:
+            positions = _gate_axes(gate, layout)
+            for b in (0, 1) if choice == SIFT else (0,):
+                half = out[..., b]
+                apply_on_axes(half, gate.unitary, positions, out=half)
+        layout = layout.relabeled(TRANSIT, bob_memory(i))
         layout = SubsystemLayout(layout.dims + (2,), layout.labels + (alice_probe(i),))
-        self.state = StateVector(layout, np.stack(branches, axis=-1))
+        self.state = StateVector(layout, out.reshape(-1))
 
     def run_round(self, i: int, choice: str):
         self.start_round(i)
@@ -281,6 +308,10 @@ def _run_exact(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript:
     return Transcript(config=config, codes=codes, final_state=evo.state)
 
 
+#: Bob's X-basis rotation, built and checked once
+_HADAMARD = hadamard().entries
+
+
 class _Instrument(NamedTuple):
     """One round's Kraus operators on the live probe space, indexed by outcome.
 
@@ -308,12 +339,9 @@ def _gate_matrix(gate: Gate | None, layout: SubsystemLayout) -> np.ndarray:
     eye = np.eye(layout.dim, dtype=complex)
     if gate is None:
         return eye
-    try:
-        positions = [layout.index(t) for t in gate.targets]
-    except UnknownLabel as exc:
-        raise AttackLayoutMismatch(str(exc)) from exc
     columns = eye.reshape(*layout.dims, layout.dim)
-    return apply_on_axes(columns, gate.unitary, positions).reshape(layout.dim, layout.dim)
+    matrix = apply_on_axes(columns, gate.unitary, _gate_axes(gate, layout))
+    return matrix.reshape(layout.dim, layout.dim)
 
 
 def _compile_round(fwd, bwd, labels, dims) -> _Instrument:
@@ -324,7 +352,7 @@ def _compile_round(fwd, bwd, labels, dims) -> _Instrument:
     alice = (f[:, :, 0, :] + f[:, :, 1, :]) / math.sqrt(2)
     bob_z = np.ascontiguousarray(b.transpose(2, 0, 1, 3))
     returned = np.einsum("zpaq,aqr->zpr", b, alice)
-    bob_x = np.einsum("xz,zpr->xpr", hadamard().entries, returned)
+    bob_x = np.einsum("xz,zpr->xpr", _HADAMARD, returned)
     return _Instrument(alice, bob_z, bob_x)
 
 
@@ -671,7 +699,9 @@ def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStat
     draws from the supplied rng: Bob's memory in the X basis for a CTRL
     round, Alice's probe and then Bob's memory in the Z basis for a SIFT
     round.  Each qubit is measured out of the state (engine.measure_out), so
-    the state halves with every measurement.  SIFT rounds are then
+    the state halves with every measurement; the transcript's final_state is
+    set to None before the first one, so each state is freed once the next is
+    measured out of it.  SIFT rounds are then
     partitioned into TEST (test_fraction, drawn uniformly without
     replacement from the same rng) and Key.
     The transcript's codes are completed and its Test rounds marked in place;
@@ -685,7 +715,7 @@ def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStat
     if config.mode == MODE_EXACT:
         if transcript.final_state is None:
             raise IncompleteTranscript("exact-mode transcript lacks its final state")
-        state = transcript.final_state
+        state, transcript.final_state = transcript.final_state, None
         for i, code in enumerate(codes.tolist()):
             if code < 2:
                 outcome, state, _ = measure_out(state, bob_memory(i), "x", rng)

@@ -24,6 +24,7 @@ from sqkd.engine import (
     StateVector,
     SubsystemLayout,
     Unitary,
+    _H,
     _front,
     _weight,
     alice_probe,
@@ -171,6 +172,61 @@ def oracle_partial_trace(amps, dims, keep_positions):
                 acc += t[tuple(fi)] * np.conj(t[tuple(fj)])
             rho[a, b] = acc
     return rho
+
+
+def reference_apply_on_axes(t, u, positions):
+    """engine.apply_on_axes as one product over every column at once."""
+    positions = list(positions)
+    t = np.moveaxis(t, positions, range(len(positions)))
+    moved_shape = t.shape
+    t = u.entries @ t.reshape(u.dim, -1)
+    return np.moveaxis(t.reshape(moved_shape), range(len(positions)), positions)
+
+
+def reference_finish_round(state, gate, i, choice):
+    """JointEvolution.finish_round as project, the backward gate, and np.stack.
+
+    The gate acts as one product over the whole padded branch
+    (reference_apply_on_axes), and the branches are stacked along Alice's
+    probe: [V·P₀ψ, V·P₁ψ] on SIFT and [V·ψ, 0] on CTRL.
+    """
+
+    def backward(branch):
+        if gate is None:
+            return branch.amps
+        positions = [branch.layout.index(t) for t in gate.targets]
+        t = branch.amps.reshape(branch.layout.dims)
+        return reference_apply_on_axes(t, gate.unitary, positions).reshape(-1)
+
+    if choice == SIFT:
+        branches = [backward(project(state, TRANSIT, b)) for b in (0, 1)]
+    else:
+        out = backward(state)
+        branches = [out, np.zeros_like(out)]
+    layout = state.layout.relabeled(TRANSIT, bob_memory(i))
+    layout = SubsystemLayout(layout.dims + (2,), layout.labels + (alice_probe(i),))
+    return StateVector(layout, np.stack(branches, axis=-1))
+
+
+def reference_measure_out(psi, target, basis, rng):
+    """engine.measure_out with the whole Hadamard-rotated state built in X."""
+    pos = psi.layout.index(target)
+    view = psi.amps.reshape(math.prod(psi.layout.dims[:pos]), 2, -1)
+    if basis == "x":
+        # on a last target, _H on the target's (2, rest) matrix, transposed
+        if view.shape[2] > 1:
+            view = _H @ view
+        else:
+            view = (_H @ view[:, :, 0].T).T[:, :, None]
+    idx, prob = draw_outcome(_weight(view[:, 0]), rng)
+    rest = np.take(view, idx, axis=1)
+    rest /= math.sqrt(float(np.vdot(rest, rest).real))
+    layout = SubsystemLayout(
+        psi.layout.dims[:pos] + psi.layout.dims[pos + 1 :],
+        psi.layout.labels[:pos] + psi.layout.labels[pos + 1 :],
+    )
+    outcome = (PLUS if idx == 0 else MINUS) if basis == "x" else idx
+    return outcome, StateVector(layout, rest), prob
 
 
 def reference_outcome_threshold(w0: float) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqkd import engine
@@ -43,7 +43,12 @@ from sqkd.errors import (
     UnknownLabel,
 )
 
-from helpers import identity_gate, ket_minus
+from helpers import (
+    identity_gate,
+    ket_minus,
+    reference_apply_on_axes,
+    reference_measure_out,
+)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -184,6 +189,32 @@ def test_norm_preserved_over_1000_random_cases():
         assert abs(np.linalg.norm(out.amps) - 1) < 1e-10
 
 
+#: block sizes the kernels are checked at: None leaves engine._BLOCK_COLUMNS
+_BLOCK_SIZES = [1, 2, 7, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    data=st.data(),
+    block=st.sampled_from(_BLOCK_SIZES),
+    in_place=st.booleans(),
+)
+def test_apply_on_axes_matches_the_one_product_oracle(dims, data, block, in_place):
+    axes = st.integers(0, len(dims) - 1)
+    targets = data.draw(st.lists(axes, min_size=1, max_size=3, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = random_unitary(math.prod(dims[p] for p in targets), rng)
+    t = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    want = reference_apply_on_axes(t, u, targets)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(engine, "_BLOCK_COLUMNS", block)
+        got = engine.apply_on_axes(t, u, targets, out=t if in_place else None)
+    assert np.array_equal(got, want)
+    assert (got is t) == in_place
+
+
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
@@ -298,6 +329,35 @@ def test_measure_out_matches_the_collapsing_oracle(dims, data, basis):
     outcome, kept, prob = measure(psi, labels[pos], basis, measure_rng)
     assert (outcome, prob) == (want, want_prob)
     assert np.abs(kept.amps - collapsed.amps).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), max_size=6),
+    pos=st.integers(0, 6),
+    basis=st.sampled_from(["z", "x"]),
+    block=st.sampled_from(_BLOCK_SIZES),
+    state_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(  # a last target after 9 columns: blocks of 4, 4 and the 1 left over
+    dims=[3, 3], pos=2, basis="x", block=2, state_seed=1, seed=0
+)
+def test_measure_out_matches_the_full_product_oracle(dims, pos, basis, block, state_seed, seed):
+    # in X only the kept half of the rotated state is built, block by block
+    pos = min(pos, len(dims))
+    dims = (*dims[:pos], 2, *dims[pos:])
+    labels = tuple(f"s{i}" for i in range(len(dims)))
+    psi = random_state(SubsystemLayout(dims, labels), np.random.default_rng(state_seed))
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want, want_rest, want_prob = reference_measure_out(psi, labels[pos], basis, oracle_rng)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(engine, "_BLOCK_COLUMNS", block)
+        outcome, rest, prob = engine.measure_out(psi, labels[pos], basis, rng)
+    assert (outcome, prob) == (want, want_prob)
+    assert rest.layout == want_rest.layout
+    assert np.array_equal(rest.amps, want_rest.amps)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from sqkd.engine import (
     StateVector,
     SubsystemLayout,
     Unitary,
+    alice_probe,
+    bob_memory,
     cnot,
     hadamard,
     ket_plus,
@@ -50,6 +52,7 @@ from sqkd.protocol import (
     ROLE_KEY,
     ROLE_TEST,
     SIFT,
+    JointEvolution,
     RoundRecord,
     classical_phase,
     derive_seed,
@@ -66,6 +69,7 @@ from helpers import (
     dead_probe_entangler_attack,
     probe_decoupled_attack,
     reference_classical_phase,
+    reference_finish_round,
     reference_gate_matrix,
     reference_pair_live,
     reference_sampling,
@@ -233,6 +237,62 @@ def test_a_factor_over_two_labels_is_materialized_once():
         assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    earlier=st.integers(0, 3),
+    choice=st.sampled_from([CTRL, SIFT]),
+    block=st.sampled_from([1, 2, 7, None]),
+    data=st.data(),
+)
+def test_finish_round_matches_the_project_and_stack_oracle(
+    seed, dims, earlier, choice, block, data
+):
+    # round `earlier` finishes on a Haar state over the qubits of the rounds
+    # before it, the probes and the transit, in any order; the backward gate,
+    # if any, acts on the transit and some probes, its targets shuffled
+    rng = np.random.default_rng(seed)
+    labels = [f"E{k}" for k in range(len(dims))]
+    dim_of = {"T": 2, **dict(zip(labels, dims))}
+    for k in range(earlier):
+        dim_of[bob_memory(k)] = dim_of[alice_probe(k)] = 2
+    targets = ["T", *data.draw(st.lists(st.sampled_from(labels), unique=True))]
+    targets = data.draw(st.permutations(targets))
+    unitary = random_unitary(math.prod(dim_of[t] for t in targets), rng)
+    gate = data.draw(st.sampled_from([None, Gate(unitary, targets)]))
+    order = data.draw(st.permutations(list(dim_of)))
+    state = random_state(SubsystemLayout(tuple(dim_of[l] for l in order), tuple(order)), rng)
+    evo = JointEvolution(
+        AttackSpec(
+            name="haar",
+            probe_dims=tuple(dims),
+            probe_factors=tuple(single(l, np.eye(d)[0]) for l, d in zip(labels, dims)),
+            backward={} if gate is None else {earlier: gate},
+        )
+    )
+    evo.state = state
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(engine, "_BLOCK_COLUMNS", block)
+        evo.finish_round(earlier, choice)
+    want = reference_finish_round(state, gate, earlier, choice)
+    assert evo.state.layout == want.layout
+    assert np.array_equal(evo.state.amps, want.amps)
+
+
+def test_exact_quantum_phase_holds_one_and_a_half_final_states():
+    # the last round holds its input (half the final state) and its output
+    cfg = ProtocolConfig(rounds=7, seed=0, mode=MODE_EXACT)
+    tracemalloc.start()
+    try:
+        transcript = run_protocol(cfg, swap_attack(7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * transcript.final_state.amps.nbytes
+
+
 # ---------------------------------------------------------------------------
 # Classical phase
 # ---------------------------------------------------------------------------
@@ -311,6 +371,24 @@ def test_measure_out_copies_only_the_half_it_keeps():
         tracemalloc.stop()
     # the kept half of the first measurement and the quarter the second keeps
     assert peak < 1.25 * final_bytes
+
+
+def test_x_measurement_builds_only_the_half_it_keeps():
+    # round 0 is CTRL, so the first measurement reads Bob's memory in X
+    cfg = ProtocolConfig(rounds=7, seed=2, mode=MODE_EXACT)
+    transcript = run_protocol(cfg, swap_attack(7))
+    assert transcript.records[0].choice == CTRL
+    final_bytes = transcript.final_state.amps.nbytes
+    tracemalloc.start()
+    try:
+        classical_phase(transcript, stream_rng(cfg.seed, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one rotated half, then the quarter the next measurement keeps
+    assert peak < 1.0 * final_bytes
+    # the transcript let go of the final state, so each state could be freed
+    assert transcript.final_state is None
 
 
 def test_key_and_test_bits_must_be_bits():
