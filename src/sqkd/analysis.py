@@ -19,8 +19,9 @@ The central quantities, all computed from exact joint-state evolution:
   distances and the Holevo bound of the joint ensemble, all from one Gram
   block of Eve's amplitudes per joint value of the sifted bits.
 
-Every reduction reads its slices off engine._front, the state's amplitude
-tensor with the named subsystems moved to the front.
+Every reduction reads the state through engine._front, a view of its
+amplitude tensor with the named subsystems' axes first: nothing is copied,
+and each reader flattens only the slice it reads.
 
 theorem_check ties these together: any attack whose residuals vanish on
 every round of every pattern must also show vanishing leakage.  The
@@ -60,6 +61,10 @@ from .protocol import CTRL, EXACT_ROUND_CAP, JointEvolution, SIFT
 RESIDUAL_TOL = 1e-9
 
 _WEIGHT_FLOOR = 1e-12
+
+#: patterns default_patterns draws beyond length 6, and the seed it draws them with
+_SAMPLE_SIZE = 64
+_SAMPLE_SEED = 0
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +163,9 @@ def holevo_bound(ensemble) -> float:
 def _residuals(round_index: int, sifted: StateVector) -> ConstraintReport:
     """Round residuals from the state a SIFT round's finish_round leaves.
 
-    s[b][t] is branch b's slice at returned transit value t after V: Alice's
-    XOR tagged each branch with its bit, so V acted on them separately.
+    s[b][t] is a view of branch b's slice at returned transit value t after
+    V: Alice's XOR tagged each branch with its bit, so V acted on them
+    separately.
     """
     s = _front(sifted, [alice_probe(round_index), bob_memory(round_index)])
 
@@ -271,11 +277,12 @@ def _leakage_from_final(
     chi = 0.0
     if e_labels and sifted:
         d_e = math.prod(final.layout.dim_of(l) for l in e_labels)
-        m = _front(final, sifted + e_labels).reshape(2**k, d_e, -1)
+        m = _front(final, sifted + e_labels)
         # Eve's unnormalised state for each joint value of the sifted bits,
         # filled in place: stacking a list would hold every block twice
         blocks = np.empty((2**k, d_e, d_e), dtype=complex)
-        for b, mk in enumerate(m):
+        for b, bits in enumerate(itertools.product((0, 1), repeat=k)):
+            mk = m[bits].reshape(d_e, -1)
             blocks[b] = mk @ mk.conj().T
         joint = blocks.reshape((2,) * k + (d_e, d_e))
         for q in range(k):
@@ -302,7 +309,8 @@ def eve_leakage(
     Eve's reduced state on Alice's probe reading 0 and 1 and reports the trace
     distance between the two; holevo_bound is χ of the ensemble over all
     joint bit assignments.  Beyond the final state, memory holds one
-    reordered copy of it and one Eve-sized block per joint bit assignment.
+    Eve-sized Gram block per joint bit assignment and one joint-bit slice of
+    the state at a time.
     """
     pattern = _normalize_pattern(pattern)
     _, final, _ = next(_walk_patterns(attack, [pattern]))
@@ -314,16 +322,16 @@ def eve_leakage(
 # ---------------------------------------------------------------------------
 
 
-def default_patterns(max_len: int, sample: int = 64, seed: int = 0) -> list[str]:
-    """All CTRL/SIFT patterns up to max_len, or a random sample beyond 6."""
+def default_patterns(max_len: int) -> list[str]:
+    """All CTRL/SIFT patterns up to max_len, or _SAMPLE_SIZE random ones beyond 6."""
     if max_len <= 6:
         out = []
         for n in range(1, max_len + 1):
             for k in range(2**n):
                 out.append("".join("S" if (k >> (n - 1 - i)) & 1 else "C" for i in range(n)))
         return out
-    rng = np.random.default_rng(np.random.SeedSequence([seed, max_len]))
-    return ["".join(rng.choice(["C", "S"], size=max_len)) for _ in range(sample)]
+    rng = np.random.default_rng(np.random.SeedSequence([_SAMPLE_SEED, max_len]))
+    return ["".join(rng.choice(["C", "S"], size=max_len)) for _ in range(_SAMPLE_SIZE)]
 
 
 def theorem_check(
@@ -331,7 +339,6 @@ def theorem_check(
     patterns=None,
     eps: float = 1e-9,
     max_pattern_len: int = 6,
-    compute_holevo: bool = False,
 ) -> TheoremReport:
     """Detectability implies leakage: residual r vs trace-distance leakage ℓ.
 
@@ -353,7 +360,7 @@ def theorem_check(
     for pattern, final, reports in _walk_patterns(attack, normalized):
         for rep in reports:
             max_residual = max(max_residual, rep.test_residual + rep.ctrl_error_prob)
-        leak = _leakage_from_final(final, pattern, compute_holevo)
+        leak = _leakage_from_final(final, pattern, compute_holevo=False)
         max_leakage = max(max_leakage, leak.max_leakage)
     passed = (max_residual > eps) or (max_leakage <= 10 * eps)
     return TheoremReport(

@@ -249,7 +249,7 @@ def trivial_state(label: str) -> StateVector:
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
-#: most columns one matrix product of apply_on_axes or _hadamard_row takes
+#: most columns one matrix product of a _blocks walk takes
 _BLOCK_COLUMNS = 1 << 14
 #: BLAS gemm computes a product's columns in groups of this many; the last
 #: few columns go through narrower kernels that round apart from the groups,
@@ -324,11 +324,9 @@ def apply_on_axes(
     Axes not listed, trailing ones included, are left as they are, so a
     trailing column axis applies u to every column at once.  out has t's
     shape and may be t itself; it is allocated when None.  With the target
-    axes moved to the front (as views), the leading other axes are walked
-    until a block holds at most _BLOCK_COLUMNS columns, and each block is one
+    axes moved to the front (as views), each block _blocks yields is one
     u.entries @ block product written into out, so nothing the size of t is
-    held beside out.  Blocks are not cut below a multiple of _GEMM_GRAIN
-    columns, so every column rounds as in one product over all of them.
+    held beside out, and every column rounds as in one product over all.
     """
     positions = list(positions)
     d_targets = math.prod(t.shape[p] for p in positions)
@@ -341,6 +339,19 @@ def apply_on_axes(
     k = len(positions)
     src = np.moveaxis(t, positions, range(k))
     dst = np.moveaxis(out, positions, range(k))
+    for index in _blocks(src, k):
+        block = src[index]
+        dst[index] = (u.entries @ block.reshape(d_targets, -1)).reshape(block.shape)
+    return out
+
+
+def _blocks(src: np.ndarray, k: int):
+    """Indices of the blocks a product on src's first k axes is cut into.
+
+    The next axes are walked until a block holds at most _BLOCK_COLUMNS
+    columns, but never cut below a multiple of _GEMM_GRAIN columns, so every
+    column rounds as in one product over all of them.
+    """
     rest = src.shape[k:]
     lead, cols = 0, math.prod(rest)
     while cols > _BLOCK_COLUMNS and cols // rest[lead] % _GEMM_GRAIN == 0:
@@ -348,9 +359,7 @@ def apply_on_axes(
         lead += 1
     targets = (slice(None),) * k
     for index in np.ndindex(*rest[:lead]):
-        block = src[targets + index]
-        dst[targets + index] = (u.entries @ block.reshape(d_targets, -1)).reshape(block.shape)
-    return out
+        yield targets + index
 
 
 def _weight(amps: np.ndarray) -> float:
@@ -360,16 +369,16 @@ def _weight(amps: np.ndarray) -> float:
 
 
 def _front(psi, labels) -> np.ndarray:
-    """Amplitude tensor with the named subsystems moved to the front.
+    """View of the amplitude tensor with the named subsystems' axes first.
 
-    The named subsystems keep one axis each, in the given order; the others
-    follow in layout order, flattened into one trailing axis.
+    The named axes come in the given order and the others follow in layout
+    order, one axis each; nothing is copied, so a reader flattens only the
+    slice it reads.
     """
     dims = psi.layout.dims
     positions = [psi.layout.index(l) for l in labels]
     rest = [i for i in range(len(dims)) if i not in positions]
-    t = np.transpose(psi.amps.reshape(dims), positions + rest)
-    return t.reshape(*(dims[p] for p in positions), -1)
+    return psi.amps.reshape(dims).transpose(positions + rest)
 
 
 def outcome_threshold(w0: float) -> float:
@@ -405,40 +414,13 @@ def project(psi, target: str, basis_state: int) -> SubnormalizedVector:
     outcome (times the incoming weight when given an unnormalized branch,
     so chained projections accumulate joint probabilities).
     """
-    pos = psi.layout.index(target)
-    d = psi.layout.dims[pos]
+    t = _front(psi, [target])
+    d = t.shape[0]
     if not 0 <= basis_state < d:
         raise IndexOutOfRange(f"basis state {basis_state} for dimension-{d} subsystem")
-    t = np.moveaxis(psi.amps.reshape(psi.layout.dims), pos, 0)
-    out = np.zeros_like(t)
+    out = np.zeros_like(t)  # laid out as psi is, so ravel("K") reads it in layout order
     out[basis_state] = t[basis_state]
-    out = np.moveaxis(out, 0, pos)
-    return SubnormalizedVector(psi.layout, out.reshape(-1))
-
-
-def _hadamard_row(view: np.ndarray, k: int) -> np.ndarray:
-    """Row k of _H @ view for view of shape (lead, 2, rest), as a (lead, rest) array.
-
-    _H @ view is one matrix product per leading index; on a last target
-    (rest 1) each is a matrix-vector product, which may round apart from _H
-    on the target's (2, lead) matrix, so that matrix is used, transposed.
-    The products run block by block, over about _BLOCK_COLUMNS columns each,
-    cut at multiples of _GEMM_GRAIN, and only row k of each is kept, so every
-    entry has the bits of the full product's.
-    """
-    lead, _, rest = view.shape
-    mats = view[:, :, 0].T[None] if rest == 1 else view
-    n, _, cols = mats.shape
-    width = min(cols, max(_GEMM_GRAIN, _BLOCK_COLUMNS - _BLOCK_COLUMNS % _GEMM_GRAIN))
-    rows = max(1, _BLOCK_COLUMNS // width)
-    # the last block takes the columns left over, so none is a lone column,
-    # which would be a matrix-vector product
-    cuts = [*range(0, cols - width + 1, width), cols]
-    row = np.empty((n, cols), dtype=complex)
-    for a in range(0, n, rows):
-        for b, e in zip(cuts, cuts[1:]):
-            row[a : a + rows, b:e] = (_H @ mats[a : a + rows, :, b:e])[:, k]
-    return row.reshape(lead, rest)
+    return SubnormalizedVector(psi.layout, out.ravel(order="K"))
 
 
 def measure_out(psi: StateVector, target: str, basis: str, rng: np.random.Generator):
@@ -447,31 +429,39 @@ def measure_out(psi: StateVector, target: str, basis: str, rng: np.random.Genera
     Returns (outcome, rest, prob) where outcome is 0/1 for Z and
     "plus"/"minus" for X, rest is the renormalized state of the other
     subsystems, in layout order, and prob is the Born probability of the
-    reported outcome, drawn by draw_outcome.  Beside psi, only the kept half
-    is held: in Z it is copied out of psi; in X the |+> half of the
-    Hadamard-rotated state is built first, since outcome 0's weight needs it,
-    and the |-> half only when drawn, after the |+> half is released.
+    reported outcome, drawn by draw_outcome.  Beside psi, only one half is
+    held at a time: outcome 0's half is built first, since its weight needs
+    it, and outcome 1's only when drawn, after the first is released.  In Z
+    a half is copied out of the target-first view of psi; in X it is row k
+    of _H on that view, taken block by block over the walk apply_on_axes
+    uses, so every entry has the bits of the full product's.
     """
     basis = basis.lower()
     if basis not in ("z", "x"):
         raise ValueError(f"basis must be 'z' or 'x', got {basis!r}")
     if psi.layout.dim_of(target) != 2:
         raise NonQubitTarget(f"target {target!r} has dimension != 2")
-    pos = psi.layout.index(target)
-    view = psi.amps.reshape(math.prod(psi.layout.dims[:pos]), 2, -1)
-    if basis == "x":
-        rest = _hadamard_row(view, 0)
-        idx, prob = draw_outcome(_weight(rest), rng)
-        if idx:
-            del rest
-            rest = _hadamard_row(view, 1)
-    else:
-        idx, prob = draw_outcome(_weight(view[:, 0]), rng)
-        rest = np.take(view, idx, axis=1)  # the kept half alone is copied
+    src = _front(psi, [target])
+
+    def half(k: int) -> np.ndarray:
+        if basis == "z":
+            return src[k].copy()
+        out = np.empty(src.shape[1:], dtype=complex)
+        for index in _blocks(src, 1):
+            block = src[index]
+            out[index[1:]] = (_H @ block.reshape(2, -1))[k].reshape(block.shape[1:])
+        return out
+
+    rest = half(0)
+    idx, prob = draw_outcome(_weight(rest), rng)
+    if idx:
+        del rest
+        rest = half(1)
     w = float(np.vdot(rest, rest).real)
     if w <= 0:
         raise InvalidState("cannot normalize a zero-weight branch")
     rest /= math.sqrt(w)
+    pos = psi.layout.index(target)
     layout = SubsystemLayout(
         psi.layout.dims[:pos] + psi.layout.dims[pos + 1 :],
         psi.layout.labels[:pos] + psi.layout.labels[pos + 1 :],
@@ -505,8 +495,8 @@ def partial_trace(state: StateVector, keep) -> DensityMatrix:
     labels = sorted(set(keep), key=state.layout.index)
     if len(labels) != len(keep):
         raise DuplicateLabel(f"repeated labels in keep set: {keep}")
-    m = _front(state, labels)
-    m = m.reshape(-1, m.shape[-1])
+    d_keep = math.prod(state.layout.dim_of(l) for l in labels)
+    m = _front(state, labels).reshape(d_keep, -1)
     return DensityMatrix(m @ m.conj().T)
 
 

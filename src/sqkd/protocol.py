@@ -40,7 +40,6 @@ from .engine import (
     TRANSIT,
     alice_probe,
     apply_on_axes,
-    apply_unitary,
     bob_memory,
     hadamard,
     ket_plus,
@@ -183,19 +182,6 @@ def _empty_state() -> StateVector:
     return StateVector(SubsystemLayout((), ()), np.ones(1, dtype=complex))
 
 
-def apply_gate(state, gate: Gate | None):
-    """Apply an attack gate; None is the identity.
-
-    A gate naming a subsystem the state lacks raises AttackLayoutMismatch.
-    """
-    if gate is None:
-        return state
-    try:
-        return apply_unitary(state, gate.unitary, gate.targets)
-    except UnknownLabel as exc:
-        raise AttackLayoutMismatch(str(exc)) from exc
-
-
 def _gate_axes(gate: Gate, layout: SubsystemLayout) -> list[int]:
     """Axes of a gate's targets in layout, in target order.
 
@@ -242,11 +228,18 @@ class JointEvolution:
         return other
 
     def start_round(self, i: int):
-        """Emit |+> into the transit slot and run the forward attack."""
+        """Emit |+> into the transit slot and run the forward attack.
+
+        F goes through engine.apply_on_axes, as V does in finish_round.
+        """
         self.state = tensor(self.state, ket_plus(TRANSIT))
         for factor in _new_factors(self.attack, i, set(self.state.layout.labels)):
             self.state = tensor(self.state, factor)
-        self.state = apply_gate(self.state, self.attack.forward_gate(i))
+        gate = self.attack.forward_gate(i)
+        if gate is not None:
+            layout = self.state.layout
+            t = apply_on_axes(self.state.tensor_view(), gate.unitary, _gate_axes(gate, layout))
+            self.state = StateVector(layout, t.reshape(-1))
 
     def finish_round(self, i: int, choice: str):
         """Run the backward attack on the branches of Alice's choice; her probe comes last.

@@ -11,9 +11,12 @@ import numpy as np
 from sqkd.analysis import (
     ConstraintReport,
     ExpectedRates,
+    LeakageReport,
     TheoremReport,
-    _leakage_from_final,
+    _eve_labels,
     _normalize_pattern,
+    _weighted_states,
+    holevo_bound,
 )
 from sqkd.attacks import AttackSpec, Gate
 from sqkd.engine import (
@@ -25,7 +28,6 @@ from sqkd.engine import (
     SubsystemLayout,
     Unitary,
     _H,
-    _front,
     _weight,
     alice_probe,
     apply_unitary,
@@ -44,6 +46,7 @@ from sqkd.engine import (
     random_unitary,
     single,
     swap_gate,
+    trace_distance,
 )
 from sqkd.errors import FactorizationError, InvalidState
 from sqkd.protocol import (
@@ -57,9 +60,15 @@ from sqkd.protocol import (
     RoundRecord,
     RunStats,
     _round_draws,
-    apply_gate,
     stream_rng,
 )
+
+
+def apply_gate(state, gate):
+    """An attack gate on state through engine.apply_unitary; None is the identity."""
+    if gate is None:
+        return state
+    return apply_unitary(state, gate.unitary, gate.targets)
 
 
 def ket_minus(label: str) -> StateVector:
@@ -229,6 +238,46 @@ def reference_measure_out(psi, target, basis, rng):
     return outcome, StateVector(layout, rest), prob
 
 
+def reference_front(psi, labels):
+    """engine._front as a reordered copy: the named subsystems' axes first, in
+    the given order, and the others, in layout order, flattened into one
+    trailing axis."""
+    dims = psi.layout.dims
+    positions = [psi.layout.index(l) for l in labels]
+    rest = [i for i in range(len(dims)) if i not in positions]
+    t = np.transpose(psi.amps.reshape(dims), positions + rest)
+    return t.reshape(*(dims[p] for p in positions), -1)
+
+
+def reference_leakage_from_final(final, pattern, compute_holevo):
+    """analysis._leakage_from_final on reference_front: the whole state is
+    reordered, then cut into one Gram block per joint value of the sifted bits."""
+    e_labels = _eve_labels(final.layout)
+    sifted = [alice_probe(i) for i, ch in enumerate(pattern) if ch == "S"]
+    k = len(sifted)
+    per_bit = [0.0] * k
+    chi = 0.0
+    if e_labels and sifted:
+        d_e = math.prod(final.layout.dim_of(l) for l in e_labels)
+        m = reference_front(final, sifted + e_labels).reshape(2**k, d_e, -1)
+        blocks = np.empty((2**k, d_e, d_e), dtype=complex)
+        for b, mk in enumerate(m):
+            blocks[b] = mk @ mk.conj().T
+        joint = blocks.reshape((2,) * k + (d_e, d_e))
+        for q in range(k):
+            pair = _weighted_states(joint.sum(axis=tuple(a for a in range(k) if a != q)))
+            if len(pair) == 2:
+                per_bit[q] = trace_distance(pair[0][1], pair[1][1])
+        if compute_holevo:
+            chi = holevo_bound(_weighted_states(blocks))
+    return LeakageReport(
+        pattern=pattern,
+        per_bit_trace_distance=tuple(per_bit),
+        holevo_bound=chi,
+        max_leakage=max(per_bit, default=0.0),
+    )
+
+
 def reference_outcome_threshold(w0: float) -> float:
     """engine.outcome_threshold with its clamp to [0, 1] ahead of the snaps."""
     w0 = min(max(w0, 0.0), 1.0)
@@ -273,7 +322,7 @@ def _constraint_at(attack: AttackSpec, round_index: int, post_forward: StateVect
     # backward unitary acts on the collapsed branches separately; v[b][t] is
     # branch b's slice at transit value t after V.
     v = [
-        _front(apply_gate(project(post_forward, TRANSIT, b), bg), [TRANSIT])
+        reference_front(apply_gate(project(post_forward, TRANSIT, b), bg), [TRANSIT])
         for b in (0, 1)
     ]
 
@@ -314,7 +363,7 @@ def reference_constraint_check(attack, round_index, prefix):
     return _constraint_at(attack, round_index, evo.state)
 
 
-def reference_theorem_check(attack, patterns, eps=1e-9, compute_holevo=False):
+def reference_theorem_check(attack, patterns, eps=1e-9):
     max_residual = 0.0
     max_leakage = 0.0
     for pattern in patterns:
@@ -322,7 +371,7 @@ def reference_theorem_check(attack, patterns, eps=1e-9, compute_holevo=False):
         final, reports = reference_evolution(attack, pattern)
         for rep in reports:
             max_residual = max(max_residual, rep.test_residual + rep.ctrl_error_prob)
-        leak = _leakage_from_final(final, pattern, compute_holevo)
+        leak = reference_leakage_from_final(final, pattern, False)
         max_leakage = max(max_leakage, leak.max_leakage)
     return TheoremReport(
         max_residual=max_residual,
@@ -336,7 +385,7 @@ def reference_theorem_check(attack, patterns, eps=1e-9, compute_holevo=False):
 def reference_eve_leakage(attack, pattern, compute_holevo=True):
     pattern = _normalize_pattern(pattern)
     final, _ = reference_evolution(attack, pattern)
-    return _leakage_from_final(final, pattern, compute_holevo)
+    return reference_leakage_from_final(final, pattern, compute_holevo)
 
 
 def reference_rate_expectations(attack, n_rounds, ctrl_prob):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqkd.analysis import (
+    _leakage_from_final,
     constraint_check,
     constraint_reports,
     default_patterns,
@@ -32,6 +33,7 @@ from sqkd.attacks import (
 from sqkd.engine import (
     DensityMatrix,
     SubsystemLayout,
+    _front,
     ket_plus,
     ket_zero,
     random_state,
@@ -46,6 +48,8 @@ from helpers import (
     probe_decoupled_attack,
     reference_constraint_check,
     reference_eve_leakage,
+    reference_front,
+    reference_leakage_from_final,
     reference_rate_expectations,
     reference_theorem_check,
     transit_phase_attack,
@@ -381,6 +385,34 @@ def test_leakage_memory_stays_near_the_final_state():
     assert peak < 8 * 2**18 * 16
 
 
+def test_leakage_reads_one_joint_bit_slice_at_a_time():
+    # beside the final state (2^18 amplitudes), leakage holds its Gram blocks
+    # and one slice per joint value of the bits; a reordered copy of the whole
+    # state would peak above 3 final states
+    tracemalloc.start()
+    try:
+        rep = eve_leakage(swap_attack(6), "S" * 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(rep.holevo_bound - 6.0) < 1e-9
+    assert peak < 2.4 * 2**18 * 16
+
+
+def test_constraint_walk_reads_residuals_through_views():
+    # the last SIFT round holds its input and its output, the final state of
+    # 2^18 amplitudes; reading the residuals off a reordered copy of that
+    # output would peak near 2.8 final states
+    tracemalloc.start()
+    try:
+        reports = constraint_reports(swap_attack(6), "S" * 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(abs(r.test_residual - 0.5) < 1e-9 for r in reports)
+    assert peak < 2.0 * 2**18 * 16
+
+
 # ---------------------------------------------------------------------------
 # Entropy and Holevo
 # ---------------------------------------------------------------------------
@@ -561,8 +593,8 @@ MIXED_PATTERNS = ["SCS", "c", "SCS", "ssCC", "C", "S", "CSSS", "SC"]
 def test_walker_matches_reference_theorem_check(name):
     att = WALKER_ATTACKS[name]
     for patterns in (default_patterns(3), MIXED_PATTERNS):
-        got = theorem_check(att, patterns=patterns, compute_holevo=True)
-        assert got == reference_theorem_check(att, patterns, compute_holevo=True)
+        got = theorem_check(att, patterns=patterns)
+        assert got == reference_theorem_check(att, patterns)
         assert got.n_patterns == len(patterns)
 
 
@@ -589,8 +621,8 @@ def test_walker_matches_reference_rates(name, ctrl_prob):
 )
 def test_walker_matches_reference_on_random_pattern_sets(theta, patterns):
     att = phase_probe_attack(theta)
-    got = theorem_check(att, patterns=patterns, compute_holevo=True)
-    assert got == reference_theorem_check(att, patterns, compute_holevo=True)
+    got = theorem_check(att, patterns=patterns)
+    assert got == reference_theorem_check(att, patterns)
 
 
 def test_walker_evolves_each_prefix_once(monkeypatch):
@@ -607,9 +639,9 @@ def test_walker_evolves_each_prefix_once(monkeypatch):
 
 
 @st.composite
-def haar_attacks(draw):
+def haar_attacks(draw, max_dim=4):
     """A random attack on (T, E0): Haar gates on both legs, per round or shared."""
-    dim = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, max_dim))
     n_rounds = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -637,13 +669,37 @@ def haar_attacks(draw):
 def test_walker_matches_reference_on_random_attacks(drawn, patterns, ctrl_prob):
     att, n_rounds = drawn
     patterns = [p[:n_rounds] for p in patterns]
-    got = theorem_check(att, patterns=patterns, compute_holevo=True)
-    assert got == reference_theorem_check(att, patterns, compute_holevo=True)
+    got = theorem_check(att, patterns=patterns)
+    assert got == reference_theorem_check(att, patterns)
     for p in patterns:
         reports = constraint_reports(att, p)
         assert reports == [reference_constraint_check(att, i, p[:i]) for i in range(len(p))]
     got_rates = exact_rate_expectations(att, n_rounds, ctrl_prob)
     assert got_rates == reference_rate_expectations(att, n_rounds, ctrl_prob)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    drawn=haar_attacks(max_dim=3),
+    pattern=st.text("CS", min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_view_readers_match_the_copying_oracles(drawn, pattern, data):
+    att, n_rounds = drawn
+    pattern = pattern[:n_rounds]
+    evo = JointEvolution(att)
+    for i, ch in enumerate(pattern):
+        evo.run_round(i, CTRL if ch == "C" else SIFT)
+    final = evo.state
+    labels = data.draw(st.permutations(final.layout.labels))
+    labels = labels[: data.draw(st.integers(1, len(labels)))]
+    got, want = _front(final, labels), reference_front(final, labels)
+    assert np.shares_memory(got, final.amps)
+    assert np.array_equal(got.reshape(want.shape), want)
+    for holevo in (False, True):
+        assert _leakage_from_final(final, pattern, holevo) == reference_leakage_from_final(
+            final, pattern, holevo
+        )
 
 
 def test_walker_memory_holds_no_sift_child_across_ctrl_subtrees():

@@ -190,9 +190,9 @@ def test_templated_attacks_match_explicit_oracles(build, oracle):
         assert got.records == want.records
         assert got.final_state.layout == want.final_state.layout
         assert np.array_equal(got.final_state.amps, want.final_state.amps)
-        assert analysis.theorem_check(
-            att, max_pattern_len=n, compute_holevo=True
-        ) == analysis.theorem_check(ref, max_pattern_len=n, compute_holevo=True)
+        assert analysis.theorem_check(att, max_pattern_len=n) == analysis.theorem_check(
+            ref, max_pattern_len=n
+        )
         for pattern in ("S" * n, "C" * (n - 1) + "S"):
             assert analysis.eve_leakage(att, pattern) == analysis.eve_leakage(ref, pattern)
     cfg = ProtocolConfig(rounds=500, seed=5)
