@@ -56,7 +56,7 @@ from .engine import (
     trace_distance,
 )
 from .errors import ExactCapExceeded
-from .protocol import CTRL, EXACT_ROUND_CAP, JointEvolution, SIFT
+from .protocol import CTRL, EXACT_ROUND_CAP, JointEvolution, SIFT, check_exact_size
 
 RESIDUAL_TOL = 1e-9
 
@@ -224,6 +224,7 @@ def _walk_patterns(attack: AttackSpec, patterns):
     would hold the larger SIFT child instead.
     """
     wanted = set(patterns)
+    check_exact_size(attack, max(map(len, wanted), default=0))
     inner = {p[:k] for p in wanted for k in range(len(p))}
     nodes = wanted | inner
 
@@ -300,9 +301,7 @@ def _leakage_from_final(
     )
 
 
-def eve_leakage(
-    attack: AttackSpec, pattern: str, compute_holevo: bool = True
-) -> LeakageReport:
+def eve_leakage(attack: AttackSpec, pattern: str) -> LeakageReport:
     """Distinguishability of Eve's final state across Alice's bit values.
 
     Runs the pattern coherently, then for each SIFT position conditions
@@ -314,7 +313,7 @@ def eve_leakage(
     """
     pattern = _normalize_pattern(pattern)
     _, final, _ = next(_walk_patterns(attack, [pattern]))
-    return _leakage_from_final(final, pattern, compute_holevo)
+    return _leakage_from_final(final, pattern, compute_holevo=True)
 
 
 # ---------------------------------------------------------------------------

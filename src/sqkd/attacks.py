@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from . import engine
 from .errors import DuplicateRound, InvalidState, ParamOutOfRange, UnknownAttack
 from .engine import (
     StateVector,
@@ -32,7 +31,6 @@ from .engine import (
     ket_zero,
     rotation,
     swap_gate,
-    tensor,
     trivial_state,
 )
 
@@ -167,20 +165,6 @@ class AttackSpec:
     def probe_labels(self) -> tuple[str, ...]:
         return tuple(eve_probe(i) for i in range(len(self.probe_dims)))
 
-    def all_gates(self):
-        gates = list(self.forward.values()) + list(self.backward.values())
-        for g in (self.default_forward, self.default_backward):
-            if g is not None:
-                gates.append(g)
-        for i in range(len(self.probe_dims) if self.template is not None else 0):
-            for mapping, u in (
-                (self.forward, self.template.forward),
-                (self.backward, self.template.backward),
-            ):
-                if u is not None and i not in mapping:
-                    gates.append(self._template_gate(i, u))
-        return gates
-
     def forward_gate(self, round_index: int) -> Gate | None:
         if round_index in self.forward:
             return self.forward[round_index]
@@ -221,15 +205,6 @@ class AttackSpec:
         except KeyError:
             raise InvalidState(f"no probe factor holds label {label!r}") from None
 
-    def probe_state(self) -> StateVector:
-        """Dense joint probe state (small shared probes only)."""
-        factors = self.probe_factors or [self.probe_factor(l) for l in self.probe_labels]
-        state = factors[0]
-        for f in factors[1:]:
-            state = tensor(state, f)
-        order = [l for l in self.probe_labels if l in state.layout.labels]
-        return engine.permute(state, order)
-
     def last_use(self, label: str, n_rounds: int) -> int:
         """Index of the last round whose gates touch label; -1 if none does.
 
@@ -244,14 +219,6 @@ class AttackSpec:
         if r is not None and r < n_rounds and self._template_touches(r):
             last = max(last, r)
         return last
-
-    def last_use_map(self, n_rounds: int) -> dict[str, int]:
-        """last_use of every probe label some gate touches."""
-        labels = set(self._explicit_last) | self._default_labels
-        if self.template is not None:
-            n = min(n_rounds, len(self.probe_dims))
-            labels.update(eve_probe(i) for i in range(n) if self._template_touches(i))
-        return {l: self.last_use(l, n_rounds) for l in labels}
 
 
 # ---------------------------------------------------------------------------

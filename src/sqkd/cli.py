@@ -20,7 +20,6 @@ from .errors import (
     GridTooLarge,
     ParamOutOfRange,
     SqkdError,
-    UnknownAttack,
     UnknownFamily,
 )
 from .protocol import (
@@ -71,10 +70,6 @@ def _load_run_config(path: str) -> tuple[ProtocolConfig, dict]:
     unknown = set(attack_raw) - _ATTACK_KEYS
     if unknown:
         raise ValueError(f"unknown attack keys: {sorted(unknown)}")
-    if attack_raw["name"] not in ATTACK_NAMES:
-        raise UnknownAttack(
-            f"unknown attack {attack_raw['name']!r}; known: {', '.join(ATTACK_NAMES)}"
-        )
     # keys left out of the file take ProtocolConfig's defaults
     kwargs = {
         f.name: _coerce(f.name, f.type, raw[f.name])

@@ -179,13 +179,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @staticmethod
-    def from_state(psi: StateVector | SubnormalizedVector) -> "DensityMatrix":
-        amps = psi.amps
-        if isinstance(psi, SubnormalizedVector):
-            amps = psi.normalized().amps
-        return DensityMatrix(np.outer(amps, amps.conj()))
-
 
 @dataclass(frozen=True)
 class Unitary:
@@ -213,34 +206,23 @@ class Unitary:
 # ---------------------------------------------------------------------------
 
 
-def single(label: str, amps, dim: int | None = None) -> StateVector:
+def single(label: str, amps) -> StateVector:
     """One-subsystem state from raw amplitudes."""
     amps = np.asarray(amps, dtype=complex).reshape(-1)
-    d = dim if dim is not None else amps.shape[0]
-    return StateVector(SubsystemLayout((d,), (label,)), amps)
+    return StateVector(SubsystemLayout((amps.shape[0],), (label,)), amps)
 
 
 def ket_zero(label: str) -> StateVector:
     return single(label, [1, 0])
 
 
-def ket_one(label: str) -> StateVector:
-    return single(label, [0, 1])
-
-
 def ket_plus(label: str) -> StateVector:
     return single(label, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
-def basis_state(layout: SubsystemLayout, index: int) -> StateVector:
-    amps = np.zeros(layout.dim, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(layout, amps)
-
-
 def trivial_state(label: str) -> StateVector:
     """Dimension-1 placeholder subsystem."""
-    return single(label, [1], dim=1)
+    return single(label, [1])
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +538,7 @@ def factor_out(psi: StateVector, label: str) -> tuple[StateVector, StateVector]:
     rest_dims = tuple(dd for i, dd in enumerate(psi.layout.dims) if i != pos)
     rest_labels = tuple(ll for i, ll in enumerate(psi.layout.labels) if i != pos)
     return (
-        single(label, phi, dim=d),
+        single(label, phi),
         StateVector(SubsystemLayout(rest_dims, rest_labels), rest_amps),
     )
 

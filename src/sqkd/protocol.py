@@ -160,7 +160,7 @@ class Transcript:
     def records(self) -> list[RoundRecord]:
         """One RoundRecord per round, built from the codes and roles."""
         keys, classes = _round_classes(self)
-        return [RoundRecord(i, *classes[k]) for i, k in enumerate(keys)]
+        return [RoundRecord(i, *classes[k]) for i, k in enumerate(keys.tolist())]
 
 
 @dataclass(frozen=True)
@@ -285,13 +285,18 @@ def exact_state_dim(attack: AttackSpec, n_rounds: int) -> int:
     return 4**n_rounds * math.prod(f.dim for f in factors)
 
 
-def _run_exact(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript:
-    dim = exact_state_dim(attack, config.rounds)
+def check_exact_size(attack: AttackSpec, n_rounds: int):
+    """Raise ExactCapExceeded if an n_rounds exact state exceeds EXACT_AMPLITUDE_CAP."""
+    dim = exact_state_dim(attack, n_rounds)
     if dim > EXACT_AMPLITUDE_CAP:
         raise ExactCapExceeded(
-            f"an exact {config.rounds}-round run of {attack.name!r} would hold {dim} "
+            f"an exact {n_rounds}-round run of {attack.name!r} would hold {dim} "
             f"amplitudes, above the cap of {EXACT_AMPLITUDE_CAP}"
         )
+
+
+def _run_exact(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript:
+    check_exact_size(attack, config.rounds)
     evo = JointEvolution(attack)
     codes = np.empty(config.rounds, dtype=np.int8)
     for i in range(config.rounds):
@@ -752,10 +757,10 @@ def _record_fields(code: int, role: str | None) -> tuple:
     return SIFT, bit, role, None, z, bit != z if role == ROLE_TEST else None
 
 
-def _round_classes(transcript: Transcript) -> tuple[list[int], dict[int, tuple]]:
+def _round_classes(transcript: Transcript) -> tuple[np.ndarray, dict[int, tuple]]:
     """Each round's class, 2*code plus 1 on a Test round, and each class's
     record fields after the index; at most 10 classes once roles are set."""
-    keys = 2 * transcript.codes.astype(np.intp)
+    keys = 2 * transcript.codes
     if transcript.test is not None:
         keys += transcript.test
 
@@ -764,8 +769,11 @@ def _round_classes(transcript: Transcript) -> tuple[list[int], dict[int, tuple]]
             return None
         return ROLE_CTRL if k < 4 else ROLE_TEST if k & 1 else ROLE_KEY
 
-    keys = keys.tolist()
-    return keys, {k: _record_fields(k >> 1, role(k)) for k in set(keys)}
+    return keys, {k: _record_fields(k >> 1, role(k)) for k in np.unique(keys).tolist()}
+
+
+#: rounds whose lines write_transcript builds and writes at once
+_CHUNK = 1 << 16
 
 
 def write_transcript(path, transcript: Transcript, header_extra: dict | None = None):
@@ -774,7 +782,8 @@ def write_transcript(path, transcript: Transcript, header_extra: dict | None = N
     The header is the config's fields, then header_extra; each record line is
     the RoundRecord's fields in field order, as json.dumps(vars(rec)) writes
     them.  Rounds of one class (_round_classes) share the text after the
-    index, so that tail is serialised once per class.
+    index, so that tail is serialised once per class.  Lines are built and
+    written _CHUNK rounds at a time, so the text of a run is never held whole.
     """
     header = asdict(transcript.config)
     if header_extra:
@@ -782,13 +791,14 @@ def write_transcript(path, transcript: Transcript, header_extra: dict | None = N
     keys, classes = _round_classes(transcript)
     head = '{"index": 0'
     tails = {
-        k: json.dumps(dict(zip(_RECORD_NAMES, (0, *f))))[len(head) :] for k, f in classes.items()
+        k: json.dumps(dict(zip(_RECORD_NAMES, (0, *f))))[len(head) :] + "\n"
+        for k, f in classes.items()
     }
-    lines = [json.dumps(header)]
-    lines += [f'{{"index": {i}{tails[k]}' for i, k in enumerate(keys)]
-    lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+        fh.write(json.dumps(header) + "\n")
+        for start in range(0, len(keys), _CHUNK):
+            chunk = keys[start : start + _CHUNK].tolist()
+            fh.write("".join([f'{{"index": {i}{tails[k]}' for i, k in enumerate(chunk, start)]))
 
 
 def read_transcript(path) -> tuple[dict, list[RoundRecord]]:

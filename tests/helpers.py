@@ -31,7 +31,6 @@ from sqkd.engine import (
     _weight,
     alice_probe,
     apply_unitary,
-    basis_state,
     bob_memory,
     cnot,
     draw_outcome,
@@ -88,7 +87,7 @@ def transit_phase_attack(phi):
     return AttackSpec(
         name="transit_phase",
         probe_dims=(1,),
-        probe_factors=(single("E0", [1], dim=1),),
+        probe_factors=(single("E0", [1]),),
         default_forward=Gate(phase_gate(phi), ("T",)),
         params={"phi": phi},
     )
@@ -423,7 +422,9 @@ def reference_rate_expectations(attack, n_rounds, ctrl_prob):
 
 def reference_gate_matrix(gate, layout):
     """Matrix of a gate on layout, one basis column at a time through apply_gate."""
-    cols = [apply_gate(basis_state(layout, k), gate).amps for k in range(layout.dim)]
+    cols = [
+        apply_gate(StateVector(layout, e), gate).amps for e in np.eye(layout.dim, dtype=complex)
+    ]
     return np.stack(cols, axis=1)
 
 
@@ -442,7 +443,7 @@ def reference_sampling(config, attack):
     empty = StateVector(SubsystemLayout((), ()), np.ones(1, dtype=complex))
     records = []
     evo = JointEvolution(attack)
-    last_use = attack.last_use_map(config.rounds)
+    last_use = {l: attack.last_use(l, config.rounds) for l in attack.probe_labels}
 
     for i in range(config.rounds):
         evo.start_round(i)

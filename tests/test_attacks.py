@@ -72,13 +72,17 @@ def test_every_builtin_validates_at_construction():
         swap_attack(3),
         phase_probe_attack(1.0),
     ):
-        for gate in att.all_gates():
-            d = gate.unitary.dim
-            defect = np.linalg.norm(
-                gate.unitary.entries.conj().T @ gate.unitary.entries - np.eye(d)
-            )
-            assert defect < 1e-9
-        assert abs(np.linalg.norm(att.probe_state().amps) - 1) < 1e-10
+        for i in range(4):
+            for gate in (att.forward_gate(i), att.backward_gate(i)):
+                if gate is None:
+                    continue
+                d = gate.unitary.dim
+                defect = np.linalg.norm(
+                    gate.unitary.entries.conj().T @ gate.unitary.entries - np.eye(d)
+                )
+                assert defect < 1e-9
+        for label in att.probe_labels:
+            assert abs(np.linalg.norm(att.probe_factor(label).amps) - 1) < 1e-10
 
 
 def test_cnot_parity_duplicate_round():
@@ -154,12 +158,12 @@ def test_cnot_parity_rejects_negative_rounds():
 
 
 def test_last_use_map():
-    att = cnot_parity_attack((1, 3))
-    assert att.last_use_map(6) == {"E0": 3}
-    att = phase_probe_attack(0.5)
-    assert att.last_use_map(6) == {"E0": 5}
-    att = measure_resend_z_attack(2)
-    assert att.last_use_map(2) == {"E0": 0, "E1": 1}
+    def last_use(att, n_rounds):
+        return {l: att.last_use(l, n_rounds) for l in att.probe_labels}
+
+    assert last_use(cnot_parity_attack((1, 3)), 6) == {"E0": 3}
+    assert last_use(phase_probe_attack(0.5), 6) == {"E0": 5}
+    assert last_use(measure_resend_z_attack(2), 2) == {"E0": 0, "E1": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +184,8 @@ def test_templated_attacks_match_explicit_oracles(build, oracle):
         att, ref = build(n), oracle(n)
         assert att.probe_dims == ref.probe_dims
         for rounds in (n, n + 3):  # rounds past the register take no gates
-            assert att.last_use_map(rounds) == ref.last_use_map(rounds)
+            for label in att.probe_labels:
+                assert att.last_use(label, rounds) == ref.last_use(label, rounds)
             for seed in range(3):
                 for ctrl_prob in (0.0, 0.3, 1.0):
                     cfg = ProtocolConfig(rounds=rounds, ctrl_prob=ctrl_prob, seed=seed)

@@ -17,7 +17,6 @@ from sqkd.engine import (
     cnot,
     factor_out,
     hadamard,
-    ket_one,
     ket_plus,
     ket_zero,
     measure,
@@ -139,7 +138,7 @@ def test_tensor_norm_on_random_pairs():
 
 def test_tensor_duplicate_label():
     with pytest.raises(DuplicateLabel):
-        tensor(ket_zero("a"), ket_one("a"))
+        tensor(ket_zero("a"), single("a", [0, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +300,7 @@ def test_outcome_threshold_matches_the_clamped_oracle_at_its_edges():
 
 from helpers import reference_measure as _reference_measure
 
-_KETS = {0: ket_zero, 1: ket_one, PLUS: ket_plus, MINUS: ket_minus}
+_KETS = {0: ket_zero, 1: lambda l: single(l, [0, 1]), PLUS: ket_plus, MINUS: ket_minus}
 
 
 @settings(max_examples=60, deadline=None)
@@ -489,9 +488,10 @@ def test_partial_trace_matches_oracle_on_random_states(dims, data):
 def test_trace_distance_basics():
     rho = partial_trace(bell(), ["q0"])
     assert trace_distance(rho, rho) == 0.0
-    r0 = DensityMatrix.from_state(ket_zero("q"))
-    r1 = DensityMatrix.from_state(ket_one("q"))
-    rp = DensityMatrix.from_state(ket_plus("q"))
+    r0, r1, rp = (
+        DensityMatrix(np.outer(a, a.conj()))
+        for a in (ket_zero("q").amps, single("q", [0, 1]).amps, ket_plus("q").amps)
+    )
     assert abs(trace_distance(r0, r1) - 1.0) < 1e-12
     assert abs(trace_distance(r0, rp) - math.sqrt(0.5)) < 1e-12
 
@@ -521,7 +521,8 @@ def test_trace_distance_metric_axioms():
 
 def test_purity_bounds():
     rng = np.random.default_rng(41)
-    assert abs(purity(DensityMatrix.from_state(ket_plus("q"))) - 1) < 1e-9
+    a = ket_plus("q").amps
+    assert abs(purity(DensityMatrix(np.outer(a, a.conj()))) - 1) < 1e-9
     assert abs(purity(DensityMatrix(np.eye(2) / 2)) - 0.5) < 1e-12
     for dim in (2, 3, 4):
         for _ in range(20):
@@ -544,9 +545,9 @@ def test_permute():
 
 
 def test_factor_out_product_and_entangled():
-    psi = tensor(ket_plus("a"), ket_one("b"))
+    psi = tensor(ket_plus("a"), single("b", [0, 1]))
     phi, rest = factor_out(psi, "a")
     assert phase_deviation(phi, ket_plus("a")) < 1e-9
-    assert phase_deviation(rest, ket_one("b")) < 1e-9
+    assert phase_deviation(rest, single("b", [0, 1])) < 1e-9
     with pytest.raises(FactorizationError):
         factor_out(bell(), "q0")

@@ -1,14 +1,16 @@
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqkd import cli, engine, protocol
+from sqkd import analysis, cli, engine, protocol
 from sqkd.attacks import (
     ATTACK_NAMES,
     AttackSpec,
@@ -54,6 +56,7 @@ from sqkd.protocol import (
     SIFT,
     JointEvolution,
     RoundRecord,
+    Transcript,
     classical_phase,
     derive_seed,
     exact_state_dim,
@@ -188,6 +191,24 @@ def test_exact_size_estimate_refuses_before_allocating(tmp_path, monkeypatch, ca
         tracemalloc.stop()
     assert peak < 1 << 20  # the refusal builds no state
     assert str(4**8 * 3**8) in capsys.readouterr().err
+
+
+def test_every_dense_walk_refuses_a_state_above_the_amplitude_cap(monkeypatch):
+    def refuse(self, i):
+        raise AssertionError("a round was evolved")
+
+    monkeypatch.setattr(JointEvolution, "start_round", refuse)
+    attack = fresh_qutrit_attack(7)
+    entry_points = [
+        lambda: analysis.eve_leakage(attack, "S" * 7),
+        lambda: analysis.constraint_reports(attack, "C" * 7),
+        lambda: analysis.theorem_check(attack, max_pattern_len=7),
+        lambda: analysis.product_structure_check(attack, "S" * 7),
+        lambda: analysis.exact_rate_expectations(attack, 7, 0.5),
+    ]
+    for call in entry_points:
+        with pytest.raises(ExactCapExceeded, match=str(4**7 * 3**7)):
+            call()
 
 
 @pytest.mark.parametrize("rounds", range(1, 7))
@@ -497,11 +518,12 @@ def oracle_runs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(run=oracle_runs())
+@given(run=oracle_runs(), chunk=st.sampled_from([1, 2, 7, 2**16]))
 @example(  # key bits that disagree, Test errors, and an abort above 0.3
-    run=(ProtocolConfig(rounds=60, seed=3, abort_threshold=0.3), "swap", swap_attack(60))
+    run=(ProtocolConfig(rounds=60, seed=3, abort_threshold=0.3), "swap", swap_attack(60)),
+    chunk=7,
 )
-def test_codes_match_the_record_oracles(tmp_path_factory, run):
+def test_codes_match_the_record_oracles(tmp_path_factory, run, chunk):
     cfg, name, att = run
     transcript = run_protocol(cfg, att)
     records = transcript.records
@@ -512,10 +534,26 @@ def test_codes_match_the_record_oracles(tmp_path_factory, run):
     tmp = tmp_path_factory.mktemp("transcripts")
     extra = {"attack": {"name": name}}
     reference_write_transcript(tmp / "want.jsonl", cfg, records, header_extra=extra)
-    write_transcript(tmp / "got.jsonl", transcript, header_extra=extra)
+    with mock.patch.object(protocol, "_CHUNK", chunk):
+        write_transcript(tmp / "got.jsonl", transcript, header_extra=extra)
     assert (tmp / "got.jsonl").read_bytes() == (tmp / "want.jsonl").read_bytes()
     header, read = read_transcript(tmp / "got.jsonl")
     assert stats_from_records(read, header["abort_threshold"]) == stats
+
+
+def test_writer_holds_one_chunk_of_text():
+    rounds = 10**6
+    rng = np.random.default_rng(4)
+    codes = rng.integers(0, 6, size=rounds).astype(np.int8)
+    test = (codes >= 2) & (rng.random(rounds) < 0.5)
+    transcript = Transcript(ProtocolConfig(rounds=rounds), codes, test=test)
+    tracemalloc.start()
+    try:
+        write_transcript(os.devnull, transcript)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 @pytest.mark.parametrize("mode", [MODE_SAMPLING, MODE_EXACT])
@@ -693,7 +731,8 @@ def _patched_swap_attack(n_rounds):
 @pytest.mark.parametrize("ctrl_prob", [0.0, 0.3, 1.0])
 def test_templates_with_explicit_entries_match_dense_reference(ctrl_prob):
     att = _patched_swap_attack(12)
-    assert att.last_use_map(20) == {**{f"E{i}": i for i in range(12) if i != 9}, "E2": 7}
+    last_use = {l: att.last_use(l, 20) for l in att.probe_labels}
+    assert last_use == {**{f"E{i}": i for i in range(12)}, "E2": 7, "E9": -1}
     assert att.last_use("E9", 20) == -1
     for seed in range(5):
         cfg = ProtocolConfig(rounds=20, ctrl_prob=ctrl_prob, seed=seed)
