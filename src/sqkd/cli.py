@@ -15,16 +15,11 @@ from pathlib import Path
 
 from .analysis import constraint_check, constraint_reports, eve_leakage, theorem_check
 from .attacks import ATTACK_NAMES, build_attack
-from .errors import (
-    EmptyGrid,
-    GridTooLarge,
-    ParamOutOfRange,
-    SqkdError,
-    UnknownFamily,
-)
+from .errors import EmptyGrid, GridTooLarge, ParamOutOfRange, SqkdError
 from .protocol import (
     ProtocolConfig,
     classical_phase,
+    config_value,
     run_protocol,
     stream_rng,
     write_transcript,
@@ -36,22 +31,7 @@ _ATTACK_KEYS = {"name", "params", "rounds"}
 #: most points a scan grid may hold; each costs a check, so a larger grid is a typo
 MAX_GRID_POINTS = 100_000
 
-#: attack families that support parameter scans, with their scannable parameter
-_SCAN_FAMILIES = {"phase_probe": "theta"}
-
 SEED_ENV = "SQKD_SEED"
-
-
-def _coerce(key: str, kind: type, value):
-    """A config value as its field's type; numbers refuse bools and strings, ints fractions."""
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-    elif kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return kind(value)
 
 
 def _load_run_config(path: str) -> tuple[ProtocolConfig, dict]:
@@ -72,7 +52,7 @@ def _load_run_config(path: str) -> tuple[ProtocolConfig, dict]:
         raise ValueError(f"unknown attack keys: {sorted(unknown)}")
     # keys left out of the file take ProtocolConfig's defaults
     kwargs = {
-        f.name: _coerce(f.name, f.type, raw[f.name])
+        f.name: config_value(f.name, f.type, raw[f.name])
         for f in fields(ProtocolConfig)
         if f.name in raw
     }
@@ -110,7 +90,7 @@ def cmd_run(config_path: str, out_path: str) -> int:
         raise ValueError(f"attack params must be an object, got {params!r}")
     attack = build_attack(
         attack_raw["name"],
-        params={k: _coerce(f"param {k}", float, v) for k, v in (params or {}).items()},
+        params={k: config_value(f"param {k}", float, v) for k, v in (params or {}).items()},
         n_rounds=config.rounds,
         rounds=tuple(rounds_pair) if rounds_pair is not None else None,
     )
@@ -169,11 +149,8 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_scan(family: str, param: str, grid: list[float], out_csv: str) -> int:
-    if family not in _SCAN_FAMILIES or _SCAN_FAMILIES[family] != param:
-        raise UnknownFamily(
-            f"family {family!r} has no scannable parameter {param!r}; "
-            f"supported: {_SCAN_FAMILIES}"
-        )
+    """One CSV row per grid point; build_attack refuses an unknown attack or
+    parameter at the first point, before the CSV is opened."""
     rows = []
     for value in grid:
         attack = build_attack(family, params={param: value})
@@ -190,7 +167,7 @@ def cmd_scan(family: str, param: str, grid: list[float], out_csv: str) -> int:
         )
     with open(out_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["theta", "ctrl_error", "test_error", "trace_distance", "holevo"])
+        writer.writerow([param, "ctrl_error", "test_error", "trace_distance", "holevo"])
         writer.writerows(rows)
     return 0
 

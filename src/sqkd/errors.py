@@ -52,7 +52,7 @@ class AttackLayoutMismatch(SqkdError):
 
 
 class IncompleteTranscript(SqkdError):
-    """The classical phase was invoked on a transcript missing required data."""
+    """A transcript, in memory or read back from a file, lacks or garbles required data."""
 
 
 # attacks
@@ -71,10 +71,6 @@ class ParamOutOfRange(SqkdError):
 
 class UnknownAttack(SqkdError):
     """Attack name not present in the registry."""
-
-
-class UnknownFamily(SqkdError):
-    """Scan requested over an attack family that has no such parameter."""
 
 
 class EmptyGrid(SqkdError):

@@ -25,6 +25,7 @@ aborts the run.
 
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
@@ -121,6 +122,18 @@ class ProtocolConfig:
             )
 
 
+def config_value(key: str, kind: type, value):
+    """A config value as its field's type; numbers refuse bools and strings, ints fractions."""
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    elif kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return kind(value)
+
+
 @dataclass
 class RoundRecord:
     index: int
@@ -159,8 +172,8 @@ class Transcript:
     @property
     def records(self) -> list[RoundRecord]:
         """One RoundRecord per round, built from the codes and roles."""
-        keys, classes = _round_classes(self)
-        return [RoundRecord(i, *classes[k]) for i, k in enumerate(keys.tolist())]
+        table = _FIELDS[self.test is not None]
+        return [RoundRecord(i, *table[k]) for i, k in enumerate(_class_keys(self).tolist())]
 
 
 @dataclass(frozen=True)
@@ -636,10 +649,16 @@ def _key_text(bits: np.ndarray) -> str:
     return (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
 
 
-def _count(codes: np.ndarray, test: np.ndarray, abort_threshold: float) -> RunStats:
-    """Statistics of rounds with roles, by outcome code: a code below 2 is a
-    Ctrl round, any other a Test round where test is set and a Key round
-    elsewhere."""
+def run_stats(transcript: Transcript) -> RunStats:
+    """Statistics of a transcript by outcome code: a code below 2 is a Ctrl
+    round, any other a Test round where test is set and a Key round elsewhere.
+    Raises IncompleteTranscript when roles are unset or an outcome pending."""
+    codes, test = transcript.codes, transcript.test
+    if test is None:
+        raise IncompleteTranscript("the transcript has no roles; classical_phase assigns them")
+    pending = np.flatnonzero((codes < 0) | (codes >= _PENDING_SIFT))
+    if len(pending):
+        raise IncompleteTranscript(f"round {pending[0]} lacks recorded outcomes")
     sift = codes >= 2
     key = sift & ~test
     alice, bob = (codes - 2) >> 1, (codes - 2) & 1
@@ -649,6 +668,7 @@ def _count(codes: np.ndarray, test: np.ndarray, abort_threshold: float) -> RunSt
     ctrl_rate = ctrl_errors / n_ctrl if n_ctrl else 0.0
     test_rate = test_errors / n_test if n_test else 0.0
     mismatches = int((wrong & key).sum())
+    threshold = transcript.config.abort_threshold
     return RunStats(
         n_ctrl=n_ctrl,
         n_test=n_test,
@@ -660,34 +680,8 @@ def _count(codes: np.ndarray, test: np.ndarray, abort_threshold: float) -> RunSt
         key_alice=_key_text(alice[key]),
         key_bob=_key_text(bob[key]),
         key_mismatch_rate=mismatches / n_key if n_key else 0.0,
-        aborted=bool(ctrl_rate > abort_threshold or test_rate > abort_threshold),
+        aborted=bool(ctrl_rate > threshold or test_rate > threshold),
     )
-
-
-def stats_from_records(records, abort_threshold: float) -> RunStats:
-    """Statistics of role-assigned records, counted as classical_phase counts codes.
-
-    Each record with a role is encoded as an outcome code: a Ctrl record from
-    its X outcome, a Key or Test record from its bits; errors follow from the
-    outcomes.  Records without a role are left out.  Raises
-    IncompleteTranscript when a Key or Test record's alice_bit or
-    bob_z_outcome is not the int 0 or 1: True, 1.0 and the like are refused.
-    """
-    codes, test = [], []
-    for r in records:
-        if r.role == ROLE_CTRL:
-            codes.append(int(r.bob_x_outcome == MINUS))
-        elif r.role in (ROLE_TEST, ROLE_KEY):
-            bit, z = r.alice_bit, r.bob_z_outcome
-            if not (type(bit) is int and type(z) is int and bit in (0, 1) and z in (0, 1)):
-                raise IncompleteTranscript(
-                    f"round {r.index} is a {r.role} record whose bits are not 0 or 1"
-                )
-            codes.append(2 + 2 * bit + z)
-        else:
-            continue
-        test.append(r.role == ROLE_TEST)
-    return _count(np.array(codes, dtype=np.int8), np.array(test, dtype=bool), abort_threshold)
 
 
 def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStats:
@@ -703,7 +697,8 @@ def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStat
     partitioned into TEST (test_fraction, drawn uniformly without
     replacement from the same rng) and Key.
     The transcript's codes are completed and its Test rounds marked in place;
-    the returned stats alone are what the parties would publish.
+    the returned stats, run_stats of the transcript, alone are what the
+    parties would publish.
     """
     config = transcript.config
     codes = transcript.codes
@@ -722,10 +717,6 @@ def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStat
                 bit, state, _ = measure_out(state, alice_probe(i), "z", rng)
                 z, state, _ = measure_out(state, bob_memory(i), "z", rng)
                 codes[i] = 2 + 2 * bit + z
-    else:
-        pending = np.flatnonzero((codes < 0) | (codes >= _PENDING_SIFT))
-        if len(pending):
-            raise IncompleteTranscript(f"round {pending[0]} lacks recorded outcomes")
 
     sift = np.flatnonzero(codes >= 2)
     n_test = int(round(config.test_fraction * len(sift)))
@@ -733,7 +724,7 @@ def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStat
     if n_test:
         test[sift[rng.choice(len(sift), size=n_test, replace=False)]] = True
     transcript.test = test
-    return _count(codes, test, config.abort_threshold)
+    return run_stats(transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -741,9 +732,9 @@ def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStat
 # ---------------------------------------------------------------------------
 
 
-_CONFIG_FIELDS = {f.name for f in fields(ProtocolConfig)}
+#: each config field's type, as config_value reads it
+_CONFIG_TYPES = {f.name: f.type for f in fields(ProtocolConfig)}
 _RECORD_NAMES = [f.name for f in fields(RoundRecord)]
-_RECORD_FIELDS = set(_RECORD_NAMES)
 
 
 def _record_fields(code: int, role: str | None) -> tuple:
@@ -757,19 +748,35 @@ def _record_fields(code: int, role: str | None) -> tuple:
     return SIFT, bit, role, None, z, bit != z if role == ROLE_TEST else None
 
 
-def _round_classes(transcript: Transcript) -> tuple[np.ndarray, dict[int, tuple]]:
-    """Each round's class, 2*code plus 1 on a Test round, and each class's
-    record fields after the index; at most 10 classes once roles are set."""
-    keys = 2 * transcript.codes
-    if transcript.test is not None:
-        keys += transcript.test
+#: the line format, built once.  Indexed by whether roles are set, each
+#: class's record fields after the index, by class key (2*code, plus 1 on a
+#: Test round): without roles a class per code, pending codes included; with
+#: them, one per Ctrl code and one per SIFT code on a Key and a Test round
+_FIELDS = (
+    {2 * c: _record_fields(c, None) for c in range(_PENDING_CTRL, _PENDING_SIFT + 1)},
+    {
+        2 * c + t: _record_fields(c, ROLE_TEST if t else ROLE_CTRL if c < 2 else ROLE_KEY)
+        for c in range(_PENDING_SIFT)
+        for t in (0, 1)
+        if c >= 2 or not t
+    },
+)
+#: each class's line text after the index, newline included, as
+#: json.dumps(vars(record)) writes it
+_TAILS = tuple(
+    {
+        k: json.dumps(dict(zip(_RECORD_NAMES, (0, *f))))[len('{"index": 0') :] + "\n"
+        for k, f in t.items()
+    }
+    for t in _FIELDS
+)
+#: the reader's inverse: each tail, without its newline, to (roles set, code, Test bit)
+_CLASS_OF = {t[:-1]: (r, k >> 1, k & 1) for r in (False, True) for k, t in _TAILS[r].items()}
 
-    def role(k):
-        if transcript.test is None:
-            return None
-        return ROLE_CTRL if k < 4 else ROLE_TEST if k & 1 else ROLE_KEY
 
-    return keys, {k: _record_fields(k >> 1, role(k)) for k in np.unique(keys).tolist()}
+def _class_keys(transcript: Transcript) -> np.ndarray:
+    """Each round's class key in _FIELDS and _TAILS."""
+    return 2 * transcript.codes + (0 if transcript.test is None else transcript.test)
 
 
 #: rounds whose lines write_transcript builds and writes at once
@@ -779,21 +786,19 @@ _CHUNK = 1 << 16
 def write_transcript(path, transcript: Transcript, header_extra: dict | None = None):
     """One JSON record per line, preceded by a header line with the config.
 
-    The header is the config's fields, then header_extra; each record line is
-    the RoundRecord's fields in field order, as json.dumps(vars(rec)) writes
-    them.  Rounds of one class (_round_classes) share the text after the
-    index, so that tail is serialised once per class.  Lines are built and
-    written _CHUNK rounds at a time, so the text of a run is never held whole.
+    The header is the config's fields, then header_extra, which may not
+    overwrite a config field (ValueError); each record line is the
+    RoundRecord's fields in field order, its index followed by its class's
+    tail from _TAILS.  Lines are built and written _CHUNK rounds at a time,
+    so the text of a run is never held whole.
     """
     header = asdict(transcript.config)
-    if header_extra:
-        header.update(header_extra)
-    keys, classes = _round_classes(transcript)
-    head = '{"index": 0'
-    tails = {
-        k: json.dumps(dict(zip(_RECORD_NAMES, (0, *f))))[len(head) :] + "\n"
-        for k, f in classes.items()
-    }
+    clash = sorted(_CONFIG_TYPES.keys() & (header_extra or {}))
+    if clash:
+        raise ValueError(f"header_extra may not overwrite the config fields {clash}")
+    header.update(header_extra or {})
+    keys = _class_keys(transcript)
+    tails = _TAILS[transcript.test is not None]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
         for start in range(0, len(keys), _CHUNK):
@@ -801,30 +806,48 @@ def write_transcript(path, transcript: Transcript, header_extra: dict | None = N
             fh.write("".join([f'{{"index": {i}{tails[k]}' for i, k in enumerate(chunk, start)]))
 
 
-def read_transcript(path) -> tuple[dict, list[RoundRecord]]:
-    """Header and records of a transcript written by write_transcript.
+def read_transcript(path) -> tuple[dict, Transcript]:
+    """Header and transcript of a file write_transcript wrote, read line by line.
 
-    Raises IncompleteTranscript for an empty file, a header that lacks a
-    config key, or a record whose fields differ from RoundRecord's.
+    Record i must be the line written for round i: its index, then a tail
+    from _TAILS, with roles on every line or on none; blank lines are
+    skipped.  Raises IncompleteTranscript, naming the line, for an empty
+    file, a header holding no valid config, any other record line, or more
+    or fewer records than the header's rounds.
     """
+    codes, test = array("b"), bytearray()
     with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line]
-    if not lines:
-        raise IncompleteTranscript(f"transcript {path} is empty")
-    header = json.loads(lines[0])
-    if not isinstance(header, dict) or not _CONFIG_FIELDS <= set(header):
-        raise IncompleteTranscript(
-            f"transcript header must hold the config keys {sorted(_CONFIG_FIELDS)}"
-        )
-    records = []
-    for n, line in enumerate(lines[1:], start=2):
-        d = json.loads(line)
-        if not isinstance(d, dict) or set(d) != _RECORD_FIELDS:
+        stripped = (line.rstrip("\n") for line in fh)
+        lines = ((n, line) for n, line in enumerate(stripped, start=1) if line)
+        n, line = next(lines, (0, None))
+        if line is None:
+            raise IncompleteTranscript(f"transcript {path} is empty")
+        try:
+            header = json.loads(line)
+            values = {k: config_value(k, t, header[k]) for k, t in _CONFIG_TYPES.items()}
+            config = ProtocolConfig(**values)
+        except (KeyError, TypeError, ValueError, ExactCapExceeded) as exc:
             raise IncompleteTranscript(
-                f"line {n} is not a record with exactly the fields {sorted(_RECORD_FIELDS)}"
-            )
-        records.append(RoundRecord(**d))
-    return header, records
+                f"line {n}: the header holds no valid config ({type(exc).__name__}: {exc})"
+            ) from None
+        roles = False
+        for i, (n, line) in zip(range(config.rounds), lines):
+            head = f'{{"index": {i}'
+            cls = _CLASS_OF.get(line[len(head) :]) if line.startswith(head) else None
+            if cls is None or (i and cls[0] != roles):
+                raise IncompleteTranscript(f"line {n} is not a line written for round {i}")
+            roles, code, bit = cls
+            codes.append(code)
+            test.append(bit)
+        extra = next(lines, None)
+    if extra is not None:
+        raise IncompleteTranscript(f"line {extra[0]} is past the header's {config.rounds} rounds")
+    if len(codes) < config.rounds:
+        raise IncompleteTranscript(
+            f"the file ends at line {n}, after {len(codes)} of {config.rounds} records"
+        )
+    mask = np.frombuffer(test, dtype=bool) if roles else None
+    return header, Transcript(config, np.frombuffer(codes, dtype=np.int8), test=mask)
 
 
 # ---------------------------------------------------------------------------

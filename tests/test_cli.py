@@ -5,12 +5,21 @@ import math
 import tracemalloc
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from sqkd import cli
 from sqkd.errors import GridTooLarge
 from sqkd.analysis import TheoremReport
-from sqkd.protocol import ProtocolConfig, read_transcript, stats_from_records
+from sqkd.attacks import swap_attack
+from sqkd.protocol import (
+    ProtocolConfig,
+    classical_phase,
+    read_transcript,
+    run_protocol,
+    run_stats,
+    stream_rng,
+)
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -85,9 +94,9 @@ def test_run_passes_attack_params_and_rounds(tmp_path):
     )
     out = tmp_path / "cp_stats.json"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) in (0, 2)
-    header, records = read_transcript(tmp_path / "cp_stats.jsonl")
+    header, back = read_transcript(tmp_path / "cp_stats.jsonl")
     assert header["attack"]["rounds"] == [1, 3]
-    assert len(records) == 50
+    assert len(back.codes) == 50
 
 
 def test_run_rejects_params_the_attack_does_not_take(tmp_path, capsys):
@@ -131,8 +140,8 @@ def test_run_rejects_non_integer_rounds_and_seed(tmp_path, capsys):
         assert not out.exists()
     cfg = write_config(tmp_path, rounds=200, seed=1)
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    _, records = read_transcript(tmp_path / "o.jsonl")
-    assert len(records) == 200
+    _, back = read_transcript(tmp_path / "o.jsonl")
+    assert len(back.codes) == 200
 
 
 def test_run_rejects_non_numeric_probabilities(tmp_path, capsys):
@@ -174,11 +183,13 @@ def test_run_transcript_round_trip(tmp_path):
     cfg = write_config(tmp_path, attack={"name": "swap"})
     out = tmp_path / "stats.json"
     cli.main(["run", "--config", str(cfg), "--out", str(out)])
-    header, records = read_transcript(tmp_path / "stats.jsonl")
-    recomputed = stats_from_records(records, header["abort_threshold"])
-    assert asdict(recomputed) == json.loads(out.read_text())
+    header, back = read_transcript(tmp_path / "stats.jsonl")
+    assert asdict(run_stats(back)) == json.loads(out.read_text())
     assert header["attack"]["name"] == "swap"
-    assert len(records) == header["rounds"]
+    transcript = run_protocol(back.config, swap_attack(back.config.rounds))
+    classical_phase(transcript, stream_rng(back.config.seed, 1))
+    assert back.records == transcript.records
+    assert np.array_equal(back.codes, transcript.codes)
 
 
 def test_run_is_deterministic_byte_for_byte(tmp_path):
@@ -576,6 +587,22 @@ def test_scan_unknown_family(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "attack, param, says",
+    [("nosuch", "theta", "no attack named 'nosuch'"),
+     ("phase_probe", "phi", "takes no parameter phi"),
+     ("identity", "theta", "takes no parameter theta")],
+)
+def test_scan_refuses_what_build_attack_refuses(tmp_path, capsys, attack, param, says):
+    out = tmp_path / "x.csv"
+    code = cli.main(
+        ["scan", "--attack", attack, "--param", param, "--grid", "0:1:0.5", "--out", str(out)]
+    )
+    assert code == 1
+    assert says in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_empty_grid(tmp_path):

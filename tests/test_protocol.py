@@ -51,7 +51,6 @@ from sqkd.protocol import (
     MODE_SAMPLING,
     ProtocolConfig,
     ROLE_CTRL,
-    ROLE_KEY,
     ROLE_TEST,
     SIFT,
     JointEvolution,
@@ -62,8 +61,8 @@ from sqkd.protocol import (
     exact_state_dim,
     read_transcript,
     run_protocol,
+    run_stats,
     sift_equivalence_check,
-    stats_from_records,
     stream_rng,
     write_transcript,
 )
@@ -412,27 +411,6 @@ def test_x_measurement_builds_only_the_half_it_keeps():
     assert transcript.final_state is None
 
 
-def test_key_and_test_bits_must_be_bits():
-    records = [
-        RoundRecord(0, SIFT, alice_bit=None, role=ROLE_KEY, bob_z_outcome=1),
-        RoundRecord(1, SIFT, alice_bit=1, role=ROLE_KEY, bob_z_outcome=1),
-    ]
-    # bools and floats equal to a bit, as JSON true or 1.0 reads back, are no bits
-    for bad in (None, True, False, 1.0, 0.0):
-        records[0].alice_bit = bad
-        with pytest.raises(IncompleteTranscript, match="round 0"):
-            stats_from_records(records, 0.0)
-        records[0].alice_bit, records[0].bob_z_outcome = 1, bad
-        with pytest.raises(IncompleteTranscript, match="round 0"):
-            stats_from_records(records, 0.0)
-        records[0].bob_z_outcome = 1
-    records[0].alice_bit = 1
-    assert stats_from_records(records, 0.0).key_mismatch_rate == 0.0
-    records[1].role, records[1].error, records[1].bob_z_outcome = ROLE_TEST, False, 2
-    with pytest.raises(IncompleteTranscript, match="round 1"):
-        stats_from_records(records, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Determinism and serialization
 # ---------------------------------------------------------------------------
@@ -485,10 +463,11 @@ def test_transcript_round_trip_on_random_runs(tmp_path_factory, run):
     transcript, stats = run_with_stats(cfg, att)
     path = tmp_path_factory.mktemp("transcript") / "t.jsonl"
     write_transcript(path, transcript, header_extra={"attack": {"name": name}})
-    header, records = read_transcript(path)
+    header, back = read_transcript(path)
     assert header == {**asdict(cfg), "attack": {"name": name}}
-    assert records == transcript.records
-    assert stats_from_records(records, header["abort_threshold"]) == stats
+    assert back.records == transcript.records
+    assert np.array_equal(back.codes, transcript.codes)
+    assert run_stats(back) == stats
 
 
 @st.composite
@@ -537,8 +516,8 @@ def test_codes_match_the_record_oracles(tmp_path_factory, run, chunk):
     with mock.patch.object(protocol, "_CHUNK", chunk):
         write_transcript(tmp / "got.jsonl", transcript, header_extra=extra)
     assert (tmp / "got.jsonl").read_bytes() == (tmp / "want.jsonl").read_bytes()
-    header, read = read_transcript(tmp / "got.jsonl")
-    assert stats_from_records(read, header["abort_threshold"]) == stats
+    _, back = read_transcript(tmp / "got.jsonl")
+    assert run_stats(back) == stats
 
 
 def test_writer_holds_one_chunk_of_text():
@@ -587,11 +566,12 @@ def test_transcript_round_trip(tmp_path):
     transcript, stats = run_with_stats(cfg, swap_attack(120))
     path = tmp_path / "run.jsonl"
     write_transcript(path, transcript, header_extra={"attack": {"name": "swap"}})
-    header, records = read_transcript(path)
+    header, back = read_transcript(path)
     assert header["rounds"] == 120 and header["attack"]["name"] == "swap"
-    assert [vars(r) for r in records] == [vars(r) for r in transcript.records]
-    recomputed = stats_from_records(records, header["abort_threshold"])
-    assert recomputed == stats
+    assert back.records == transcript.records
+    assert np.array_equal(back.codes, transcript.codes)
+    assert np.array_equal(back.test, transcript.test)
+    assert run_stats(back) == stats
 
 
 def test_exact_and_sampling_transcripts_share_field_names(tmp_path):
@@ -1131,9 +1111,12 @@ def _written_transcript(tmp_path):
 
 def test_read_transcript_round_trip(tmp_path):
     path, transcript = _written_transcript(tmp_path)
-    header, records = read_transcript(path)
+    header, back = read_transcript(path)
     assert header["seed"] == 6 and header["attack"] == {"name": "phase_probe"}
-    assert records == transcript.records
+    assert back.records == transcript.records
+    lines = path.read_text().splitlines()
+    _rewrite(path, lines[:3] + ["", ""] + lines[3:])  # blank lines are skipped
+    assert read_transcript(path)[1].records == transcript.records
 
 
 def test_read_transcript_rejects_empty_file(tmp_path):
@@ -1166,3 +1149,114 @@ def test_read_transcript_rejects_foreign_record_fields(tmp_path, change):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IncompleteTranscript):
         read_transcript(path)
+
+
+def _rewrite(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_key_and_test_bits_must_be_bits(tmp_path):
+    path, transcript = _written_transcript(tmp_path)
+    lines = path.read_text().splitlines()
+    sift = transcript.codes >= 2
+    rounds = [np.flatnonzero(sift & ~transcript.test)[0], np.flatnonzero(transcript.test)[0]]
+    # bools and floats equal to a bit, null and 2 are no bits
+    for i in rounds:
+        for field in ("alice_bit", "bob_z_outcome"):
+            for bad in (True, False, 1.0, 0.0, None, 2):
+                rec = json.loads(lines[1 + i])
+                rec[field] = bad
+                _rewrite(path, lines[: 1 + i] + [json.dumps(rec)] + lines[2 + i :])
+                with pytest.raises(IncompleteTranscript, match=f"round {i}$"):
+                    read_transcript(path)
+    _rewrite(path, lines)
+    assert read_transcript(path)[1].records == transcript.records
+
+
+@pytest.mark.parametrize(
+    "edit, says",
+    [
+        (lambda ls: ls[:-3], "ends at line 18, after 17 of 20 records"),
+        (lambda ls: ls + [ls[-1].replace('"index": 19', '"index": 20')], "line 22 is past"),
+        (lambda ls: [ls[0], ls[2], ls[1], *ls[3:]], "line 2 is not a line written for round 0$"),
+        (lambda ls: ls[:5] + ls[6:], "line 6 is not a line written for round 4$"),
+    ],
+    ids=["truncated", "extended", "reordered", "gap"],
+)
+def test_read_transcript_refuses_records_out_of_place(tmp_path, edit, says):
+    path, _ = _written_transcript(tmp_path)
+    _rewrite(path, edit(path.read_text().splitlines()))
+    with pytest.raises(IncompleteTranscript, match=says):
+        read_transcript(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        lambda h: json.dumps({**h, "rounds": "20"}),
+        lambda h: json.dumps({**h, "rounds": True}),
+        lambda h: json.dumps({**h, "rounds": 20.5}),
+        lambda h: json.dumps({**h, "ctrl_prob": 2}),
+        lambda h: json.dumps({**h, "mode": "exact"}),
+        lambda h: json.dumps([h]),
+        lambda h: json.dumps(h)[:-1],
+    ],
+    ids=["rounds-text", "rounds-bool", "rounds-fraction", "ctrl-prob", "exact-cap", "list",
+         "cut"],
+)
+def test_read_transcript_refuses_a_header_the_config_refuses(tmp_path, header):
+    path, _ = _written_transcript(tmp_path)
+    lines = path.read_text().splitlines()
+    _rewrite(path, [header(json.loads(lines[0]))] + lines[1:])
+    with pytest.raises(IncompleteTranscript, match="line 1: the header holds no valid config"):
+        read_transcript(path)
+
+
+def test_read_transcript_refuses_roles_on_some_lines_only(tmp_path):
+    path, transcript = _written_transcript(tmp_path)
+    bare = Transcript(transcript.config, transcript.codes)
+    write_transcript(tmp_path / "bare.jsonl", bare)
+    _, back = read_transcript(tmp_path / "bare.jsonl")
+    assert back.test is None and back.records == bare.records
+    lines = path.read_text().splitlines()
+    lines[4] = (tmp_path / "bare.jsonl").read_text().splitlines()[4]
+    _rewrite(path, lines)
+    with pytest.raises(IncompleteTranscript, match="line 5 is not a line written for round 3$"):
+        read_transcript(path)
+
+
+def test_pending_exact_transcript_round_trips(tmp_path):
+    transcript = run_protocol(ProtocolConfig(rounds=4, seed=2, mode=MODE_EXACT), swap_attack(4))
+    write_transcript(tmp_path / "t.jsonl", transcript)
+    _, back = read_transcript(tmp_path / "t.jsonl")
+    assert back.records == transcript.records and back.test is None
+    with pytest.raises(IncompleteTranscript, match="no roles"):
+        run_stats(back)
+    back.test = np.zeros(4, dtype=bool)
+    with pytest.raises(IncompleteTranscript, match="round 0 lacks recorded outcomes"):
+        run_stats(back)
+
+
+def test_write_transcript_refuses_header_extra_over_a_config_field(tmp_path):
+    path, transcript = _written_transcript(tmp_path)
+    path.unlink()
+    with pytest.raises(ValueError, match=r"config fields \['seed'\]"):
+        write_transcript(path, transcript, header_extra={"seed": 1, "attack": {"name": "x"}})
+    assert not path.exists()
+
+
+def test_reader_holds_codes_not_lines(tmp_path):
+    rounds = 2 * 10**5
+    rng = np.random.default_rng(4)
+    codes = rng.integers(0, 6, size=rounds).astype(np.int8)
+    test = (codes >= 2) & (rng.random(rounds) < 0.5)
+    path = tmp_path / "t.jsonl"
+    write_transcript(path, Transcript(ProtocolConfig(rounds=rounds), codes, test=test))
+    tracemalloc.start()
+    try:
+        _, back = read_transcript(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+    assert np.array_equal(back.codes, codes) and np.array_equal(back.test, test)
