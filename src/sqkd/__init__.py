@@ -15,6 +15,7 @@ from .analysis import (
     constraint_check,
     eve_leakage,
     product_structure_check,
+    sift_equivalence_check,
     theorem_check,
 )
 from .attacks import (
@@ -51,7 +52,6 @@ from .protocol import (
     Transcript,
     classical_phase,
     run_protocol,
-    sift_equivalence_check,
 )
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ information).
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,8 +55,17 @@ from .engine import (
     tensor,
     trace_distance,
 )
-from .errors import ExactCapExceeded
-from .protocol import CTRL, EXACT_ROUND_CAP, JointEvolution, SIFT, check_exact_size
+from .protocol import (
+    CTRL,
+    MODE_SAMPLING,
+    SIFT,
+    JointEvolution,
+    ProtocolConfig,
+    check_exact_size,
+    classical_phase,
+    derive_seed,
+    run_protocol,
+)
 
 RESIDUAL_TOL = 1e-9
 
@@ -114,6 +123,20 @@ class ExpectedRates:
     test_error_rate: float
 
 
+@dataclass(frozen=True)
+class SiftEquivalenceReport:
+    exact_ctrl_error: float
+    exact_test_error: float
+    sampled_ctrl_error: float
+    sampled_test_error: float
+    ctrl_se: float
+    test_se: float
+    max_sigma: float
+    equivalent: bool
+    trials: int
+    rounds_per_trial: int
+
+
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
@@ -123,10 +146,6 @@ def _normalize_pattern(pattern: str) -> str:
     pattern = pattern.upper()
     if not pattern or any(ch not in "CS" for ch in pattern):
         raise ValueError(f"pattern must be a nonempty string over C/S, got {pattern!r}")
-    if len(pattern) > EXACT_ROUND_CAP:
-        raise ExactCapExceeded(
-            f"pattern length {len(pattern)} exceeds the exact cap {EXACT_ROUND_CAP}"
-        )
     return pattern
 
 
@@ -453,8 +472,7 @@ def exact_rate_expectations(
     the ratio of expected errors to expected round counts — the quantity the
     sampling mode's pooled frequencies estimate.
     """
-    if n_rounds > EXACT_ROUND_CAP:
-        raise ExactCapExceeded(f"enumeration capped at {EXACT_ROUND_CAP} rounds")
+    check_exact_size(attack, n_rounds)
     probs = {"C": ctrl_prob, "S": 1.0 - ctrl_prob}
     choices = [ch for ch in "CS" if probs[ch] != 0.0]
     patterns = ["".join(p) for p in itertools.product(choices, repeat=n_rounds)]
@@ -478,3 +496,63 @@ def exact_rate_expectations(
     ctrl_rate = ce / cc if cc else 0.0
     test_rate = te / tc if tc else 0.0
     return ExpectedRates(ctrl_error_rate=ctrl_rate, test_error_rate=test_rate)
+
+
+def _pooled_rate(pairs):
+    """Ratio estimate with a cluster-robust standard error.
+
+    pairs holds per-trial (errors, count); within-trial correlation (e.g. a
+    parity attack hitting two rounds at once) is absorbed by the ratio
+    estimator's robust variance.
+    """
+    total_cnt = sum(c for _, c in pairs)
+    if total_cnt == 0:
+        return 0.0, 0.0
+    rate = sum(e for e, _ in pairs) / total_cnt
+    resid = sum((e - rate * c) ** 2 for e, c in pairs)
+    return rate, math.sqrt(resid) / total_cnt
+
+
+def sift_equivalence_check(
+    config: ProtocolConfig, attack: AttackSpec, trials: int
+) -> SiftEquivalenceReport:
+    """Compare the two SIFT realizations on CTRL/TEST error-rate estimates.
+
+    The exact side computes Born-rule expectations of both error rates under
+    the delayed-measurement (XOR-probe) model by enumerating Alice's choice
+    tree.  The sampled side runs `trials` independent measure-and-resend
+    simulations with per-trial derived seeds and pools the observed rates.
+    The two are declared equivalent when they agree within 4 standard errors;
+    exact_rate_expectations refuses a run too large to enumerate before any
+    trial runs.
+    """
+    exact = exact_rate_expectations(attack, config.rounds, config.ctrl_prob)
+
+    stats = []
+    for t in range(trials):
+        cfg = replace(config, seed=derive_seed(config.seed, t), mode=MODE_SAMPLING)
+        stats.append(classical_phase(run_protocol(cfg, attack)))
+    ctrl_rate, ctrl_se = _pooled_rate([(s.ctrl_errors, s.n_ctrl) for s in stats])
+    test_rate, test_se = _pooled_rate([(s.test_errors, s.n_test) for s in stats])
+
+    def sigma(diff, se):
+        if diff == 0:
+            return 0.0
+        return abs(diff) / se if se > 0 else math.inf
+
+    max_sigma = max(
+        sigma(ctrl_rate - exact.ctrl_error_rate, ctrl_se),
+        sigma(test_rate - exact.test_error_rate, test_se),
+    )
+    return SiftEquivalenceReport(
+        exact_ctrl_error=exact.ctrl_error_rate,
+        exact_test_error=exact.test_error_rate,
+        sampled_ctrl_error=ctrl_rate,
+        sampled_test_error=test_rate,
+        ctrl_se=ctrl_se,
+        test_se=test_se,
+        max_sigma=max_sigma,
+        equivalent=bool(max_sigma <= 4.0),
+        trials=trials,
+        rounds_per_trial=config.rounds,
+    )

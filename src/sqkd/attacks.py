@@ -90,13 +90,11 @@ class AttackSpec:
     backward: Mapping[int, Gate] = field(default_factory=dict)
     default_forward: Gate | None = None
     default_backward: Gate | None = None
-    params: Mapping[str, float] = field(default_factory=dict)
     template: RoundTemplate | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "forward", dict(self.forward))
         object.__setattr__(self, "backward", dict(self.backward))
-        object.__setattr__(self, "params", dict(self.params))
         by_label = {}
         if self.template is None:
             object.__setattr__(self, "probe_dims", tuple(int(d) for d in self.probe_dims))
@@ -252,7 +250,6 @@ def cnot_parity_attack(rounds: tuple[int, int] = (0, 1)) -> AttackSpec:
         probe_dims=(2,),
         probe_factors=(ket_zero(eve_probe(0)),),
         forward={r0: gate, r1: gate},
-        params={"round_a": float(r0), "round_b": float(r1)},
     )
 
 
@@ -300,7 +297,6 @@ def phase_probe_attack(theta: float) -> AttackSpec:
         probe_dims=(2,),
         probe_factors=(ket_zero(eve_probe(0)),),
         default_forward=gate,
-        params={"theta": theta},
     )
 
 

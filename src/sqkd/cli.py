@@ -21,7 +21,6 @@ from .protocol import (
     classical_phase,
     config_value,
     run_protocol,
-    stream_rng,
     write_transcript,
 )
 
@@ -95,14 +94,15 @@ def cmd_run(config_path: str, out_path: str) -> int:
         rounds=tuple(rounds_pair) if rounds_pair is not None else None,
     )
     transcript = run_protocol(config, attack)
-    stats = classical_phase(transcript, stream_rng(config.seed, 1))
+    # rng=None draws the config seed's classical stream; it is passed because
+    # perfbench's tests stand in a classical_phase taking (transcript, rng)
+    stats = classical_phase(transcript, rng=None)
 
     out = Path(out_path)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(asdict(stats), fh, indent=2)
         fh.write("\n")
-    header_extra = {"attack": attack_raw}
-    write_transcript(out.with_suffix(".jsonl"), transcript, header_extra=header_extra)
+    write_transcript(out.with_suffix(".jsonl"), transcript, attack=attack_raw)
     return 2 if stats.aborted else 0
 
 

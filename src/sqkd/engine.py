@@ -126,7 +126,7 @@ class SubnormalizedVector:
 
     layout: SubsystemLayout
     amps: np.ndarray
-    weight: float = field(default=None)  # type: ignore[assignment]
+    weight: float = field(init=False)
 
     def __post_init__(self):
         amps = _frozen(np.asarray(self.amps).reshape(-1))
@@ -135,11 +135,7 @@ class SubnormalizedVector:
             raise DimensionMismatch(
                 f"{amps.shape[0]} amplitudes for layout of dimension {self.layout.dim}"
             )
-        w = float(np.vdot(amps, amps).real)
-        if self.weight is None:
-            object.__setattr__(self, "weight", w)
-        elif abs(self.weight - w) > NORM_ATOL:
-            raise InvalidState(f"declared weight {self.weight} != squared norm {w}")
+        object.__setattr__(self, "weight", float(np.vdot(amps, amps).real))
         if not -NORM_ATOL <= self.weight <= 1 + NORM_ATOL:
             raise InvalidState(f"branch weight {self.weight} outside [0, 1]")
 

@@ -26,7 +26,7 @@ aborts the run.
 import json
 import math
 from array import array
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -191,10 +191,6 @@ class RunStats:
     aborted: bool
 
 
-def _empty_state() -> StateVector:
-    return StateVector(SubsystemLayout((), ()), np.ones(1, dtype=complex))
-
-
 def _gate_axes(gate: Gate, layout: SubsystemLayout) -> list[int]:
     """Axes of a gate's targets in layout, in target order.
 
@@ -233,7 +229,7 @@ class JointEvolution:
 
     def __init__(self, attack: AttackSpec):
         self.attack = attack
-        self.state = _empty_state()
+        self.state = StateVector(SubsystemLayout((), ()), np.ones(1, dtype=complex))
 
     def clone(self) -> "JointEvolution":
         other = JointEvolution(self.attack)
@@ -299,7 +295,11 @@ def exact_state_dim(attack: AttackSpec, n_rounds: int) -> int:
 
 
 def check_exact_size(attack: AttackSpec, n_rounds: int):
-    """Raise ExactCapExceeded if an n_rounds exact state exceeds EXACT_AMPLITUDE_CAP."""
+    """Raise ExactCapExceeded above EXACT_ROUND_CAP rounds or EXACT_AMPLITUDE_CAP amplitudes."""
+    if n_rounds > EXACT_ROUND_CAP:
+        raise ExactCapExceeded(
+            f"an exact run holds at most {EXACT_ROUND_CAP} rounds, got {n_rounds}"
+        )
     dim = exact_state_dim(attack, n_rounds)
     if dim > EXACT_AMPLITUDE_CAP:
         raise ExactCapExceeded(
@@ -684,24 +684,26 @@ def run_stats(transcript: Transcript) -> RunStats:
     )
 
 
-def classical_phase(transcript: Transcript, rng: np.random.Generator) -> RunStats:
+def classical_phase(transcript: Transcript, rng: np.random.Generator | None = None) -> RunStats:
     """Announcement, CTRL verification, TEST sampling, and sifting.
 
-    In exact mode the stored qubits are measured now, in round order, with
-    draws from the supplied rng: Bob's memory in the X basis for a CTRL
-    round, Alice's probe and then Bob's memory in the Z basis for a SIFT
-    round.  Each qubit is measured out of the state (engine.measure_out), so
-    the state halves with every measurement; the transcript's final_state is
-    set to None before the first one, so each state is freed once the next is
-    measured out of it.  SIFT rounds are then
-    partitioned into TEST (test_fraction, drawn uniformly without
-    replacement from the same rng) and Key.
-    The transcript's codes are completed and its Test rounds marked in place;
-    the returned stats, run_stats of the transcript, alone are what the
-    parties would publish.
+    Every draw comes from rng, by default stream 1 of the config's seed, the
+    stream the transcript header's seed reproduces.  In exact mode the stored
+    qubits are measured now, in round order: Bob's memory in the X basis for
+    a CTRL round, Alice's probe and then Bob's memory in the Z basis for a
+    SIFT round.  Each qubit is measured out of the state (engine.measure_out),
+    so the state halves with every measurement; the transcript's final_state
+    is set to None before the first one, so each state is freed once the next
+    is measured out of it.  SIFT rounds are then partitioned into TEST
+    (test_fraction, drawn uniformly without replacement) and Key.  The
+    transcript's codes are completed and its Test rounds marked in place; the
+    returned stats, run_stats of the transcript, alone are what the parties
+    would publish.
     """
     config = transcript.config
     codes = transcript.codes
+    if rng is None:
+        rng = stream_rng(config.seed, _STREAM_CLASSICAL)
     if len(codes) != config.rounds:
         raise IncompleteTranscript(f"{len(codes)} rounds for a {config.rounds}-round config")
 
@@ -775,35 +777,48 @@ _CLASS_OF = {t[:-1]: (r, k >> 1, k & 1) for r in (False, True) for k, t in _TAIL
 
 
 def _class_keys(transcript: Transcript) -> np.ndarray:
-    """Each round's class key in _FIELDS and _TAILS."""
-    return 2 * transcript.codes + (0 if transcript.test is None else transcript.test)
+    """Each round's class key in _FIELDS and _TAILS, as int16: no code's key wraps."""
+    test = transcript.test
+    return 2 * transcript.codes.astype(np.int16) + (0 if test is None else test)
 
 
 #: rounds whose lines write_transcript builds and writes at once
 _CHUNK = 1 << 16
 
 
-def write_transcript(path, transcript: Transcript, header_extra: dict | None = None):
+def write_transcript(path, transcript: Transcript, attack: dict | None = None):
     """One JSON record per line, preceded by a header line with the config.
 
-    The header is the config's fields, then header_extra, which may not
-    overwrite a config field (ValueError); each record line is the
-    RoundRecord's fields in field order, its index followed by its class's
-    tail from _TAILS.  Lines are built and written _CHUNK rounds at a time,
-    so the text of a run is never held whole.
+    The header is the config's fields, then attack when given; each record
+    line is the RoundRecord's fields in field order, its index followed by
+    its class's tail from _TAILS.  A round whose class has no tail (a code
+    outside -1..6, a pending code with roles, a Test CTRL round) raises
+    IncompleteTranscript before the file is opened.  Lines are built and
+    written _CHUNK rounds at a time, so the text of a run is never held whole.
     """
     header = asdict(transcript.config)
-    clash = sorted(_CONFIG_TYPES.keys() & (header_extra or {}))
-    if clash:
-        raise ValueError(f"header_extra may not overwrite the config fields {clash}")
-    header.update(header_extra or {})
+    if attack is not None:
+        header["attack"] = attack
     keys = _class_keys(transcript)
     tails = _TAILS[transcript.test is not None]
+    bad = np.flatnonzero(~np.isin(keys, list(tails)))
+    if len(bad):
+        i = bad[0]
+        marked = " marked Test" if transcript.test is not None and transcript.test[i] else ""
+        raise IncompleteTranscript(f"round {i} has no line: code {transcript.codes[i]}{marked}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
         for start in range(0, len(keys), _CHUNK):
             chunk = keys[start : start + _CHUNK].tolist()
             fh.write("".join([f'{{"index": {i}{tails[k]}' for i, k in enumerate(chunk, start)]))
+
+
+def _text(n: int, raw: bytes) -> str:
+    """Line n of a transcript as text, without its newline."""
+    try:
+        return raw.decode("utf-8").rstrip("\r\n")
+    except UnicodeDecodeError as exc:
+        raise IncompleteTranscript(f"line {n} is not UTF-8 text ({exc.reason})") from None
 
 
 def read_transcript(path) -> tuple[dict, Transcript]:
@@ -812,13 +827,13 @@ def read_transcript(path) -> tuple[dict, Transcript]:
     Record i must be the line written for round i: its index, then a tail
     from _TAILS, with roles on every line or on none; blank lines are
     skipped.  Raises IncompleteTranscript, naming the line, for an empty
-    file, a header holding no valid config, any other record line, or more
-    or fewer records than the header's rounds.
+    file, a line that is not UTF-8, a header holding no valid config, any
+    other record line, or more or fewer records than the header's rounds.
     """
     codes, test = array("b"), bytearray()
-    with open(path, encoding="utf-8") as fh:
-        stripped = (line.rstrip("\n") for line in fh)
-        lines = ((n, line) for n, line in enumerate(stripped, start=1) if line)
+    with open(path, "rb") as fh:
+        texts = ((n, _text(n, raw)) for n, raw in enumerate(fh, start=1))
+        lines = ((n, line) for n, line in texts if line)
         n, line = next(lines, (0, None))
         if line is None:
             raise IncompleteTranscript(f"transcript {path} is empty")
@@ -848,89 +863,3 @@ def read_transcript(path) -> tuple[dict, Transcript]:
         )
     mask = np.frombuffer(test, dtype=bool) if roles else None
     return header, Transcript(config, np.frombuffer(codes, dtype=np.int8), test=mask)
-
-
-# ---------------------------------------------------------------------------
-# Mode equivalence
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SiftEquivalenceReport:
-    exact_ctrl_error: float
-    exact_test_error: float
-    sampled_ctrl_error: float
-    sampled_test_error: float
-    ctrl_se: float
-    test_se: float
-    max_sigma: float
-    equivalent: bool
-    trials: int
-    rounds_per_trial: int
-
-
-def _pooled_rate(pairs):
-    """Ratio estimate with a cluster-robust standard error.
-
-    pairs holds per-trial (errors, count); within-trial correlation (e.g. a
-    parity attack hitting two rounds at once) is absorbed by the ratio
-    estimator's robust variance.
-    """
-    total_cnt = sum(c for _, c in pairs)
-    if total_cnt == 0:
-        return 0.0, 0.0
-    rate = sum(e for e, _ in pairs) / total_cnt
-    resid = sum((e - rate * c) ** 2 for e, c in pairs)
-    return rate, math.sqrt(resid) / total_cnt
-
-
-def sift_equivalence_check(
-    config: ProtocolConfig, attack: AttackSpec, trials: int
-) -> SiftEquivalenceReport:
-    """Compare the two SIFT realizations on CTRL/TEST error-rate estimates.
-
-    The exact side computes Born-rule expectations of both error rates under
-    the delayed-measurement (XOR-probe) model by enumerating Alice's choice
-    tree.  The sampled side runs `trials` independent measure-and-resend
-    simulations with per-trial derived seeds and pools the observed rates.
-    The two are declared equivalent when they agree within 4 standard errors;
-    exact_rate_expectations refuses more than EXACT_ROUND_CAP rounds before
-    any trial runs.
-    """
-    from .analysis import exact_rate_expectations
-
-    exact = exact_rate_expectations(attack, config.rounds, config.ctrl_prob)
-
-    ctrl_pairs = []
-    test_pairs = []
-    for t in range(trials):
-        cfg = replace(config, seed=derive_seed(config.seed, t), mode=MODE_SAMPLING)
-        transcript = run_protocol(cfg, attack)
-        stats = classical_phase(transcript, stream_rng(cfg.seed, _STREAM_CLASSICAL))
-        ctrl_pairs.append((stats.ctrl_errors, stats.n_ctrl))
-        test_pairs.append((stats.test_errors, stats.n_test))
-
-    ctrl_rate, ctrl_se = _pooled_rate(ctrl_pairs)
-    test_rate, test_se = _pooled_rate(test_pairs)
-
-    def sigma(diff, se):
-        if diff == 0:
-            return 0.0
-        return abs(diff) / se if se > 0 else math.inf
-
-    max_sigma = max(
-        sigma(ctrl_rate - exact.ctrl_error_rate, ctrl_se),
-        sigma(test_rate - exact.test_error_rate, test_se),
-    )
-    return SiftEquivalenceReport(
-        exact_ctrl_error=exact.ctrl_error_rate,
-        exact_test_error=exact.test_error_rate,
-        sampled_ctrl_error=ctrl_rate,
-        sampled_test_error=test_rate,
-        ctrl_se=ctrl_se,
-        test_se=test_se,
-        max_sigma=max_sigma,
-        equivalent=bool(max_sigma <= 4.0),
-        trials=trials,
-        rounds_per_trial=config.rounds,
-    )

@@ -89,7 +89,6 @@ def transit_phase_attack(phi):
         probe_dims=(1,),
         probe_factors=(single("E0", [1]),),
         default_forward=Gate(phase_gate(phi), ("T",)),
-        params={"phi": phi},
     )
 
 
@@ -106,7 +105,6 @@ def probe_decoupled_attack(seed, dim=2):
         probe_factors=(init,),
         default_forward=Gate(uf, ("T", "E0")),
         default_backward=Gate(ub, ("T", "E0")),
-        params={"seed": float(seed)},
     )
 
 

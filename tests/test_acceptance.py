@@ -19,6 +19,7 @@ from sqkd.analysis import (
     default_patterns,
     eve_leakage,
     product_structure_check,
+    sift_equivalence_check,
     theorem_check,
 )
 from sqkd.attacks import (
@@ -43,14 +44,7 @@ from sqkd.engine import (
     random_unitary,
     tensor,
 )
-from sqkd.protocol import (
-    MODE_EXACT,
-    ProtocolConfig,
-    classical_phase,
-    run_protocol,
-    sift_equivalence_check,
-    stream_rng,
-)
+from sqkd.protocol import MODE_EXACT, ProtocolConfig, classical_phase, run_protocol
 
 from helpers import oracle_partial_trace, probe_decoupled_attack
 
@@ -71,7 +65,7 @@ def test_c1_robustness_baseline():
         start = time.perf_counter()
         cfg = ProtocolConfig(rounds=10_000, ctrl_prob=0.5, test_fraction=0.5, seed=20260809)
         transcript = run_protocol(cfg, identity_attack())
-        stats = classical_phase(transcript, stream_rng(cfg.seed, 1))
+        stats = classical_phase(transcript)
         elapsed = time.perf_counter() - start
         assert stats.ctrl_error_rate == 0.0
         assert stats.test_error_rate == 0.0
@@ -155,18 +149,14 @@ def test_c6_complementary_attacks():
     with criterion(6, "measure-resend trips only CTRL; swap trips only TEST"):
         n = 10_000
         cfg = ProtocolConfig(rounds=n, seed=31)
-        stats = classical_phase(
-            run_protocol(cfg, measure_resend_z_attack(n)), stream_rng(cfg.seed, 1)
-        )
+        stats = classical_phase(run_protocol(cfg, measure_resend_z_attack(n)))
         assert stats.test_error_rate == 0.0
         assert abs(stats.ctrl_error_rate - 0.5) < 0.02
         leak = eve_leakage(measure_resend_z_attack(1), "S")
         assert abs(leak.per_bit_trace_distance[0] - 1.0) < 1e-9
 
         cfg = ProtocolConfig(rounds=n, seed=32)
-        stats = classical_phase(
-            run_protocol(cfg, swap_attack(n)), stream_rng(cfg.seed, 1)
-        )
+        stats = classical_phase(run_protocol(cfg, swap_attack(n)))
         assert stats.ctrl_error_rate == 0.0
         assert abs(stats.test_error_rate - 0.5) < 0.02
         leak = eve_leakage(swap_attack(1), "S")

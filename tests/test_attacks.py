@@ -19,11 +19,13 @@ from sqkd.attacks import (
 from sqkd.engine import (
     apply_unitary,
     cnot,
+    controlled,
     hadamard,
     ket_zero,
     partial_trace,
     project,
     purity,
+    rotation,
     trivial_state,
 )
 from sqkd.errors import (
@@ -38,7 +40,6 @@ from sqkd.protocol import (
     ProtocolConfig,
     classical_phase,
     run_protocol,
-    stream_rng,
 )
 
 from helpers import explicit_measure_resend_z_attack, explicit_swap_attack, identity_gate
@@ -49,7 +50,7 @@ def run_stats(attack, rounds, seed=0, ctrl_prob=0.5, test_fraction=0.5):
         rounds=rounds, ctrl_prob=ctrl_prob, test_fraction=test_fraction, seed=seed
     )
     transcript = run_protocol(cfg, attack)
-    return classical_phase(transcript, stream_rng(seed, 1))
+    return classical_phase(transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +134,7 @@ def test_build_attack_registry():
         "phase_probe",
     }
     att = build_attack("phase_probe", params={"theta": 0.4})
-    assert att.params["theta"] == 0.4
+    assert np.array_equal(att.forward_gate(0).unitary.entries, controlled(rotation(0.4)).entries)
     with pytest.raises(UnknownAttack):
         build_attack("telepathy")
     with pytest.raises(ParamOutOfRange):

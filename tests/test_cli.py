@@ -18,7 +18,6 @@ from sqkd.protocol import (
     read_transcript,
     run_protocol,
     run_stats,
-    stream_rng,
 )
 
 
@@ -187,7 +186,7 @@ def test_run_transcript_round_trip(tmp_path):
     assert asdict(run_stats(back)) == json.loads(out.read_text())
     assert header["attack"]["name"] == "swap"
     transcript = run_protocol(back.config, swap_attack(back.config.rounds))
-    classical_phase(transcript, stream_rng(back.config.seed, 1))
+    classical_phase(transcript)
     assert back.records == transcript.records
     assert np.array_equal(back.codes, transcript.codes)
 

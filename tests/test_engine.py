@@ -93,8 +93,6 @@ def test_subnormalized_weight_checks():
     branch = SubnormalizedVector(layout, np.array([0.5, 0.5]))
     assert abs(branch.weight - 0.5) < 1e-12
     with pytest.raises(InvalidState):
-        SubnormalizedVector(layout, np.array([0.5, 0.5]), weight=0.9)
-    with pytest.raises(InvalidState):
         SubnormalizedVector(layout, np.array([1.0, 1.0]))  # weight 2 > 1
     zero = SubnormalizedVector(layout, np.zeros(2))
     with pytest.raises(InvalidState):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqkd import analysis, cli, engine, protocol
+from sqkd.analysis import sift_equivalence_check
 from sqkd.attacks import (
     ATTACK_NAMES,
     AttackSpec,
@@ -62,7 +63,6 @@ from sqkd.protocol import (
     read_transcript,
     run_protocol,
     run_stats,
-    sift_equivalence_check,
     stream_rng,
     write_transcript,
 )
@@ -81,7 +81,7 @@ from helpers import (
 
 def run_with_stats(config, attack):
     transcript = run_protocol(config, attack)
-    stats = classical_phase(transcript, stream_rng(config.seed, 1))
+    stats = classical_phase(transcript)
     return transcript, stats
 
 
@@ -352,13 +352,13 @@ def test_incomplete_transcript_is_rejected():
     transcript = run_protocol(cfg, identity_attack())
     transcript.codes = transcript.codes[:-1]
     with pytest.raises(IncompleteTranscript):
-        classical_phase(transcript, stream_rng(0, 1))
+        classical_phase(transcript)
 
     cfg = ProtocolConfig(rounds=3, seed=0, mode=MODE_EXACT)
     transcript = run_protocol(cfg, identity_attack())
     transcript.final_state = None
     with pytest.raises(IncompleteTranscript):
-        classical_phase(transcript, stream_rng(0, 1))
+        classical_phase(transcript)
 
 
 def test_classical_phase_measures_each_stored_qubit_out():
@@ -367,7 +367,7 @@ def test_classical_phase_measures_each_stored_qubit_out():
     final_bytes = transcript.final_state.amps.nbytes
     tracemalloc.start()
     try:
-        classical_phase(transcript, stream_rng(cfg.seed, 1))
+        classical_phase(transcript)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -385,7 +385,7 @@ def test_measure_out_copies_only_the_half_it_keeps():
     final_bytes = transcript.final_state.amps.nbytes
     tracemalloc.start()
     try:
-        classical_phase(transcript, stream_rng(cfg.seed, 1))
+        classical_phase(transcript)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -401,7 +401,7 @@ def test_x_measurement_builds_only_the_half_it_keeps():
     final_bytes = transcript.final_state.amps.nbytes
     tracemalloc.start()
     try:
-        classical_phase(transcript, stream_rng(cfg.seed, 1))
+        classical_phase(transcript)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -462,7 +462,7 @@ def test_transcript_round_trip_on_random_runs(tmp_path_factory, run):
     cfg, name, att = run
     transcript, stats = run_with_stats(cfg, att)
     path = tmp_path_factory.mktemp("transcript") / "t.jsonl"
-    write_transcript(path, transcript, header_extra={"attack": {"name": name}})
+    write_transcript(path, transcript, attack={"name": name})
     header, back = read_transcript(path)
     assert header == {**asdict(cfg), "attack": {"name": name}}
     assert back.records == transcript.records
@@ -507,14 +507,14 @@ def test_codes_match_the_record_oracles(tmp_path_factory, run, chunk):
     transcript = run_protocol(cfg, att)
     records = transcript.records
     want = reference_classical_phase(cfg, records, transcript.final_state, stream_rng(cfg.seed, 1))
-    stats = classical_phase(transcript, stream_rng(cfg.seed, 1))
+    stats = classical_phase(transcript)
     assert stats == want
     assert transcript.records == records
     tmp = tmp_path_factory.mktemp("transcripts")
     extra = {"attack": {"name": name}}
     reference_write_transcript(tmp / "want.jsonl", cfg, records, header_extra=extra)
     with mock.patch.object(protocol, "_CHUNK", chunk):
-        write_transcript(tmp / "got.jsonl", transcript, header_extra=extra)
+        write_transcript(tmp / "got.jsonl", transcript, attack=extra["attack"])
     assert (tmp / "got.jsonl").read_bytes() == (tmp / "want.jsonl").read_bytes()
     _, back = read_transcript(tmp / "got.jsonl")
     assert run_stats(back) == stats
@@ -565,7 +565,7 @@ def test_transcript_round_trip(tmp_path):
     cfg = ProtocolConfig(rounds=120, seed=77)
     transcript, stats = run_with_stats(cfg, swap_attack(120))
     path = tmp_path / "run.jsonl"
-    write_transcript(path, transcript, header_extra={"attack": {"name": "swap"}})
+    write_transcript(path, transcript, attack={"name": "swap"})
     header, back = read_transcript(path)
     assert header["rounds"] == 120 and header["attack"]["name"] == "swap"
     assert back.records == transcript.records
@@ -1105,7 +1105,7 @@ def _written_transcript(tmp_path):
     cfg = ProtocolConfig(rounds=20, seed=6)
     transcript, _ = run_with_stats(cfg, phase_probe_attack(1.0))
     path = tmp_path / "t.jsonl"
-    write_transcript(path, transcript, header_extra={"attack": {"name": "phase_probe"}})
+    write_transcript(path, transcript, attack={"name": "phase_probe"})
     return path, transcript
 
 
@@ -1237,12 +1237,33 @@ def test_pending_exact_transcript_round_trips(tmp_path):
         run_stats(back)
 
 
-def test_write_transcript_refuses_header_extra_over_a_config_field(tmp_path):
-    path, transcript = _written_transcript(tmp_path)
-    path.unlink()
-    with pytest.raises(ValueError, match=r"config fields \['seed'\]"):
-        write_transcript(path, transcript, header_extra={"seed": 1, "attack": {"name": "x"}})
-    assert not path.exists()
+def test_write_transcript_refuses_a_round_with_no_line(tmp_path):
+    path = tmp_path / "t.jsonl"
+    cfg = ProtocolConfig(rounds=3)
+    for transcript, says in [
+        # a Test bit on a CTRL round
+        (Transcript(cfg, np.array([0, 2, 3], dtype=np.int8), test=np.array([True, False, False])),
+         "round 0 has no line: code 0 marked Test$"),
+        # codes outside -1..6; -127 would wrap onto code 1's key in int8
+        (Transcript(cfg, np.array([0, 7, 2], dtype=np.int8)), "round 1 has no line: code 7$"),
+        (Transcript(cfg, np.array([2, 3, -127], dtype=np.int8)), "round 2 has no line: code -127$"),
+        # a pending code once roles are set
+        (Transcript(cfg, np.array([2, 6, 3], dtype=np.int8), test=np.zeros(3, dtype=bool)),
+         "round 1 has no line: code 6$"),
+    ]:
+        with pytest.raises(IncompleteTranscript, match=says):
+            write_transcript(path, transcript)
+        assert not path.exists()
+
+
+def test_read_transcript_names_a_line_that_is_not_utf8(tmp_path):
+    path, _ = _written_transcript(tmp_path)
+    data = path.read_bytes()
+    assert data.count(b'"CTRL"') > 1
+    path.write_bytes(data.replace(b'"CTRL"', b'"\xff"', 1))
+    n = data[: data.index(b'"CTRL"')].count(b"\n") + 1
+    with pytest.raises(IncompleteTranscript, match=f"^line {n} is not UTF-8 text"):
+        read_transcript(path)
 
 
 def test_reader_holds_codes_not_lines(tmp_path):
