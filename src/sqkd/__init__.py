@@ -47,7 +47,6 @@ from .engine import (
 from .protocol import (
     EXACT_ROUND_CAP,
     ProtocolConfig,
-    RoundRecord,
     RunStats,
     Transcript,
     classical_phase,
@@ -66,7 +65,6 @@ __all__ = [
     "LeakageReport",
     "ProductStructureReport",
     "ProtocolConfig",
-    "RoundRecord",
     "RoundTemplate",
     "RunStats",
     "StateVector",

@@ -210,24 +210,17 @@ def constraint_reports(attack: AttackSpec, pattern: str) -> list[ConstraintRepor
     return reports
 
 
-def constraint_check(
-    attack: AttackSpec, round_index: int, prefix: str | None = None
-) -> ConstraintReport:
-    """Residuals for one round, given the preceding choice pattern.
+def constraint_check(attack: AttackSpec, round_index: int) -> ConstraintReport:
+    """Residuals for one round after every earlier round reflected (CTRL).
 
     Eve's state entering the round is obtained by actually evolving the
-    prefix (her probe is not reset between rounds).  The default prefix
-    reflects every earlier round; a prefix with a letter other than C/S
-    raises ValueError.
+    earlier rounds (her probe is not reset between rounds); constraint_reports
+    takes any other pattern.  A negative round_index raises ValueError.
     """
-    if prefix is None:
-        prefix = "C" * round_index
-    if len(prefix) != round_index:
-        raise ValueError(
-            f"prefix length {len(prefix)} must equal the round index {round_index}"
-        )
+    if round_index < 0:
+        raise ValueError(f"round_index must be >= 0, got {round_index}")
     # the round's own choice does not affect its residuals; C is a placeholder
-    return constraint_reports(attack, prefix + "C")[-1]
+    return constraint_reports(attack, "C" * (round_index + 1))[-1]
 
 
 def _walk_patterns(attack: AttackSpec, patterns):

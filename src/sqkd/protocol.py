@@ -134,17 +134,6 @@ def config_value(key: str, kind: type, value):
     return kind(value)
 
 
-@dataclass
-class RoundRecord:
-    index: int
-    choice: str
-    alice_bit: int | None = None
-    role: str | None = None
-    bob_x_outcome: str | None = None
-    bob_z_outcome: int | None = None
-    error: bool | None = None
-
-
 #: outcome codes of an exact round before the classical phase measures it,
 #: by Alice's choice; a code below 2 is a CTRL round throughout
 _PENDING_CTRL = -1
@@ -160,20 +149,14 @@ class Transcript:
     until classical_phase measures them.  final_state holds an exact run's
     joint state until classical_phase takes it, and is None after.  test
     marks the Test rounds once classical_phase has assigned roles, and is
-    None before.  Transcripts compare by identity; compare their records
-    instead.
+    None before.  Transcripts compare by identity; compare their codes and
+    test instead.
     """
 
     config: ProtocolConfig
     codes: np.ndarray
     final_state: StateVector | None = None
     test: np.ndarray | None = None
-
-    @property
-    def records(self) -> list[RoundRecord]:
-        """One RoundRecord per round, built from the codes and roles."""
-        table = _FIELDS[self.test is not None]
-        return [RoundRecord(i, *table[k]) for i, k in enumerate(_class_keys(self).tolist())]
 
 
 @dataclass(frozen=True)
@@ -470,20 +453,22 @@ def _round_draws(rng, rounds: int, ctrl_prob: float):
         u = u[p:]
 
 
-def _sample_table(table: _Table, rounds: int, ctrl_prob: float, rng) -> np.ndarray:
-    """Outcome codes of the next rounds, all drawn from one table.
+def _sample_table(table: _Table, out: np.ndarray, ctrl_prob: float, rng):
+    """Outcome codes of the next len(out) rounds, all drawn from one table, into out.
 
     Each round takes its draws from _round_draws: the choice, then one (CTRL)
-    or two (SIFT) outcomes.
+    or two (SIFT) outcomes.  Each block's codes are written into out as it is
+    drawn.
     """
-    codes = []
-    for u, starts in _round_draws(rng, rounds, ctrl_prob):
+    i = 0
+    for u, starts in _round_draws(rng, len(out), ctrl_prob):
         s = np.array(starts, dtype=np.intp)
         second, third = u[s + 1], u[np.minimum(s + 2, len(u) - 1)]
         bit = second >= table.a
         sift = 2 + 2 * bit + (third >= np.where(bit, table.z[1], table.z[0]))
-        codes.append(np.where(u[s] < ctrl_prob, second >= table.x, sift))
-    return np.concatenate(codes)
+        stop = i + len(s)
+        out[i:stop] = np.where(u[s] < ctrl_prob, second >= table.x, sift)
+        i = stop
 
 
 def _sample_live(inst: _Instrument, psi, first: int, end: int, ctrl_prob: float, rng):
@@ -599,7 +584,7 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
             if table is None:
                 table = tables[table_key] = _round_table(inst, psi)
             stop = attack.run_end(i, config.rounds)
-            codes[i:stop] = _sample_table(table, stop - i, config.ctrl_prob, rng)
+            _sample_table(table, codes[i:stop], config.ctrl_prob, rng)
         else:
             # rounds of this gate rule before any live label's last use drop
             # nothing, and on these very gates materialize nothing: the
@@ -649,13 +634,18 @@ def _key_text(bits: np.ndarray) -> str:
     return (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
 
 
+def _roles(transcript: Transcript) -> np.ndarray:
+    """The transcript's Test mask; IncompleteTranscript before classical_phase sets it."""
+    if transcript.test is None:
+        raise IncompleteTranscript("the transcript has no roles; classical_phase assigns them")
+    return transcript.test
+
+
 def run_stats(transcript: Transcript) -> RunStats:
     """Statistics of a transcript by outcome code: a code below 2 is a Ctrl
     round, any other a Test round where test is set and a Key round elsewhere.
     Raises IncompleteTranscript when roles are unset or an outcome pending."""
-    codes, test = transcript.codes, transcript.test
-    if test is None:
-        raise IncompleteTranscript("the transcript has no roles; classical_phase assigns them")
+    codes, test = transcript.codes, _roles(transcript)
     pending = np.flatnonzero((codes < 0) | (codes >= _PENDING_SIFT))
     if len(pending):
         raise IncompleteTranscript(f"round {pending[0]} lacks recorded outcomes")
@@ -736,50 +726,34 @@ def classical_phase(transcript: Transcript, rng: np.random.Generator | None = No
 
 #: each config field's type, as config_value reads it
 _CONFIG_TYPES = {f.name: f.type for f in fields(ProtocolConfig)}
-_RECORD_NAMES = [f.name for f in fields(RoundRecord)]
+#: the fields of a record line after its index, in the order it writes them
+_RECORD_NAMES = ("choice", "alice_bit", "role", "bob_x_outcome", "bob_z_outcome", "error")
 
 
-def _record_fields(code: int, role: str | None) -> tuple:
-    """A record's fields after its index, from its outcome code and role."""
-    if code in (_PENDING_CTRL, _PENDING_SIFT):
-        return (CTRL if code == _PENDING_CTRL else SIFT, None, None, None, None, None)
+def _record_fields(code: int, test: int) -> tuple:
+    """A record's fields after its index, from its outcome code (0..5) and Test bit."""
     if code < 2:
         x = (PLUS, MINUS)[code]
-        return CTRL, None, role, x, None, None if role is None else x == MINUS
+        return CTRL, None, ROLE_CTRL, x, None, x == MINUS
     bit, z = divmod(code - 2, 2)
-    return SIFT, bit, role, None, z, bit != z if role == ROLE_TEST else None
+    return SIFT, bit, ROLE_TEST if test else ROLE_KEY, None, z, bit != z if test else None
 
 
-#: the line format, built once.  Indexed by whether roles are set, each
-#: class's record fields after the index, by class key (2*code, plus 1 on a
-#: Test round): without roles a class per code, pending codes included; with
-#: them, one per Ctrl code and one per SIFT code on a Key and a Test round
-_FIELDS = (
-    {2 * c: _record_fields(c, None) for c in range(_PENDING_CTRL, _PENDING_SIFT + 1)},
-    {
-        2 * c + t: _record_fields(c, ROLE_TEST if t else ROLE_CTRL if c < 2 else ROLE_KEY)
-        for c in range(_PENDING_SIFT)
-        for t in (0, 1)
-        if c >= 2 or not t
-    },
-)
-#: each class's line text after the index, newline included, as
-#: json.dumps(vars(record)) writes it
-_TAILS = tuple(
-    {
-        k: json.dumps(dict(zip(_RECORD_NAMES, (0, *f))))[len('{"index": 0') :] + "\n"
-        for k, f in t.items()
-    }
-    for t in _FIELDS
-)
-#: the reader's inverse: each tail, without its newline, to (roles set, code, Test bit)
-_CLASS_OF = {t[:-1]: (r, k >> 1, k & 1) for r in (False, True) for k, t in _TAILS[r].items()}
-
-
-def _class_keys(transcript: Transcript) -> np.ndarray:
-    """Each round's class key in _FIELDS and _TAILS, as int16: no code's key wraps."""
-    test = transcript.test
-    return 2 * transcript.codes.astype(np.int16) + (0 if test is None else test)
+#: the line format, built once: each class's line text after the index,
+#: newline included, as json.dumps writes the record, by class key 2*code
+#: plus the Test bit; one class per Ctrl code and one per SIFT code on a Key
+#: and on a Test round
+_TAILS = {
+    2 * c + t: ", " + json.dumps(dict(zip(_RECORD_NAMES, _record_fields(c, t))))[1:] + "\n"
+    for c in range(_PENDING_SIFT)
+    for t in (0, 1)
+    if c >= 2 or not t
+}
+#: the reader's inverse: each tail, without its newline, to (code, Test bit)
+_CLASS_OF = {t[:-1]: (k >> 1, k & 1) for k, t in _TAILS.items()}
+#: whether a class key has a tail, at key + 256: an int8 code's key lies in -256..255
+_HAS_TAIL = np.zeros(512, dtype=bool)
+_HAS_TAIL[[k + 256 for k in _TAILS]] = True
 
 
 #: rounds whose lines write_transcript builds and writes at once
@@ -790,27 +764,27 @@ def write_transcript(path, transcript: Transcript, attack: dict | None = None):
     """One JSON record per line, preceded by a header line with the config.
 
     The header is the config's fields, then attack when given; each record
-    line is the RoundRecord's fields in field order, its index followed by
-    its class's tail from _TAILS.  A round whose class has no tail (a code
-    outside -1..6, a pending code with roles, a Test CTRL round) raises
+    line holds _RECORD_NAMES in order, its index followed by its class's tail
+    from _TAILS.  A transcript without roles, or with a round whose class has
+    no tail (a code outside 0..5, a Test CTRL round), raises
     IncompleteTranscript before the file is opened.  Lines are built and
     written _CHUNK rounds at a time, so the text of a run is never held whole.
     """
+    test = _roles(transcript)
     header = asdict(transcript.config)
     if attack is not None:
         header["attack"] = attack
-    keys = _class_keys(transcript)
-    tails = _TAILS[transcript.test is not None]
-    bad = np.flatnonzero(~np.isin(keys, list(tails)))
+    keys = 2 * transcript.codes.astype(np.int16) + test
+    bad = np.flatnonzero(~_HAS_TAIL[keys + 256])
     if len(bad):
         i = bad[0]
-        marked = " marked Test" if transcript.test is not None and transcript.test[i] else ""
+        marked = " marked Test" if test[i] else ""
         raise IncompleteTranscript(f"round {i} has no line: code {transcript.codes[i]}{marked}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
         for start in range(0, len(keys), _CHUNK):
             chunk = keys[start : start + _CHUNK].tolist()
-            fh.write("".join([f'{{"index": {i}{tails[k]}' for i, k in enumerate(chunk, start)]))
+            fh.write("".join([f'{{"index": {i}{_TAILS[k]}' for i, k in enumerate(chunk, start)]))
 
 
 def _text(n: int, raw: bytes) -> str:
@@ -825,8 +799,8 @@ def read_transcript(path) -> tuple[dict, Transcript]:
     """Header and transcript of a file write_transcript wrote, read line by line.
 
     Record i must be the line written for round i: its index, then a tail
-    from _TAILS, with roles on every line or on none; blank lines are
-    skipped.  Raises IncompleteTranscript, naming the line, for an empty
+    from _TAILS; blank lines are skipped.  The transcript always has its
+    Test mask.  Raises IncompleteTranscript, naming the line, for an empty
     file, a line that is not UTF-8, a header holding no valid config, any
     other record line, or more or fewer records than the header's rounds.
     """
@@ -845,13 +819,12 @@ def read_transcript(path) -> tuple[dict, Transcript]:
             raise IncompleteTranscript(
                 f"line {n}: the header holds no valid config ({type(exc).__name__}: {exc})"
             ) from None
-        roles = False
         for i, (n, line) in zip(range(config.rounds), lines):
             head = f'{{"index": {i}'
             cls = _CLASS_OF.get(line[len(head) :]) if line.startswith(head) else None
-            if cls is None or (i and cls[0] != roles):
+            if cls is None:
                 raise IncompleteTranscript(f"line {n} is not a line written for round {i}")
-            roles, code, bit = cls
+            code, bit = cls
             codes.append(code)
             test.append(bit)
         extra = next(lines, None)
@@ -861,5 +834,5 @@ def read_transcript(path) -> tuple[dict, Transcript]:
         raise IncompleteTranscript(
             f"the file ends at line {n}, after {len(codes)} of {config.rounds} records"
         )
-    mask = np.frombuffer(test, dtype=bool) if roles else None
+    mask = np.frombuffer(test, dtype=bool)
     return header, Transcript(config, np.frombuffer(codes, dtype=np.int8), test=mask)

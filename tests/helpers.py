@@ -3,7 +3,7 @@
 import itertools
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from operator import attrgetter, ne
 
 import numpy as np
@@ -56,7 +56,6 @@ from sqkd.protocol import (
     ROLE_TEST,
     SIFT,
     JointEvolution,
-    RoundRecord,
     RunStats,
     _round_draws,
     stream_rng,
@@ -522,6 +521,46 @@ def reference_pair_live(inst, psi, first, end, ctrl_prob, rng):
 # ---------------------------------------------------------------------------
 # Record-based classical phase and transcript writer
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class RoundRecord:
+    """One round as the transcript file spells it out, field by field."""
+
+    index: int
+    choice: str
+    alice_bit: int | None = None
+    role: str | None = None
+    bob_x_outcome: str | None = None
+    bob_z_outcome: int | None = None
+    error: bool | None = None
+
+
+def records(transcript):
+    """One RoundRecord per round, read off the transcript's codes and Test mask.
+
+    A code below 2 is a CTRL round: 0 read PLUS, 1 read MINUS, and -1 still
+    pending.  Any other is a SIFT round: 2 + 2*alice_bit + bob_z_outcome, or
+    6 still pending.  Once roles are set, a CTRL round is Ctrl and errs on
+    MINUS, and a SIFT round is Test, erring when its two bits differ, or Key;
+    before, no round has a role or an error.
+    """
+    out = []
+    for i, code in enumerate(transcript.codes.tolist()):
+        rec = RoundRecord(index=i, choice=CTRL if code < 2 else SIFT)
+        if code in (0, 1):
+            rec.bob_x_outcome = PLUS if code == 0 else MINUS
+        elif 2 <= code <= 5:
+            rec.alice_bit, rec.bob_z_outcome = divmod(code - 2, 2)
+        if transcript.test is not None:
+            if rec.choice == CTRL:
+                rec.role, rec.error = ROLE_CTRL, rec.bob_x_outcome == MINUS
+            elif transcript.test[i]:
+                rec.role, rec.error = ROLE_TEST, rec.alice_bit != rec.bob_z_outcome
+            else:
+                rec.role = ROLE_KEY
+        out.append(rec)
+    return out
 
 
 def reference_classical_phase(config, records, final_state, rng):

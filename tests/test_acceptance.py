@@ -46,7 +46,7 @@ from sqkd.engine import (
 )
 from sqkd.protocol import MODE_EXACT, ProtocolConfig, classical_phase, run_protocol
 
-from helpers import oracle_partial_trace, probe_decoupled_attack
+from helpers import oracle_partial_trace, probe_decoupled_attack, records
 
 
 @contextmanager
@@ -105,11 +105,11 @@ def test_c3_counterexample_statistics():
         minus_per_round = [0, 0]
         for t in range(trials):
             cfg = ProtocolConfig(rounds=2, ctrl_prob=1.0, seed=t)
-            records = run_protocol(cfg, cnot_parity_attack()).records
-            pair = (records[0].bob_x_outcome, records[1].bob_x_outcome)
+            recs = records(run_protocol(cfg, cnot_parity_attack()))
+            pair = (recs[0].bob_x_outcome, recs[1].bob_x_outcome)
             joint_counts[pair] = joint_counts.get(pair, 0) + 1
             for i in (0, 1):
-                minus_per_round[i] += records[i].bob_x_outcome == MINUS
+                minus_per_round[i] += recs[i].bob_x_outcome == MINUS
         assert set(joint_counts) <= {(PLUS, PLUS), (MINUS, MINUS)}
         for pair in ((PLUS, PLUS), (MINUS, MINUS)):
             assert abs(joint_counts.get(pair, 0) / trials - 0.5) < 0.02

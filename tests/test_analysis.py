@@ -179,7 +179,7 @@ def test_constraint_phase_probe_later_rounds_and_prefixes():
     att = phase_probe_attack(theta)
     expected = (1 - math.cos(theta)) / 2
     for prefix in ("", "C", "S", "CC", "CS", "SC", "SS"):
-        rep = constraint_check(att, len(prefix), prefix=prefix)
+        rep = constraint_reports(att, prefix + "C")[-1]
         assert abs(rep.ctrl_error_prob - expected) < 1e-9
         assert rep.test_residual < 1e-12
 
@@ -190,17 +190,18 @@ def test_constraint_swap():
     assert rep.ctrl_error_prob < 1e-12
 
 
-def test_constraint_prefix_length_must_match():
-    with pytest.raises(ValueError):
-        constraint_check(identity_attack(), 2, prefix="C")
+def test_constraint_check_refuses_a_negative_round():
+    for round_index in (-1, -2):
+        with pytest.raises(ValueError, match=f"round_index must be >= 0, got {round_index}$"):
+            constraint_check(identity_attack(), round_index)
 
 
 def test_constraint_rejects_letters_other_than_c_and_s():
     for prefix in ("x", "X", "1"):
         with pytest.raises(ValueError):
-            constraint_check(identity_attack(), 1, prefix=prefix)
+            constraint_reports(identity_attack(), prefix + "C")
     with pytest.raises(ValueError):
-        constraint_check(identity_attack(), 2, prefix="CT")
+        constraint_reports(identity_attack(), "CT" + "C")
 
 
 def test_constraint_rejects_rounds_past_the_exact_cap():
@@ -226,7 +227,7 @@ def test_constraint_check_matches_reference(att):
     for prefix in [""] + default_patterns(4):
         expected = reference_constraint_check(att, len(prefix), prefix)
         for given in (prefix, prefix.lower()):
-            assert constraint_check(att, len(prefix), prefix=given) == expected, given
+            assert constraint_reports(att, given + "C")[-1] == expected, given
 
 
 @pytest.mark.parametrize("name", ATTACK_NAMES)

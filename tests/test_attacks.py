@@ -42,7 +42,7 @@ from sqkd.protocol import (
     run_protocol,
 )
 
-from helpers import explicit_measure_resend_z_attack, explicit_swap_attack, identity_gate
+from helpers import explicit_measure_resend_z_attack, explicit_swap_attack, identity_gate, records
 
 
 def run_stats(attack, rounds, seed=0, ctrl_prob=0.5, test_fraction=0.5):
@@ -190,10 +190,10 @@ def test_templated_attacks_match_explicit_oracles(build, oracle):
             for seed in range(3):
                 for ctrl_prob in (0.0, 0.3, 1.0):
                     cfg = ProtocolConfig(rounds=rounds, ctrl_prob=ctrl_prob, seed=seed)
-                    assert run_protocol(cfg, att).records == run_protocol(cfg, ref).records
+                    assert records(run_protocol(cfg, att)) == records(run_protocol(cfg, ref))
         cfg = ProtocolConfig(rounds=n, seed=n, mode=MODE_EXACT)
         got, want = run_protocol(cfg, att), run_protocol(cfg, ref)
-        assert got.records == want.records
+        assert records(got) == records(want)
         assert got.final_state.layout == want.final_state.layout
         assert np.array_equal(got.final_state.amps, want.final_state.amps)
         assert analysis.theorem_check(att, max_pattern_len=n) == analysis.theorem_check(
@@ -202,7 +202,7 @@ def test_templated_attacks_match_explicit_oracles(build, oracle):
         for pattern in ("S" * n, "C" * (n - 1) + "S"):
             assert analysis.eve_leakage(att, pattern) == analysis.eve_leakage(ref, pattern)
     cfg = ProtocolConfig(rounds=500, seed=5)
-    assert run_protocol(cfg, build(500)).records == run_protocol(cfg, oracle(500)).records
+    assert records(run_protocol(cfg, build(500))) == records(run_protocol(cfg, oracle(500)))
 
 
 def test_template_construction_is_validated():

@@ -20,6 +20,8 @@ from sqkd.protocol import (
     run_stats,
 )
 
+from helpers import records
+
 
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
@@ -187,7 +189,7 @@ def test_run_transcript_round_trip(tmp_path):
     assert header["attack"]["name"] == "swap"
     transcript = run_protocol(back.config, swap_attack(back.config.rounds))
     classical_phase(transcript)
-    assert back.records == transcript.records
+    assert records(back) == records(transcript)
     assert np.array_equal(back.codes, transcript.codes)
 
 

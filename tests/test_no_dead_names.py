@@ -18,9 +18,9 @@ import sqkd
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sqkd"
 
-#: readers of the file format `sqkd run` writes, kept for audits and as the
-#: tests' oracles: no code in the package reads a run back
-ALLOWED = {"read_transcript", "records"}
+#: the reader of the file format `sqkd run` writes, kept for audits and as
+#: the tests' oracle: no code in the package reads a run back
+ALLOWED = {"read_transcript"}
 
 
 def _definitions(tree: ast.Module):

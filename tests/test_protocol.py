@@ -55,7 +55,6 @@ from sqkd.protocol import (
     ROLE_TEST,
     SIFT,
     JointEvolution,
-    RoundRecord,
     Transcript,
     classical_phase,
     derive_seed,
@@ -76,6 +75,7 @@ from helpers import (
     reference_pair_live,
     reference_sampling,
     reference_write_transcript,
+    records,
 )
 
 
@@ -112,7 +112,7 @@ def test_config_validation():
 def test_identity_attack_is_error_free_sampling(seed, rounds):
     cfg = ProtocolConfig(rounds=rounds, seed=seed)
     transcript, stats = run_with_stats(cfg, identity_attack())
-    for rec in transcript.records:
+    for rec in records(transcript):
         if rec.role == ROLE_CTRL:
             assert rec.bob_x_outcome == PLUS and rec.error is False
         elif rec.role == ROLE_TEST:
@@ -135,8 +135,8 @@ def test_identity_attack_is_error_free_exact(seed):
 def test_all_ctrl_when_ctrl_prob_is_one():
     cfg = ProtocolConfig(rounds=50, ctrl_prob=1.0, seed=2)
     transcript = run_protocol(cfg, identity_attack())
-    assert all(r.choice == CTRL for r in transcript.records)
-    assert all(r.alice_bit is None for r in transcript.records)
+    assert all(r.choice == CTRL for r in records(transcript))
+    assert all(r.alice_bit is None for r in records(transcript))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_a_factor_over_two_labels_is_materialized_once():
     assert labels.count("E0") == labels.count("E1") == 1
     for seed, ctrl_prob in ((0, 0.0), (1, 0.5), (2, 1.0), (3, 0.3)):
         cfg = ProtocolConfig(rounds=6, ctrl_prob=ctrl_prob, seed=seed)
-        assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+        assert records(run_protocol(cfg, att)) == reference_sampling(cfg, att)
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,13 +338,13 @@ def test_transcript_conservation():
     cfg = ProtocolConfig(rounds=257, seed=9)
     transcript, stats = run_with_stats(cfg, identity_attack())
     assert stats.n_ctrl + stats.n_test + stats.n_key == cfg.rounds
-    for rec in transcript.records:
+    for rec in records(transcript):
         if rec.choice == SIFT:
             assert rec.alice_bit in (0, 1)
         else:
             assert rec.alice_bit is None
         assert (rec.error is not None) == (rec.role in (ROLE_CTRL, ROLE_TEST))
-    assert [r.index for r in transcript.records] == list(range(cfg.rounds))
+    assert [r.index for r in records(transcript)] == list(range(cfg.rounds))
 
 
 def test_incomplete_transcript_is_rejected():
@@ -381,7 +381,7 @@ def test_measure_out_copies_only_the_half_it_keeps():
     # the middle of the full final state
     cfg = ProtocolConfig(rounds=7, seed=0, mode=MODE_EXACT)
     transcript = run_protocol(cfg, swap_attack(7))
-    assert transcript.records[0].choice == SIFT
+    assert records(transcript)[0].choice == SIFT
     final_bytes = transcript.final_state.amps.nbytes
     tracemalloc.start()
     try:
@@ -397,7 +397,7 @@ def test_x_measurement_builds_only_the_half_it_keeps():
     # round 0 is CTRL, so the first measurement reads Bob's memory in X
     cfg = ProtocolConfig(rounds=7, seed=2, mode=MODE_EXACT)
     transcript = run_protocol(cfg, swap_attack(7))
-    assert transcript.records[0].choice == CTRL
+    assert records(transcript)[0].choice == CTRL
     final_bytes = transcript.final_state.amps.nbytes
     tracemalloc.start()
     try:
@@ -422,7 +422,7 @@ def test_identical_seeds_give_identical_transcripts():
     runs = []
     for _ in range(2):
         transcript, _ = run_with_stats(cfg, att)
-        runs.append(json.dumps([vars(r) for r in transcript.records]))
+        runs.append(json.dumps([vars(r) for r in records(transcript)]))
     assert runs[0] == runs[1]
 
 
@@ -452,7 +452,7 @@ def runs(draw):
 def test_same_seed_gives_the_same_run(run):
     cfg, _, att = run
     (t0, s0), (t1, s1) = (run_with_stats(cfg, att) for _ in range(2))
-    assert t0.records == t1.records
+    assert records(t0) == records(t1)
     assert s0 == s1
 
 
@@ -465,7 +465,7 @@ def test_transcript_round_trip_on_random_runs(tmp_path_factory, run):
     write_transcript(path, transcript, attack={"name": name})
     header, back = read_transcript(path)
     assert header == {**asdict(cfg), "attack": {"name": name}}
-    assert back.records == transcript.records
+    assert records(back) == records(transcript)
     assert np.array_equal(back.codes, transcript.codes)
     assert run_stats(back) == stats
 
@@ -505,14 +505,14 @@ def oracle_runs(draw):
 def test_codes_match_the_record_oracles(tmp_path_factory, run, chunk):
     cfg, name, att = run
     transcript = run_protocol(cfg, att)
-    records = transcript.records
-    want = reference_classical_phase(cfg, records, transcript.final_state, stream_rng(cfg.seed, 1))
+    recs = records(transcript)
+    want = reference_classical_phase(cfg, recs, transcript.final_state, stream_rng(cfg.seed, 1))
     stats = classical_phase(transcript)
     assert stats == want
-    assert transcript.records == records
+    assert records(transcript) == recs
     tmp = tmp_path_factory.mktemp("transcripts")
     extra = {"attack": {"name": name}}
-    reference_write_transcript(tmp / "want.jsonl", cfg, records, header_extra=extra)
+    reference_write_transcript(tmp / "want.jsonl", cfg, recs, header_extra=extra)
     with mock.patch.object(protocol, "_CHUNK", chunk):
         write_transcript(tmp / "got.jsonl", transcript, attack=extra["attack"])
     assert (tmp / "got.jsonl").read_bytes() == (tmp / "want.jsonl").read_bytes()
@@ -535,13 +535,24 @@ def test_writer_holds_one_chunk_of_text():
     assert peak <= 32 * 2**20
 
 
+@pytest.mark.parametrize("name", ["identity", "swap"])
+def test_table_sampler_writes_codes_in_place(name):
+    rounds = 10**6
+    attack = build_attack(name, n_rounds=rounds)
+    tracemalloc.start()
+    try:
+        run_protocol(ProtocolConfig(rounds=rounds, seed=3), attack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the int8 codes (1 MB) and one block's temporaries; whole-run int64
+    # codes alone would take 8 MB
+    assert peak <= 8 * 2**20
+
+
 @pytest.mark.parametrize("mode", [MODE_SAMPLING, MODE_EXACT])
 @pytest.mark.parametrize("name", ATTACK_NAMES)
-def test_runs_build_no_round_record(tmp_path, monkeypatch, mode, name):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a RoundRecord was built")
-
-    monkeypatch.setattr(RoundRecord, "__init__", refuse)
+def test_runs_build_no_round_record(tmp_path, mode, name):
     rounds = 4 if mode == MODE_EXACT else 500
     attack = {"name": name}
     if name == "cnot_parity":
@@ -568,7 +579,7 @@ def test_transcript_round_trip(tmp_path):
     write_transcript(path, transcript, attack={"name": "swap"})
     header, back = read_transcript(path)
     assert header["rounds"] == 120 and header["attack"]["name"] == "swap"
-    assert back.records == transcript.records
+    assert records(back) == records(transcript)
     assert np.array_equal(back.codes, transcript.codes)
     assert np.array_equal(back.test, transcript.test)
     assert run_stats(back) == stats
@@ -660,7 +671,7 @@ def test_sampling_matches_dense_reference(name, ctrl_prob):
     att = SAMPLING_ATTACKS[name]
     for seed in range(5):
         cfg = ProtocolConfig(rounds=REFERENCE_ROUNDS, ctrl_prob=ctrl_prob, seed=seed)
-        assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+        assert records(run_protocol(cfg, att)) == reference_sampling(cfg, att)
 
 
 @settings(max_examples=20, deadline=None)
@@ -683,7 +694,7 @@ def test_sampling_matches_dense_reference_on_random_gates(seed, dim, ctrl_prob, 
         default_backward=fwd,
     )
     cfg = ProtocolConfig(rounds=rounds, ctrl_prob=ctrl_prob, seed=seed)
-    assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+    assert records(run_protocol(cfg, att)) == reference_sampling(cfg, att)
 
 
 def _patched_swap_attack(n_rounds):
@@ -716,7 +727,7 @@ def test_templates_with_explicit_entries_match_dense_reference(ctrl_prob):
     assert att.last_use("E9", 20) == -1
     for seed in range(5):
         cfg = ProtocolConfig(rounds=20, ctrl_prob=ctrl_prob, seed=seed)
-        assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+        assert records(run_protocol(cfg, att)) == reference_sampling(cfg, att)
 
 
 @pytest.mark.parametrize("block", [1, 2, 5])
@@ -727,7 +738,7 @@ def test_table_blocks_of_any_size_match_dense_reference(monkeypatch, block):
         att = SAMPLING_ATTACKS[name]
         for ctrl_prob in (0.0, 0.3, 1.0):
             cfg = ProtocolConfig(rounds=REFERENCE_ROUNDS, ctrl_prob=ctrl_prob, seed=block)
-            assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+            assert records(run_protocol(cfg, att)) == reference_sampling(cfg, att)
 
 
 @settings(max_examples=100, deadline=None)
@@ -836,8 +847,8 @@ def test_live_probe_rounds_match_dense_reference(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol, "_BLOCK", block)
         spans = _live_spans(mp)
-        records = run_protocol(cfg, att).records
-    assert records == reference_sampling(cfg, att)
+        recs = records(run_protocol(cfg, att))
+    assert recs == reference_sampling(cfg, att)
     assert sum(end - first for first, end in spans) == (live_rounds + 1 if live_rounds else 0)
 
 
@@ -924,7 +935,7 @@ def test_live_span_ends_where_the_gates_change(monkeypatch):
     spans = _live_spans(monkeypatch)
     for seed, ctrl_prob in ((0, 0.0), (1, 0.5), (2, 1.0)):
         cfg = ProtocolConfig(rounds=30, ctrl_prob=ctrl_prob, seed=seed)
-        assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+        assert records(run_protocol(cfg, att)) == reference_sampling(cfg, att)
     assert spans == [(r, r + 1) for r in range(30)] * 3
 
 
@@ -943,7 +954,7 @@ def test_live_probe_rounds_off_dim_2_step_through_numpy(monkeypatch, dim):
     for seed, ctrl_prob in ((0, 0.0), (1, 0.5), (2, 1.0)):
         att = _haar_probe_attack(np.random.default_rng(seed), dim)
         cfg = ProtocolConfig(rounds=150, ctrl_prob=ctrl_prob, seed=seed)
-        assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+        assert records(run_protocol(cfg, att)) == reference_sampling(cfg, att)
     assert spans == [(0, 149), (149, 150)] * 3
     assert len(steps) >= 3 * 150 and set(steps) == {dim}
 
@@ -970,7 +981,7 @@ def test_rounds_with_equal_unitaries_share_one_instrument(monkeypatch):
     for seed, ctrl_prob in ((0, 0.0), (1, 0.5), (2, 1.0)):
         cfg = ProtocolConfig(rounds=40, ctrl_prob=ctrl_prob, seed=seed)
         compiles.clear()
-        assert run_protocol(cfg, att).records == reference_sampling(cfg, att)
+        assert records(run_protocol(cfg, att)) == reference_sampling(cfg, att)
         assert len(compiles) == 1
 
 
@@ -1035,9 +1046,9 @@ def test_dead_entangled_probes_do_not_grow_the_state(monkeypatch):
 
     monkeypatch.setattr(protocol, "_collapse", bounded_collapse)
     cfg = ProtocolConfig(rounds=64, ctrl_prob=1.0, seed=4)
-    records = run_protocol(cfg, dead_probe_entangler_attack(64)).records
-    assert len(records) == 64
-    assert all(r.bob_x_outcome is not None for r in records)
+    recs = records(run_protocol(cfg, dead_probe_entangler_attack(64)))
+    assert len(recs) == 64
+    assert all(r.bob_x_outcome is not None for r in recs)
     assert max(sizes) == peak_dim
 
 
@@ -1113,10 +1124,10 @@ def test_read_transcript_round_trip(tmp_path):
     path, transcript = _written_transcript(tmp_path)
     header, back = read_transcript(path)
     assert header["seed"] == 6 and header["attack"] == {"name": "phase_probe"}
-    assert back.records == transcript.records
+    assert records(back) == records(transcript)
     lines = path.read_text().splitlines()
     _rewrite(path, lines[:3] + ["", ""] + lines[3:])  # blank lines are skipped
-    assert read_transcript(path)[1].records == transcript.records
+    assert records(read_transcript(path)[1]) == records(transcript)
 
 
 def test_read_transcript_rejects_empty_file(tmp_path):
@@ -1170,7 +1181,7 @@ def test_key_and_test_bits_must_be_bits(tmp_path):
                 with pytest.raises(IncompleteTranscript, match=f"round {i}$"):
                     read_transcript(path)
     _rewrite(path, lines)
-    assert read_transcript(path)[1].records == transcript.records
+    assert records(read_transcript(path)[1]) == records(transcript)
 
 
 @pytest.mark.parametrize(
@@ -1215,9 +1226,13 @@ def test_read_transcript_refuses_a_header_the_config_refuses(tmp_path, header):
 def test_read_transcript_refuses_roles_on_some_lines_only(tmp_path):
     path, transcript = _written_transcript(tmp_path)
     bare = Transcript(transcript.config, transcript.codes)
-    write_transcript(tmp_path / "bare.jsonl", bare)
-    _, back = read_transcript(tmp_path / "bare.jsonl")
-    assert back.test is None and back.records == bare.records
+    with pytest.raises(IncompleteTranscript, match="no roles; classical_phase assigns them$"):
+        write_transcript(tmp_path / "bare.jsonl", bare)
+    assert not (tmp_path / "bare.jsonl").exists()
+    # role-less lines, as json.dumps(vars(record)) writes them
+    reference_write_transcript(tmp_path / "bare.jsonl", bare.config, records(bare))
+    with pytest.raises(IncompleteTranscript, match="line 2 is not a line written for round 0$"):
+        read_transcript(tmp_path / "bare.jsonl")
     lines = path.read_text().splitlines()
     lines[4] = (tmp_path / "bare.jsonl").read_text().splitlines()[4]
     _rewrite(path, lines)
@@ -1225,16 +1240,21 @@ def test_read_transcript_refuses_roles_on_some_lines_only(tmp_path):
         read_transcript(path)
 
 
-def test_pending_exact_transcript_round_trips(tmp_path):
+def test_pending_exact_transcript_is_refused(tmp_path):
     transcript = run_protocol(ProtocolConfig(rounds=4, seed=2, mode=MODE_EXACT), swap_attack(4))
-    write_transcript(tmp_path / "t.jsonl", transcript)
-    _, back = read_transcript(tmp_path / "t.jsonl")
-    assert back.records == transcript.records and back.test is None
-    with pytest.raises(IncompleteTranscript, match="no roles"):
-        run_stats(back)
-    back.test = np.zeros(4, dtype=bool)
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(IncompleteTranscript, match="no roles; classical_phase assigns them$"):
+        write_transcript(path, transcript)
+    assert not path.exists()
+    with pytest.raises(IncompleteTranscript, match="no roles; classical_phase assigns them$"):
+        run_stats(transcript)
+    # pending lines, as json.dumps(vars(record)) writes them
+    reference_write_transcript(path, transcript.config, records(transcript))
+    with pytest.raises(IncompleteTranscript, match="line 2 is not a line written for round 0$"):
+        read_transcript(path)
+    transcript.test = np.zeros(4, dtype=bool)
     with pytest.raises(IncompleteTranscript, match="round 0 lacks recorded outcomes"):
-        run_stats(back)
+        run_stats(transcript)
 
 
 def test_write_transcript_refuses_a_round_with_no_line(tmp_path):
@@ -1245,8 +1265,10 @@ def test_write_transcript_refuses_a_round_with_no_line(tmp_path):
         (Transcript(cfg, np.array([0, 2, 3], dtype=np.int8), test=np.array([True, False, False])),
          "round 0 has no line: code 0 marked Test$"),
         # codes outside -1..6; -127 would wrap onto code 1's key in int8
-        (Transcript(cfg, np.array([0, 7, 2], dtype=np.int8)), "round 1 has no line: code 7$"),
-        (Transcript(cfg, np.array([2, 3, -127], dtype=np.int8)), "round 2 has no line: code -127$"),
+        (Transcript(cfg, np.array([0, 7, 2], dtype=np.int8), test=np.zeros(3, bool)),
+         "round 1 has no line: code 7$"),
+        (Transcript(cfg, np.array([2, 3, -127], dtype=np.int8), test=np.zeros(3, bool)),
+         "round 2 has no line: code -127$"),
         # a pending code once roles are set
         (Transcript(cfg, np.array([2, 6, 3], dtype=np.int8), test=np.zeros(3, dtype=bool)),
          "round 1 has no line: code 6$"),
@@ -1254,6 +1276,30 @@ def test_write_transcript_refuses_a_round_with_no_line(tmp_path):
         with pytest.raises(IncompleteTranscript, match=says):
             write_transcript(path, transcript)
         assert not path.exists()
+
+
+def test_write_transcript_writes_exactly_the_ten_classes(tmp_path):
+    # every int8 code with and without a Test bit, after one Ctrl and one Key round
+    path, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    cfg = ProtocolConfig(rounds=3)
+    written = set()
+    for code in range(-128, 128):
+        for bit in (False, True):
+            codes = np.array([0, 2, code], dtype=np.int8)
+            transcript = Transcript(cfg, codes, test=np.array([False, False, bit]))
+            try:
+                write_transcript(path, transcript)
+            except IncompleteTranscript as exc:
+                assert str(exc) == f"round 2 has no line: code {code}" + " marked Test" * bit
+                assert not path.exists()
+                continue
+            written.add((code, bit))
+            reference_write_transcript(want, cfg, records(transcript))
+            assert path.read_bytes() == want.read_bytes()
+            _, back = read_transcript(path)
+            assert np.array_equal(back.codes, codes) and np.array_equal(back.test, transcript.test)
+            path.unlink()
+    assert written == {(c, False) for c in range(6)} | {(c, True) for c in range(2, 6)}
 
 
 def test_read_transcript_names_a_line_that_is_not_utf8(tmp_path):
