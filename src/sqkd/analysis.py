@@ -206,7 +206,7 @@ def constraint_reports(attack: AttackSpec, pattern: str) -> list[ConstraintRepor
     Report i is round i's, with the pattern's first i letters as its prefix;
     no report depends on the pattern's last letter.
     """
-    _, _, reports = next(_walk_patterns(attack, [_normalize_pattern(pattern)]))
+    _, _, reports = next(_walk_patterns(attack, [pattern]))
     return reports
 
 
@@ -226,16 +226,18 @@ def constraint_check(attack: AttackSpec, round_index: int) -> ConstraintReport:
 def _walk_patterns(attack: AttackSpec, patterns):
     """Evolve every pattern over the prefix trie of the set, depth first.
 
-    Each distinct prefix is evolved once.  At every internal node the SIFT
-    child is evolved, since its state carries the round's residuals; its
-    subtree is walked first, and the CTRL child, if wanted, takes over the
-    parent's evolution afterwards.  Yields (pattern, final state, reports
-    along its path) for every distinct pattern, SIFT branches before CTRL
-    ones.  While a SIFT subtree is walked, the post-forward state of each
-    ancestor with a CTRL child still to visit stays live; walking CTRL first
-    would hold the larger SIFT child instead.
+    The one check of patterns: each is upper-cased, and an empty one or one
+    with a letter other than C or S raises ValueError before any round is
+    evolved.  Each distinct prefix is evolved once.  At every internal node
+    the SIFT child is evolved, since its state carries the round's
+    residuals; its subtree is walked first, and the CTRL child, if wanted,
+    takes over the parent's evolution afterwards.  Yields (upper-cased
+    pattern, final state, reports along its path) for every distinct
+    pattern, SIFT branches before CTRL ones.  While a SIFT subtree is walked,
+    the post-forward state of each ancestor with a CTRL child still to visit
+    stays live; walking CTRL first would hold the larger SIFT child instead.
     """
-    wanted = set(patterns)
+    wanted = {_normalize_pattern(p) for p in patterns}
     check_exact_size(attack, max(map(len, wanted), default=0))
     inner = {p[:k] for p in wanted for k in range(len(p))}
     nodes = wanted | inner
@@ -323,8 +325,7 @@ def eve_leakage(attack: AttackSpec, pattern: str) -> LeakageReport:
     Eve-sized Gram block per joint bit assignment and one joint-bit slice of
     the state at a time.
     """
-    pattern = _normalize_pattern(pattern)
-    _, final, _ = next(_walk_patterns(attack, [pattern]))
+    pattern, final, _ = next(_walk_patterns(attack, [pattern]))
     return _leakage_from_final(final, pattern, compute_holevo=True)
 
 
@@ -336,11 +337,9 @@ def eve_leakage(attack: AttackSpec, pattern: str) -> LeakageReport:
 def default_patterns(max_len: int) -> list[str]:
     """All CTRL/SIFT patterns up to max_len, or _SAMPLE_SIZE random ones beyond 6."""
     if max_len <= 6:
-        out = []
-        for n in range(1, max_len + 1):
-            for k in range(2**n):
-                out.append("".join("S" if (k >> (n - 1 - i)) & 1 else "C" for i in range(n)))
-        return out
+        return [
+            "".join(p) for n in range(1, max_len + 1) for p in itertools.product("CS", repeat=n)
+        ]
     rng = np.random.default_rng(np.random.SeedSequence([_SAMPLE_SEED, max_len]))
     return ["".join(rng.choice(["C", "S"], size=max_len)) for _ in range(_SAMPLE_SIZE)]
 
@@ -367,8 +366,7 @@ def theorem_check(
         raise ValueError("no patterns to check; max_pattern_len must be >= 1")
     max_residual = 0.0
     max_leakage = 0.0
-    normalized = [_normalize_pattern(p) for p in patterns]
-    for pattern, final, reports in _walk_patterns(attack, normalized):
+    for pattern, final, reports in _walk_patterns(attack, patterns):
         for rep in reports:
             max_residual = max(max_residual, rep.test_residual + rep.ctrl_error_prob)
         leak = _leakage_from_final(final, pattern, compute_holevo=False)
@@ -397,8 +395,7 @@ def product_structure_check(attack: AttackSpec, pattern: str) -> ProductStructur
     the purity of Bob's reduced memory state is reported, since a value
     below 1 certifies the memory is not in a product of pure round states.
     """
-    pattern = _normalize_pattern(pattern)
-    _, final, reports = next(_walk_patterns(attack, [pattern]))
+    pattern, final, reports = next(_walk_patterns(attack, [pattern]))
     max_residual = max(r.test_residual + r.ctrl_error_prob for r in reports)
 
     if max_residual > RESIDUAL_TOL:
@@ -463,7 +460,7 @@ def exact_rate_expectations(
     Enumerates Alice's full choice tree with its probabilities, collecting
     per-round marginal error probabilities along every branch, and returns
     the ratio of expected errors to expected round counts — the quantity the
-    sampling mode's pooled frequencies estimate.
+    sampling mode's pooled frequencies estimate.  n_rounds < 1 raises ValueError.
     """
     check_exact_size(attack, n_rounds)
     probs = {"C": ctrl_prob, "S": 1.0 - ctrl_prob}

@@ -15,6 +15,7 @@ state is only formed on demand.
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -237,9 +238,16 @@ def cnot_parity_attack(rounds: tuple[int, int] = (0, 1)) -> AttackSpec:
     """Accumulate the parity of two transit qubits into one probe qubit.
 
     At each of the two named rounds the incoming qubit acts as the control of
-    a CNOT onto the shared probe; the returning leg is untouched.
+    a CNOT onto the shared probe; the returning leg is untouched.  rounds
+    must be two distinct ints >= 0, in a list or tuple; bools are refused.
     """
-    r0, r1 = int(rounds[0]), int(rounds[1])
+    if not (
+        isinstance(rounds, (list, tuple))
+        and len(rounds) == 2
+        and all(isinstance(r, numbers.Integral) and not isinstance(r, bool) for r in rounds)
+    ):
+        raise ParamOutOfRange(f"attack rounds must be a list of two ints, got {rounds!r}")
+    r0, r1 = rounds = (int(rounds[0]), int(rounds[1]))
     if min(r0, r1) < 0:
         raise ParamOutOfRange(f"attacked rounds must be >= 0, got {rounds}")
     if r0 == r1:
@@ -314,8 +322,8 @@ def build_attack(
 ) -> AttackSpec:
     """Construct a registered attack by name.
 
-    n_rounds sizes the probe register of the per-round attacks; rounds picks
-    the attacked pair for cnot_parity.
+    n_rounds sizes the probe register of the per-round attacks and bounds
+    cnot_parity's given pair; the other attacks ignore rounds, in any form.
     """
     params = dict(params or {})
     if name not in ATTACK_NAMES:
@@ -326,7 +334,12 @@ def build_attack(
     if name == "identity":
         return identity_attack()
     if name == "cnot_parity":
-        return cnot_parity_attack(rounds if rounds is not None else (0, 1))
+        attack = cnot_parity_attack(rounds if rounds is not None else (0, 1))
+        if rounds is not None and max(rounds) >= n_rounds:
+            raise ParamOutOfRange(
+                f"attack rounds {rounds} name a round beyond the run's {n_rounds} rounds"
+            )
+        return attack
     if name == "measure_resend_z":
         return measure_resend_z_attack(n_rounds)
     if name == "swap":

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .analysis import constraint_check, constraint_reports, eve_leakage, theorem_check
 from .attacks import ATTACK_NAMES, build_attack
-from .errors import EmptyGrid, GridTooLarge, ParamOutOfRange, SqkdError
+from .errors import EmptyGrid, GridTooLarge, SqkdError
 from .protocol import (
     ProtocolConfig,
     classical_phase,
@@ -64,26 +64,8 @@ def _load_run_config(path: str) -> tuple[ProtocolConfig, dict]:
     return ProtocolConfig(**kwargs), attack_raw
 
 
-def _check_rounds_pair(pair, n_rounds: int):
-    """The attacked pair must be two ints naming rounds of the run."""
-    if (
-        not isinstance(pair, list)
-        or len(pair) != 2
-        or not all(isinstance(r, int) and not isinstance(r, bool) for r in pair)
-    ):
-        raise ParamOutOfRange(f"attack rounds must be a list of two ints, got {pair!r}")
-    if max(pair) >= n_rounds:
-        raise ParamOutOfRange(
-            f"attack rounds {pair} name a round beyond the run's {n_rounds} rounds"
-        )
-
-
 def cmd_run(config_path: str, out_path: str) -> int:
     config, attack_raw = _load_run_config(config_path)
-    # only cnot_parity reads the attacked rounds; the other attacks ignore them
-    rounds_pair = attack_raw.get("rounds") if attack_raw["name"] == "cnot_parity" else None
-    if rounds_pair is not None:
-        _check_rounds_pair(rounds_pair, config.rounds)
     params = attack_raw.get("params")
     if params is not None and not isinstance(params, dict):
         raise ValueError(f"attack params must be an object, got {params!r}")
@@ -91,7 +73,7 @@ def cmd_run(config_path: str, out_path: str) -> int:
         attack_raw["name"],
         params={k: config_value(f"param {k}", float, v) for k, v in (params or {}).items()},
         n_rounds=config.rounds,
-        rounds=tuple(rounds_pair) if rounds_pair is not None else None,
+        rounds=attack_raw.get("rounds"),
     )
     transcript = run_protocol(config, attack)
     # rng=None draws the config seed's classical stream; it is passed because

@@ -139,11 +139,6 @@ class SubnormalizedVector:
         if not -NORM_ATOL <= self.weight <= 1 + NORM_ATOL:
             raise InvalidState(f"branch weight {self.weight} outside [0, 1]")
 
-    def normalized(self) -> StateVector:
-        if self.weight <= 0:
-            raise InvalidState("cannot normalize a zero-weight branch")
-        return StateVector(self.layout, self.amps / math.sqrt(self.weight))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

@@ -14,11 +14,10 @@ from sqkd.analysis import (
     LeakageReport,
     TheoremReport,
     _eve_labels,
-    _normalize_pattern,
     _weighted_states,
     holevo_bound,
 )
-from sqkd.attacks import AttackSpec, Gate
+from sqkd.attacks import AttackSpec, Gate, RoundTemplate
 from sqkd.engine import (
     MINUS,
     NORM_ATOL,
@@ -148,6 +147,38 @@ def explicit_swap_attack(n_rounds):
         probe_factors=tuple(ket_plus(f"E{i}") for i in range(n_rounds)),
         forward=gates,
         backward=dict(gates),
+    )
+
+
+def fresh_qutrit_attack(n_rounds):
+    """A fresh dimension-3 probe every round, so the exact state grows 12^N."""
+    probe = single("E0", [1, 0, 0])
+    return AttackSpec(
+        name="fresh_qutrit",
+        probe_dims=(3,) * n_rounds,
+        template=RoundTemplate(probe, forward=Unitary(np.eye(6))),
+    )
+
+
+def patched_swap_attack(n_rounds):
+    """swap's template plus explicit gates that reach other rounds' probes.
+
+    Round 3 copies the transit into E5, which round 5's template swaps later;
+    round 7 swaps back with E2, which round 2's template used first; round 9
+    names both legs, on E10, so the template never touches E9; past the
+    register, round 15's backward leg alone turns the transit.
+    """
+    exchange = swap_gate()
+    return AttackSpec(
+        name="patched_swap",
+        probe_dims=(2,) * n_rounds,
+        forward={3: Gate(cnot(), ("T", "E5")), 9: Gate(cnot(), ("T", "E10"))},
+        backward={
+            7: Gate(exchange, ("T", "E2")),
+            9: Gate(exchange, ("T", "E10")),
+            15: Gate(hadamard(), ("T",)),
+        },
+        template=RoundTemplate(ket_plus("E0"), forward=exchange, backward=exchange),
     )
 
 
@@ -291,7 +322,8 @@ def reference_measure(psi, target, basis, rng):
     work = apply_unitary(psi, hadamard(), [target]) if basis == "x" else psi
     pos = work.layout.index(target)
     idx, prob = draw_outcome(_weight(np.moveaxis(work.tensor_view(), pos, 0)[0]), rng)
-    collapsed = project(work, target, idx).normalized()
+    branch = project(work, target, idx)
+    collapsed = StateVector(branch.layout, branch.amps / math.sqrt(branch.weight))
     if basis == "x":
         collapsed = apply_unitary(collapsed, hadamard(), [target])
         outcome = PLUS if idx == 0 else MINUS
@@ -363,7 +395,7 @@ def reference_theorem_check(attack, patterns, eps=1e-9):
     max_residual = 0.0
     max_leakage = 0.0
     for pattern in patterns:
-        pattern = _normalize_pattern(pattern)
+        pattern = pattern.upper()
         final, reports = reference_evolution(attack, pattern)
         for rep in reports:
             max_residual = max(max_residual, rep.test_residual + rep.ctrl_error_prob)
@@ -379,7 +411,7 @@ def reference_theorem_check(attack, patterns, eps=1e-9):
 
 
 def reference_eve_leakage(attack, pattern, compute_holevo=True):
-    pattern = _normalize_pattern(pattern)
+    pattern = pattern.upper()
     final, _ = reference_evolution(attack, pattern)
     return reference_leakage_from_final(final, pattern, compute_holevo)
 
@@ -430,6 +462,24 @@ def reference_gate_matrix(gate, layout):
 # ---------------------------------------------------------------------------
 
 
+def _reference_drop(state, labels):
+    """The state with each of labels factored out where it is a product with
+    the rest; one that stays entangled is kept."""
+    for label in labels:
+        if len(state.layout.labels) == 1:
+            return StateVector(SubsystemLayout((), ()), np.ones(1, dtype=complex))
+        try:
+            state = factor_out(state, label)[1]
+        except FactorizationError:
+            pass
+    return state
+
+
+def _dead_probes(state, i, last_use):
+    """Probes of the state past their last use after round i."""
+    return [l for l in state.layout.labels if l != TRANSIT and last_use.get(l, -1) <= i]
+
+
 def reference_sampling(config, attack):
     """Records of a sampled run driven through JointEvolution and engine.measure.
 
@@ -437,7 +487,6 @@ def reference_sampling(config, attack):
     live probe is kept, so the state grows for attacks that leave such probes.
     """
     rng = stream_rng(config.seed, 0)
-    empty = StateVector(SubsystemLayout((), ()), np.ones(1, dtype=complex))
     records = []
     evo = JointEvolution(attack)
     last_use = {l: attack.last_use(l, config.rounds) for l in attack.probe_labels}
@@ -459,22 +508,67 @@ def reference_sampling(config, attack):
             outcome, evo.state, _ = measure(evo.state, TRANSIT, "z", rng)
             rec.bob_z_outcome = int(outcome)
         records.append(rec)
-
-        drop = [TRANSIT] + [
-            l
-            for l in evo.state.layout.labels
-            if l != TRANSIT and last_use.get(l, -1) <= i
-        ]
-        for label in drop:
-            if len(evo.state.layout.labels) == 1:
-                evo.state = empty
-                break
-            try:
-                evo.state = factor_out(evo.state, label)[1]
-            except FactorizationError:
-                pass
+        evo.state = _reference_drop(evo.state, [TRANSIT, *_dead_probes(evo.state, i, last_use)])
 
     return records
+
+
+#: Born weights below this end a branch of reference_outcome_law: normalising
+#: it would divide by nearly zero, and it adds less than this to any sequence
+_NEGLIGIBLE = 1e-30
+
+
+def _transit_outcomes(state, keep):
+    """(outcome, Born weight, state collapsed onto it and renormalised) of the
+    transit's Z outcomes above _NEGLIGIBLE, by projection; the collapsed
+    state keeps the transit only when keep is set."""
+    pos = state.layout.index(TRANSIT)
+    rest = SubsystemLayout(
+        state.layout.dims[:pos] + state.layout.dims[pos + 1 :],
+        state.layout.labels[:pos] + state.layout.labels[pos + 1 :],
+    )
+    for k in (0, 1):
+        branch = project(state, TRANSIT, k)
+        if branch.weight >= _NEGLIGIBLE:
+            amps = branch.amps if keep else reference_front(branch, [TRANSIT])[k]
+            yield k, branch.weight, StateVector(
+                branch.layout if keep else rest, amps / math.sqrt(branch.weight)
+            )
+
+
+def reference_outcome_law(attack, n_rounds):
+    """{outcome codes: probability} of every choice pattern and outcome of an
+    n_rounds run in reference_sampling's model, with each draw replaced by a
+    projection onto every outcome in turn.
+
+    A CTRL round's code is Bob's X outcome, read as H then a Z projection, and
+    a SIFT round's 2 + 2*bit + z.  Bob's projection drops the transit, as
+    factor_out does in reference_sampling; dead probes are dropped as there.
+    A sequence's probability is the product of the conditional Born weights
+    along it; a sequence through a negligible branch is left out.
+    """
+    last_use = {l: attack.last_use(l, n_rounds) for l in attack.probe_labels}
+    law = {}
+
+    def visit(state, i, codes, prob):
+        if i == n_rounds:
+            law[codes] = prob
+            return
+        evo = JointEvolution(attack)
+        evo.state = state
+        evo.start_round(i)
+        backward = attack.backward_gate(i)
+        # (code of Bob's outcome 0, weight, state before Bob's projection)
+        arms = [(0, 1.0, apply_unitary(apply_gate(evo.state, backward), hadamard(), [TRANSIT]))]
+        for bit, weight, sifted in _transit_outcomes(evo.state, keep=True):
+            arms.append((2 + 2 * bit, weight, apply_gate(sifted, backward)))
+        for base, weight, arm in arms:
+            for k, w, rest in _transit_outcomes(arm, keep=False):
+                rest = _reference_drop(rest, _dead_probes(rest, i, last_use))
+                visit(rest, i + 1, codes + (base + k,), prob * weight * w)
+
+    visit(JointEvolution(attack).state, 0, (), 1.0)
+    return law
 
 
 def _reference_pair_collapse(kraus, psi, u):

@@ -522,6 +522,40 @@ def test_f_distance_tracks_ctrl_error_at_zero_test_residual():
             assert (rep.f_distance <= 1e-9) == (rep.ctrl_error_prob <= 1e-9)
 
 
+def test_the_walk_checks_every_pattern_before_evolving(monkeypatch):
+    def refuse(self, i):
+        raise AssertionError("a round was evolved")
+
+    monkeypatch.setattr(JointEvolution, "start_round", refuse)
+    att = identity_attack()
+    for bad in ("", "CX", "c1", "C S"):
+        entry_points = [
+            lambda: constraint_reports(att, bad),
+            lambda: eve_leakage(att, bad),
+            lambda: product_structure_check(att, bad),
+            lambda: theorem_check(att, patterns=["C", bad]),
+        ]
+        for call in entry_points:
+            with pytest.raises(ValueError, match="nonempty string over C/S"):
+                call()
+
+
+def test_the_walk_yields_upper_cased_patterns():
+    att = swap_attack(3)
+    assert eve_leakage(att, "cSs").pattern == "CSS"
+    assert eve_leakage(att, "cSs") == eve_leakage(att, "CSS")
+    assert product_structure_check(att, "sc").pattern == "SC"
+    got = theorem_check(att, patterns=["cs", "CS", "s"])
+    assert got.n_patterns == 3
+    assert got == theorem_check(att, patterns=["CS", "CS", "S"])
+
+
+def test_exact_rate_expectations_refuses_a_run_of_no_rounds():
+    for ctrl_prob in (0.0, 0.5, 1.0):
+        with pytest.raises(ValueError, match="nonempty"):
+            exact_rate_expectations(identity_attack(), 0, ctrl_prob)
+
+
 def test_default_patterns():
     pats = default_patterns(6)
     assert len(pats) == 126

@@ -17,6 +17,9 @@ from sqkd.attacks import (
     swap_attack,
 )
 from sqkd.engine import (
+    StateVector,
+    SubsystemLayout,
+    Unitary,
     apply_unitary,
     cnot,
     controlled,
@@ -156,6 +159,32 @@ def test_cnot_parity_rejects_negative_rounds():
         build_attack("cnot_parity", rounds=(-1, 50))
     with pytest.raises(ParamOutOfRange):
         cnot_parity_attack((2, -3))
+
+
+def test_build_attack_checks_the_attacked_rounds():
+    # the pairs `sqkd run` refuses, refused here, where the rule lives
+    for rounds in ([0, 400], [399, 400], [-1, 3], [0], [0, 1, 2], [0.5, 1], ["0", "1"],
+                   [True, 2], 3, (5, 5)):
+        with pytest.raises((ParamOutOfRange, DuplicateRound)):
+            build_attack("cnot_parity", n_rounds=400, rounds=rounds)
+    with pytest.raises(ParamOutOfRange, match=r"attack rounds \[0, 400\] name a round beyond"):
+        build_attack("cnot_parity", n_rounds=400, rounds=[0, 400])
+    with pytest.raises(ParamOutOfRange, match="list of two ints, got 3$"):
+        cnot_parity_attack(3)
+    with pytest.raises(ParamOutOfRange, match=r"must be >= 0, got \(-1, 3\)$"):
+        build_attack("cnot_parity", n_rounds=400, rounds=[-1, 3])
+    for rounds in ([398, 399], (398, 399), (np.int64(398), np.int8(99))):
+        att = build_attack("cnot_parity", n_rounds=400, rounds=rounds)
+        assert sorted(att.forward) == sorted(map(int, rounds))
+    # the pair must fit the run, and n_rounds defaults to one round
+    with pytest.raises(ParamOutOfRange, match="beyond the run's 1 rounds"):
+        build_attack("cnot_parity", rounds=(0, 1))
+    assert sorted(build_attack("cnot_parity", n_rounds=2, rounds=(1, 0)).forward) == [0, 1]
+    assert sorted(build_attack("cnot_parity").forward) == [0, 1]
+    # the other attacks ignore the attacked rounds, whatever their form
+    for rounds in (3, [0, 400], "x"):
+        assert build_attack("identity", n_rounds=400, rounds=rounds).forward == {}
+        assert build_attack("swap", n_rounds=4, rounds=rounds).probe_dims == (2,) * 4
 
 
 def test_last_use_map():
@@ -382,3 +411,33 @@ def test_phase_probe_ctrl_error_curve_continuous():
         assert abs(b - a) < 0.11
     np.testing.assert_allclose(ctrl, (1 - np.cos(thetas)) / 2, atol=1e-9)
     np.testing.assert_allclose(leak, np.abs(np.sin(thetas)), atol=1e-9)
+
+
+def _two_qubit_probe():
+    return StateVector(SubsystemLayout((2, 2), ("E0", "E1")), np.eye(4)[0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Gate(cnot(), ("T", "T")),
+        lambda: RoundTemplate(_two_qubit_probe(), forward=Unitary(np.eye(8))),
+        lambda: AttackSpec(
+            name="x",
+            probe_dims=(2, 2),
+            probe_factors=(_two_qubit_probe(), ket_zero("E1")),
+        ),
+        lambda: AttackSpec(name="x", probe_dims=(2, 2), probe_factors=(ket_zero("E0"),)),
+        lambda: identity_attack().probe_factor("E7"),
+    ],
+    ids=[
+        "repeated-gate-targets",
+        "template-probe-of-two-subsystems",
+        "label-in-two-factors",
+        "factors-miss-a-label",
+        "unknown-probe-factor",
+    ],
+)
+def test_attacks_refuse_malformed_input(call):
+    with pytest.raises(InvalidState):
+        call()

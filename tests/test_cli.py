@@ -655,3 +655,41 @@ def test_attacks_listing(capsys):
     assert cli.main(["attacks"]) == 0
     names = capsys.readouterr().out.split()
     assert names == ["identity", "cnot_parity", "measure_resend_z", "swap", "phase_probe"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["run"], [1, 2], "config must be a JSON object"),
+        (["run"], {"seed": 3}, "config requires a 'rounds' key"),
+        (["run"], {"rounds": 4, "attack": "swap"}, "attack must be an object with a 'name' key"),
+        (["run"], {"rounds": 4, "attack": {"params": {}}},
+         "attack must be an object with a 'name' key"),
+        (["run"], {"rounds": 4, "attack": {"name": "swap", "theta": 1}},
+         "unknown attack keys: ['theta']"),
+        (["scan", "--grid", "0:1"], None, "grid must be start:stop:step, got '0:1'"),
+        (["scan", "--grid", "0:1:0.1:2"], None, "grid must be start:stop:step, got '0:1:0.1:2'"),
+        (["scan", "--grid", "1:0:0.1"], None, "grid '1:0:0.1' contains no points"),
+    ],
+    ids=[
+        "config-not-an-object",
+        "config-without-rounds",
+        "attack-not-an-object",
+        "attack-without-name",
+        "unknown-attack-key",
+        "grid-of-two-parts",
+        "grid-of-four-parts",
+        "grid-without-points",
+    ],
+)
+def test_refusals_of_malformed_input_exit_one(tmp_path, capsys, argv, config, message):
+    out = tmp_path / "out"
+    if argv[0] == "run":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["run", "--config", str(cfg), "--out", str(out)]
+    else:
+        argv = [*argv, "--attack", "phase_probe", "--param", "theta", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

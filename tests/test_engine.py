@@ -11,6 +11,7 @@ from sqkd.engine import (
     MINUS,
     PLUS,
     StateVector,
+    SubnormalizedVector,
     SubsystemLayout,
     Unitary,
     apply_unitary,
@@ -20,6 +21,7 @@ from sqkd.engine import (
     ket_plus,
     ket_zero,
     measure,
+    measure_out,
     partial_trace,
     permute,
     phase_deviation,
@@ -94,9 +96,7 @@ def test_subnormalized_weight_checks():
     assert abs(branch.weight - 0.5) < 1e-12
     with pytest.raises(InvalidState):
         SubnormalizedVector(layout, np.array([1.0, 1.0]))  # weight 2 > 1
-    zero = SubnormalizedVector(layout, np.zeros(2))
-    with pytest.raises(InvalidState):
-        zero.normalized()
+    assert SubnormalizedVector(layout, np.zeros(2)).weight == 0.0
 
 
 def test_density_matrix_invariants():
@@ -549,3 +549,39 @@ def test_factor_out_product_and_entangled():
     assert phase_deviation(rest, single("b", [0, 1])) < 1e-9
     with pytest.raises(FactorizationError):
         factor_out(bell(), "q0")
+
+
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        (DuplicateLabel, lambda: SubsystemLayout((2, 2), ("a", "b")).relabeled("a", "b")),
+        (DimensionMismatch, lambda: StateVector(SubsystemLayout((2,), ("a",)), np.ones(3))),
+        (DimensionMismatch, lambda: SubnormalizedVector(SubsystemLayout((2,), ("a",)), [1, 0, 0])),
+        (DimensionMismatch, lambda: DensityMatrix(np.ones((2, 3)) / 2)),
+        (DimensionMismatch, lambda: Unitary(np.eye(3)[:2])),
+        (ValueError, lambda: measure(ket_plus("a"), "a", "y", np.random.default_rng(0))),
+        (ValueError, lambda: measure_out(ket_plus("a"), "a", "", np.random.default_rng(0))),
+        (DuplicateLabel, lambda: partial_trace(bell(), ["q0", "q0"])),
+        (UnknownLabel, lambda: permute(bell(), ["q0", "q0"])),
+        (UnknownLabel, lambda: permute(bell(), ["q0"])),
+        (FactorizationError, lambda: factor_out(ket_zero("a"), "a")),
+        (DimensionMismatch, lambda: phase_deviation(bell(), bell("q1", "q0"))),
+    ],
+    ids=[
+        "relabel-onto-existing",
+        "state-amp-count",
+        "branch-amp-count",
+        "nonsquare-density",
+        "nonsquare-unitary",
+        "basis-y",
+        "basis-empty",
+        "repeated-keep",
+        "permute-repeat",
+        "permute-short",
+        "factor-only-subsystem",
+        "phase-across-layouts",
+    ],
+)
+def test_engine_refuses_malformed_input(error, call):
+    with pytest.raises(error):
+        call()

@@ -1,13 +1,15 @@
 """Every definition in src/sqkd has a caller in src/sqkd or perfbench/.
 
-The scan is syntactic: a top-level function or class, or a method of a
-top-level class, counts as used when its name appears as an ast.Name, an
-ast.Attribute or an import alias anywhere in src/sqkd or perfbench/, or
-when sqkd.__all__ exports it.  Dunder methods are called by Python itself
-and are skipped.  Because names are matched without their owner, a
-definition slips through when some unrelated name or attribute reads the
-same: engine.basis_state did, as a parameter of engine.project read in its
-body, until it was deleted.
+The scan is syntactic.  A top-level function or class counts as used when
+its name is loaded (an ast.Name read, not assigned), read as an attribute
+or imported under any alias anywhere in src/sqkd or perfbench/, or when
+sqkd.__all__ exports it.  A method of a top-level class counts as used only
+when its name is read as an attribute (x.name).  Dunder methods are called
+by Python itself and are skipped.  Names are still matched without their
+owner, so a method slips through when an unrelated attribute reads the
+same; but a local variable no longer hides a dead definition, as
+theorem_check's `normalized` hid SubnormalizedVector.normalized until it
+was deleted.
 """
 
 import ast
@@ -34,25 +36,31 @@ def _definitions(tree: ast.Module):
                         yield f"{node.name}.{item.name}"
 
 
-def _used_names(tree: ast.Module) -> set[str]:
-    used = set()
+def _used_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(loaded names and import aliases, attribute names) read in tree."""
+    loaded, attributes = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            used.add(node.name.rsplit(".", 1)[-1])
-    return used
+            loaded.add(node.name.rsplit(".", 1)[-1])
+    return loaded, attributes
 
 
 def test_every_definition_has_a_caller():
-    used = set(sqkd.__all__) | ALLOWED
+    loaded = set(sqkd.__all__) | ALLOWED
+    attributes = set()
     for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
-        used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
+        names, attrs = _used_names(ast.parse(path.read_text(encoding="utf-8")))
+        loaded |= names
+        attributes |= attrs
     dead = []
     for path in sorted(SRC.glob("*.py")):
         for name in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
-            if name.rsplit(".", 1)[-1] not in used:
+            owner, _, short = name.rpartition(".")
+            used = attributes if owner else loaded | attributes
+            if short not in used:
                 dead.append(f"{path.stem}.{name}")
     assert dead == []

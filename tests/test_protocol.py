@@ -16,7 +16,6 @@ from sqkd.attacks import (
     ATTACK_NAMES,
     AttackSpec,
     Gate,
-    RoundTemplate,
     build_attack,
     cnot_parity_attack,
     identity_attack,
@@ -32,7 +31,6 @@ from sqkd.engine import (
     alice_probe,
     bob_memory,
     cnot,
-    hadamard,
     ket_plus,
     ket_zero,
     permute,
@@ -68,6 +66,8 @@ from sqkd.protocol import (
 
 from helpers import (
     dead_probe_entangler_attack,
+    fresh_qutrit_attack,
+    patched_swap_attack,
     probe_decoupled_attack,
     reference_classical_phase,
     reference_finish_round,
@@ -162,16 +162,6 @@ def test_exact_mode_cnot_parity_final_state():
 def test_sampling_mode_has_no_final_state():
     cfg = ProtocolConfig(rounds=4, seed=3)
     assert run_protocol(cfg, identity_attack()).final_state is None
-
-
-def fresh_qutrit_attack(n_rounds):
-    """A fresh dimension-3 probe every round, so the exact state grows 12^N."""
-    probe = single("E0", [1, 0, 0])
-    return AttackSpec(
-        name="fresh_qutrit",
-        probe_dims=(3,) * n_rounds,
-        template=RoundTemplate(probe, forward=Unitary(np.eye(6))),
-    )
 
 
 def test_exact_size_estimate_refuses_before_allocating(tmp_path, monkeypatch, capsys):
@@ -697,31 +687,9 @@ def test_sampling_matches_dense_reference_on_random_gates(seed, dim, ctrl_prob, 
     assert records(run_protocol(cfg, att)) == reference_sampling(cfg, att)
 
 
-def _patched_swap_attack(n_rounds):
-    """swap's template plus explicit gates that reach other rounds' probes.
-
-    Round 3 copies the transit into E5, which round 5's template swaps later;
-    round 7 swaps back with E2, which round 2's template used first; round 9
-    names both legs, on E10, so the template never touches E9; past the
-    register, round 15's backward leg alone turns the transit.
-    """
-    exchange = swap_gate()
-    return AttackSpec(
-        name="patched_swap",
-        probe_dims=(2,) * n_rounds,
-        forward={3: Gate(cnot(), ("T", "E5")), 9: Gate(cnot(), ("T", "E10"))},
-        backward={
-            7: Gate(exchange, ("T", "E2")),
-            9: Gate(exchange, ("T", "E10")),
-            15: Gate(hadamard(), ("T",)),
-        },
-        template=RoundTemplate(ket_plus("E0"), forward=exchange, backward=exchange),
-    )
-
-
 @pytest.mark.parametrize("ctrl_prob", [0.0, 0.3, 1.0])
 def test_templates_with_explicit_entries_match_dense_reference(ctrl_prob):
-    att = _patched_swap_attack(12)
+    att = patched_swap_attack(12)
     last_use = {l: att.last_use(l, 20) for l in att.probe_labels}
     assert last_use == {**{f"E{i}": i for i in range(12)}, "E2": 7, "E9": -1}
     assert att.last_use("E9", 20) == -1
@@ -1327,3 +1295,18 @@ def test_reader_holds_codes_not_lines(tmp_path):
         tracemalloc.stop()
     assert peak <= 2 * 2**20
     assert np.array_equal(back.codes, codes) and np.array_equal(back.test, test)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"abort_threshold": -0.1}, "abort_threshold must be >= 0"),
+        ({"abort_threshold": -1}, "abort_threshold must be >= 0"),
+        ({"seed": -1}, "seed must be a 64-bit unsigned integer"),
+        ({"seed": 2**64}, "seed must be a 64-bit unsigned integer"),
+    ],
+    ids=["threshold-fraction", "threshold-int", "seed-negative", "seed-2^64"],
+)
+def test_protocol_config_refuses_out_of_range_values(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        ProtocolConfig(rounds=4, **overrides)
