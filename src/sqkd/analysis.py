@@ -17,7 +17,10 @@ The central quantities, all computed from exact joint-state evolution:
 * Leakage.  Running a fixed CTRL/SIFT choice pattern coherently, condition
   the probe's reduced state on each of Alice's bits and report trace
   distances and the Holevo bound of the joint ensemble, all from one Gram
-  block of Eve's amplitudes per joint value of the sifted bits.
+  block of Eve's amplitudes per joint value of the sifted bits.  The
+  per-bit distances go in batches of at most _BATCH_ENTRIES entries through
+  one engine.check_densities and one engine.trace_distances call, with the
+  bits one DensityMatrix pair per bit would give.
 
 Every reduction reads the state through engine._front, a view of its
 amplitude tensor with the named subsystems' axes first: nothing is copied,
@@ -46,6 +49,7 @@ from .engine import (
     _weight,
     alice_probe,
     bob_memory,
+    check_densities,
     ket_plus,
     ket_zero,
     partial_trace,
@@ -53,7 +57,7 @@ from .engine import (
     phase_deviation,
     purity,
     tensor,
-    trace_distance,
+    trace_distances,
 )
 from .protocol import (
     CTRL,
@@ -70,6 +74,10 @@ from .protocol import (
 RESIDUAL_TOL = 1e-9
 
 _WEIGHT_FLOOR = 1e-12
+
+#: most entries leakage stacks into one batch: joint-bit slices of the state
+#: for the Gram blocks, or the marginals of the bits compared together
+_BATCH_ENTRIES = 1 << 12
 
 #: patterns default_patterns draws beyond length 6, and the seed it draws them with
 _SAMPLE_SIZE = 64
@@ -282,30 +290,98 @@ def _weighted_states(blocks) -> list[tuple[float, DensityMatrix]]:
     return out
 
 
+def _joint_blocks(final: StateVector, pattern: str) -> np.ndarray | None:
+    """Eve's unnormalised state for each joint value of the sifted bits.
+
+    Shaped (2,) * k + (d_e, d_e) for k sifted bits; None when no bit is
+    sifted or Eve holds no subsystem.  With m the state's view with the
+    bits' axes first and Eve's next, the block at bits is m[bits] @
+    m[bits]†, m[bits] flattened to (d_e, -1).  The blocks are filled in
+    place, since stacking a list would hold every block twice.  When that
+    flattening copies, consecutive slices are copied together, up to
+    _BATCH_ENTRIES entries, into one stacked product, which rounds each
+    block as the slice's own product does.  When it returns a strided view,
+    the slices go one at a time, since a view's product can round apart
+    from a copy's.
+    """
+    e_labels = _eve_labels(final.layout)
+    sifted = [alice_probe(i) for i, ch in enumerate(pattern) if ch == "S"]
+    if not (e_labels and sifted):
+        return None
+    k = len(sifted)
+    d_e = math.prod(final.layout.dim_of(l) for l in e_labels)
+    m = _front(final, sifted + e_labels)
+    blocks = np.empty((2**k, d_e, d_e), dtype=complex)
+    j = 0  # slices per product: 2**j
+    if not np.may_share_memory(m[(0,) * k].reshape(d_e, -1), m):
+        while j < k and m.size >> (k - j - 1) <= _BATCH_ENTRIES:
+            j += 1
+    for p, prefix in enumerate(itertools.product((0, 1), repeat=k - j)):
+        c = m[prefix].reshape(2**j, d_e, -1)
+        np.matmul(c, c.conj().transpose(0, 2, 1), out=blocks[p << j : (p + 1) << j])
+    return blocks.reshape((2,) * k + (d_e, d_e))
+
+
+def _bit_marginals(joint: np.ndarray | None):
+    """Eve's unnormalised states given each sifted bit's values 0 and 1.
+
+    Yields a (2, d_e, d_e) array for each bit in turn, summed out of the
+    joint blocks over the other bits; nothing when joint is None.
+    """
+    if joint is None:
+        return
+    k = joint.ndim - 2
+    for q in range(k):
+        yield joint.sum(axis=tuple(a for a in range(k) if a != q))
+
+
+def _batches(pairs):
+    """Stacks of consecutive same-shape marginal pairs, in order.
+
+    A stack holds at most _BATCH_ENTRIES entries, or one pair when a pair
+    alone is larger, so large Eve registers go one bit at a time.
+    """
+    batch = []
+    for pair in pairs:
+        fits = pair.size * (len(batch) + 1) <= _BATCH_ENTRIES
+        if batch and not (fits and pair.shape == batch[0].shape):
+            yield np.stack(batch)
+            batch = []
+        batch.append(pair)
+    if batch:
+        yield np.stack(batch)
+
+
+def _bit_distances(batch: np.ndarray) -> np.ndarray:
+    """Trace distance between the two states of each stacked marginal pair.
+
+    The marginals weighing over _WEIGHT_FLOOR are normalised in place and
+    checked by one engine.check_densities call; the pairs are compared by
+    one engine.trace_distances call, and a pair with a side at or below the
+    floor reads 0.  Every distance has the bits of a trace_distance between
+    the two DensityMatrix values.
+    """
+    w = np.trace(batch, axis1=-2, axis2=-1).real
+    live = w > _WEIGHT_FLOOR
+    batch[live] /= w[live][:, None, None]
+    check_densities(batch[live])
+    both = live.all(axis=1)
+    out = np.zeros(len(batch))
+    out[both] = trace_distances(batch[both, 0], batch[both, 1])
+    return out
+
+
 def _leakage_from_final(
     final: StateVector, pattern: str, compute_holevo: bool
 ) -> LeakageReport:
-    e_labels = _eve_labels(final.layout)
-    sifted = [alice_probe(i) for i, ch in enumerate(pattern) if ch == "S"]
-    k = len(sifted)
-    per_bit = [0.0] * k
+    joint = _joint_blocks(final, pattern)
+    per_bit = [0.0] * pattern.count("S")
     chi = 0.0
-    if e_labels and sifted:
-        d_e = math.prod(final.layout.dim_of(l) for l in e_labels)
-        m = _front(final, sifted + e_labels)
-        # Eve's unnormalised state for each joint value of the sifted bits,
-        # filled in place: stacking a list would hold every block twice
-        blocks = np.empty((2**k, d_e, d_e), dtype=complex)
-        for b, bits in enumerate(itertools.product((0, 1), repeat=k)):
-            mk = m[bits].reshape(d_e, -1)
-            blocks[b] = mk @ mk.conj().T
-        joint = blocks.reshape((2,) * k + (d_e, d_e))
-        for q in range(k):
-            pair = _weighted_states(joint.sum(axis=tuple(a for a in range(k) if a != q)))
-            if len(pair) == 2:
-                per_bit[q] = trace_distance(pair[0][1], pair[1][1])
+    if joint is not None:
+        batches = _batches(_bit_marginals(joint))
+        per_bit = [t for batch in batches for t in _bit_distances(batch).tolist()]
         if compute_holevo:
-            chi = holevo_bound(_weighted_states(blocks))
+            chi = holevo_bound(_weighted_states(joint.reshape(-1, *joint.shape[-2:])))
 
     return LeakageReport(
         pattern=pattern,
@@ -322,8 +398,10 @@ def eve_leakage(attack: AttackSpec, pattern: str) -> LeakageReport:
     Eve's reduced state on Alice's probe reading 0 and 1 and reports the trace
     distance between the two; holevo_bound is χ of the ensemble over all
     joint bit assignments.  Beyond the final state, memory holds one
-    Eve-sized Gram block per joint bit assignment and one joint-bit slice of
-    the state at a time.
+    Eve-sized Gram block per joint bit assignment and, at a time, one batch:
+    copies of joint-bit slices of the state, or bit marginals, holding at
+    most _BATCH_ENTRIES entries together, or a single slice or bit's pair
+    when that alone is larger.
     """
     pattern, final, _ = next(_walk_patterns(attack, [pattern]))
     return _leakage_from_final(final, pattern, compute_holevo=True)
@@ -366,11 +444,19 @@ def theorem_check(
         raise ValueError("no patterns to check; max_pattern_len must be >= 1")
     max_residual = 0.0
     max_leakage = 0.0
-    for pattern, final, reports in _walk_patterns(attack, patterns):
-        for rep in reports:
-            max_residual = max(max_residual, rep.test_residual + rep.ctrl_error_prob)
-        leak = _leakage_from_final(final, pattern, compute_holevo=False)
-        max_leakage = max(max_leakage, leak.max_leakage)
+
+    def marginals():
+        nonlocal max_residual
+        for pattern, final, reports in _walk_patterns(attack, patterns):
+            for rep in reports:
+                max_residual = max(max_residual, rep.test_residual + rep.ctrl_error_prob)
+            # the blocks live only in the sub-generator, so they are freed
+            # before the walk evolves the next pattern
+            yield from _bit_marginals(_joint_blocks(final, pattern))
+
+    # the bits of successive patterns share a batch as one pattern's bits do
+    for batch in _batches(marginals()):
+        max_leakage = max(max_leakage, *_bit_distances(batch).tolist())
     passed = (max_residual > eps) or (max_leakage <= 10 * eps)
     return TheoremReport(
         max_residual=max_residual,

@@ -109,7 +109,7 @@ class StateVector:
                 f"{amps.shape[0]} amplitudes for layout of dimension {self.layout.dim}"
             )
         norm = math.sqrt(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise InvalidState(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
 
     @property
@@ -145,7 +145,7 @@ class DensityMatrix:
     """Hermitian, PSD, trace-1 matrix.
 
     eigenvalues holds the spectrum of its Hermitian part, computed once by
-    the PSD check.
+    the PSD check (check_densities on a stack of one).
     """
 
     entries: np.ndarray
@@ -156,15 +156,7 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
         object.__setattr__(self, "entries", _frozen(m))
-        if np.abs(m - m.conj().T).max() > MATRIX_ATOL:
-            raise InvalidState("matrix is not Hermitian within tolerance")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > MATRIX_ATOL:
-            raise InvalidState(f"trace {tr} deviates from 1 beyond {MATRIX_ATOL}")
-        evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if evals.min() < -MATRIX_ATOL:
-            raise InvalidState("matrix has an eigenvalue below -tolerance")
-        object.__setattr__(self, "eigenvalues", evals)
+        object.__setattr__(self, "eigenvalues", check_densities(m[None])[0])
 
     @property
     def dim(self) -> int:
@@ -184,7 +176,7 @@ class Unitary:
         object.__setattr__(self, "entries", _frozen(m))
         d = m.shape[0]
         defect = np.linalg.norm(m.conj().T @ m - np.eye(d))
-        if defect > MATRIX_ATOL:
+        if not defect <= MATRIX_ATOL:
             raise InvalidState(f"U†U deviates from I by {defect} (Frobenius)")
 
     @property
@@ -473,18 +465,46 @@ def partial_trace(state: StateVector, keep) -> DensityMatrix:
     return DensityMatrix(m @ m.conj().T)
 
 
-def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
-    """(1/2)·Σ|eigenvalues(r1 − r2)|, in [0, 1].
+def check_densities(m: np.ndarray) -> np.ndarray:
+    """Spectra of the Hermitian parts of a stack of density matrices.
 
-    The operands are taken in a fixed order, by their bytes, so the result
-    is exactly symmetric despite eigensolver round-off.
+    m has shape (n, d, d).  Raises InvalidState unless every matrix is
+    Hermitian, of trace 1 and PSD within MATRIX_ATOL; each test is written
+    so that NaN fails it.  Returns the (n, d) eigenvalues, each row as
+    eigvalsh of that matrix alone gives it.
     """
+    mh = np.swapaxes(m.conj(), -1, -2)
+    if not np.abs(m - mh).max(initial=0.0) <= MATRIX_ATOL:
+        raise InvalidState("matrix is not Hermitian within tolerance")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    off = ~(np.abs(tr - 1.0) <= MATRIX_ATOL)
+    if off.any():
+        raise InvalidState(f"trace {tr[off][0]} deviates from 1 beyond {MATRIX_ATOL}")
+    evals = np.linalg.eigvalsh((m + mh) / 2)
+    if not evals.min(initial=0.0) >= -MATRIX_ATOL:
+        raise InvalidState("matrix has an eigenvalue below -tolerance")
+    return evals
+
+
+def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(1/2)·Σ|eigenvalues(a[i] − b[i])| for each pair of two (n, d, d) stacks, in [0, 1].
+
+    Each pair is taken in a fixed order, by its bytes, so every distance is
+    exactly symmetric despite eigensolver round-off; each row has the bits
+    of that pair's distance taken alone.
+    """
+    swap = np.array([x.tobytes() > y.tobytes() for x, y in zip(a, b)], dtype=bool)
+    swap = swap.reshape(-1, 1, 1)
+    d = np.where(swap, b, a) - np.where(swap, a, b)
+    evals = np.linalg.eigvalsh((d + np.swapaxes(d.conj(), -1, -2)) / 2)
+    return np.minimum(np.maximum(np.abs(evals).sum(axis=-1) / 2, 0.0), 1.0)
+
+
+def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
+    """(1/2)·Σ|eigenvalues(r1 − r2)|, in [0, 1], by trace_distances."""
     if r1.dim != r2.dim:
         raise DimensionMismatch(f"dims {r1.dim} and {r2.dim} differ")
-    a, b = sorted((r1.entries, r2.entries), key=lambda m: m.tobytes())
-    d = a - b
-    evals = np.linalg.eigvalsh((d + d.conj().T) / 2)
-    return min(max(float(np.abs(evals).sum()) / 2, 0.0), 1.0)
+    return float(trace_distances(r1.entries[None], r2.entries[None])[0])
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -27,6 +27,7 @@ from sqkd.engine import (
     SubsystemLayout,
     Unitary,
     _H,
+    _front,
     _weight,
     alice_probe,
     apply_unitary,
@@ -274,6 +275,20 @@ def reference_front(psi, labels):
     rest = [i for i in range(len(dims)) if i not in positions]
     t = np.transpose(psi.amps.reshape(dims), positions + rest)
     return t.reshape(*(dims[p] for p in positions), -1)
+
+
+def reference_joint_blocks(final, pattern):
+    """analysis._joint_blocks one product per joint value of the sifted bits:
+    that slice of the state's view, flattened to (d_e, -1), times its adjoint."""
+    e_labels = _eve_labels(final.layout)
+    sifted = [alice_probe(i) for i, ch in enumerate(pattern) if ch == "S"]
+    d_e = math.prod(final.layout.dim_of(l) for l in e_labels)
+    m = _front(final, sifted + e_labels)
+    blocks = []
+    for bits in itertools.product((0, 1), repeat=len(sifted)):
+        mk = m[bits].reshape(d_e, -1)
+        blocks.append(mk @ mk.conj().T)
+    return np.array(blocks)
 
 
 def reference_leakage_from_final(final, pattern, compute_holevo):

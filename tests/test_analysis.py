@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqkd.analysis import (
+    _joint_blocks,
     _leakage_from_final,
+    _walk_patterns,
     constraint_check,
     constraint_reports,
     default_patterns,
@@ -49,6 +51,7 @@ from helpers import (
     reference_constraint_check,
     reference_eve_leakage,
     reference_front,
+    reference_joint_blocks,
     reference_leakage_from_final,
     reference_rate_expectations,
     reference_theorem_check,
@@ -675,17 +678,13 @@ def test_walker_evolves_each_prefix_once(monkeypatch):
     assert len(calls) == 126
 
 
-@st.composite
-def haar_attacks(draw, max_dim=4):
+def _haar_attack(dim, n_rounds, rng, per_round):
     """A random attack on (T, E0): Haar gates on both legs, per round or shared."""
-    dim = draw(st.integers(1, max_dim))
-    n_rounds = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def gates():
         return {i: Gate(random_unitary(2 * dim, rng), ("T", "E0")) for i in range(n_rounds)}
 
-    if draw(st.booleans()):
+    if per_round:
         legs = {"forward": gates(), "backward": gates()}
     else:
         legs = {
@@ -693,8 +692,16 @@ def haar_attacks(draw, max_dim=4):
             "default_backward": Gate(random_unitary(2 * dim, rng), ("T", "E0")),
         }
     init = random_state(SubsystemLayout((dim,), ("E0",)), rng)
-    attack = AttackSpec(name="haar", probe_dims=(dim,), probe_factors=(init,), **legs)
-    return attack, n_rounds
+    return AttackSpec(name="haar", probe_dims=(dim,), probe_factors=(init,), **legs)
+
+
+@st.composite
+def haar_attacks(draw, max_dim=4):
+    """_haar_attack with its dim, rounds, seed and leg style drawn."""
+    dim = draw(st.integers(1, max_dim))
+    n_rounds = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _haar_attack(dim, n_rounds, rng, draw(st.booleans())), n_rounds
 
 
 @settings(max_examples=25, deadline=None)
@@ -737,6 +744,39 @@ def test_view_readers_match_the_copying_oracles(drawn, pattern, data):
         assert _leakage_from_final(final, pattern, holevo) == reference_leakage_from_final(
             final, pattern, holevo
         )
+
+
+def test_leakage_matches_the_per_pair_oracle_on_every_short_pattern():
+    # hypothesis draws a dim-1 probe only now and then, and a dim-1 Eve is
+    # where a strided slice's Gram product rounds apart from a stacked copy's
+    rng = np.random.default_rng(2024)
+    patterns = default_patterns(4)
+    for dim in (1, 2, 3, 4):
+        for per_round in (False, True):
+            att = _haar_attack(dim, 4, rng, per_round)
+            for pattern, final, _ in _walk_patterns(att, patterns):
+                for holevo in (False, True):
+                    got = _leakage_from_final(final, pattern, holevo)
+                    assert got == reference_leakage_from_final(final, pattern, holevo)
+
+
+def test_joint_blocks_have_the_bits_of_each_slice_product():
+    # random layouts of sifted bits, Bob's memory and an Eve register of dim
+    # 1 to 4, in any order; where a slice is a strided view (often with a
+    # dim-1 Eve), a stacked product of copies rounds apart from its own
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        pattern = "".join(rng.choice(["C", "S"], size=n))
+        pattern = pattern if "S" in pattern else pattern[:-1] + "S"
+        labels = [f"A{i}" for i in range(n)] + [f"B{i}" for i in range(int(rng.integers(0, n + 1)))]
+        labels += [f"E{i}" for i in range(int(rng.integers(1, 3)))]
+        dims = [2 if l[0] != "E" else int(rng.choice([1, 2, 3, 4])) for l in labels]
+        order = rng.permutation(len(labels))
+        layout = SubsystemLayout(tuple(dims[i] for i in order), tuple(labels[i] for i in order))
+        final = random_state(layout, rng)
+        want = reference_joint_blocks(final, pattern)
+        assert np.array_equal(_joint_blocks(final, pattern).reshape(want.shape), want)
 
 
 def test_walker_memory_holds_no_sift_child_across_ctrl_subtrees():

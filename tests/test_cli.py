@@ -517,6 +517,24 @@ def test_check_outputs_of_builtins_are_pinned(capsys, name):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+#: SHA-256 of `sqkd check --max-pattern-len 6` stdout, the length perfbench's
+#: verify workload checks at
+PINNED_CHECKS_6 = {
+    "cnot_parity": ([], "1266862c1dc75ada74574b55fba7a69ea5b11e1f0a55ade50a0147e4c2a7ed9a"),
+    "phase_probe": (
+        ["--param", "theta=0.5"],
+        "3f612c9bc0ddf98d8458ef4582e1679b7182e997e33a8d8e063cea6a8f871b46",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHECKS_6))
+def test_length_6_check_outputs_are_pinned(capsys, name):
+    params, digest = PINNED_CHECKS_6[name]
+    assert cli.main(["check", "--attack", name, "--max-pattern-len", "6", *params]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------

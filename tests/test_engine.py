@@ -15,6 +15,7 @@ from sqkd.engine import (
     SubsystemLayout,
     Unitary,
     apply_unitary,
+    check_densities,
     cnot,
     factor_out,
     hadamard,
@@ -32,6 +33,7 @@ from sqkd.engine import (
     single,
     tensor,
     trace_distance,
+    trace_distances,
 )
 from sqkd.errors import (
     DimensionMismatch,
@@ -107,6 +109,45 @@ def test_density_matrix_invariants():
     with pytest.raises(InvalidState):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     DensityMatrix(np.eye(2) / 2)
+
+
+# NaN compares false with everything, so a check written as `x > tol` lets it pass
+
+
+def test_state_vector_refuses_nan():
+    with pytest.raises(InvalidState):
+        StateVector(SubsystemLayout((2,), ("q",)), np.array([np.nan, 0]))
+
+
+def test_density_matrix_refuses_nan():
+    with pytest.raises(InvalidState):
+        DensityMatrix(np.full((2, 2), np.nan))
+
+
+def test_unitary_refuses_nan():
+    with pytest.raises(InvalidState):
+        Unitary(np.full((2, 2), np.nan))
+
+
+def test_check_densities_checks_every_matrix_of_a_stack():
+    rng = np.random.default_rng(5)
+    good = np.stack([_random_density(3, rng).entries for _ in range(4)])
+    evals = check_densities(good)
+    for row, m in zip(evals, good):
+        assert np.array_equal(row, DensityMatrix(m).eigenvalues)
+    bad = {
+        "nan": np.full((3, 3), np.nan),
+        "not Hermitian": np.diag([0.5, 0.5, 0.0]) + np.diag([0.1j, 0.1j], 1),
+        "trace": np.eye(3),
+        "eigenvalue": np.diag([1.5, -0.5, 0.0]),
+    }
+    for name, m in bad.items():
+        stack = good.copy()
+        stack[2] = m
+        with pytest.raises(InvalidState):
+            check_densities(stack)
+        with pytest.raises(InvalidState):
+            DensityMatrix(m)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +556,19 @@ def test_trace_distance_metric_axioms():
         assert dab == dba  # symmetric by construction, bitwise
         assert dab >= 0.0
         assert dab <= trace_distance(a, c) + trace_distance(c, b) + 1e-9
+
+
+def test_trace_distances_have_the_bits_of_each_pair_alone():
+    rng = np.random.default_rng(37)
+    for dim in (1, 2, 3, 6):
+        a = [_random_density(dim, rng) for _ in range(7)]
+        b = [_random_density(dim, rng) for _ in range(7)]
+        b[3] = a[3]
+        sa, sb = (np.stack([r.entries for r in rs]) for rs in (a, b))
+        got = trace_distances(sa, sb)
+        assert got.tolist() == [trace_distance(x, y) for x, y in zip(a, b)]
+        assert np.array_equal(got, trace_distances(sb, sa))
+        assert got[3] == 0.0
 
 
 def test_purity_bounds():

@@ -41,7 +41,7 @@ from sqkd.engine import (
     swap_gate,
     tensor,
 )
-from sqkd.errors import ExactCapExceeded, IncompleteTranscript
+from sqkd.errors import ExactCapExceeded, IncompleteTranscript, InvalidState
 from sqkd.protocol import (
     CTRL,
     EXACT_AMPLITUDE_CAP,
@@ -925,6 +925,21 @@ def test_live_probe_rounds_off_dim_2_step_through_numpy(monkeypatch, dim):
         assert records(run_protocol(cfg, att)) == reference_sampling(cfg, att)
     assert spans == [(0, 149), (149, 150)] * 3
     assert len(steps) >= 3 * 150 and set(steps) == {dim}
+
+
+# no unitary attack gives an instrument that annihilates the probe, so only a
+# direct call reaches the two zero-weight refusals
+
+
+def test_collapse_refuses_a_zero_weight_branch():
+    with pytest.raises(InvalidState, match="zero-weight"):
+        protocol._collapse(np.zeros((2, 3, 3), dtype=complex), np.array([1, 0, 0j]), 0.5)
+
+
+def test_pair_collapse_refuses_a_zero_weight_branch():
+    zero = ((0.0, 0.0), (0.0, 0.0))
+    with pytest.raises(InvalidState, match="zero-weight"):
+        protocol._pair_collapse([zero, zero], (1.0, 0.0), 0.5)
 
 
 def test_rounds_with_equal_unitaries_share_one_instrument(monkeypatch):
