@@ -46,6 +46,7 @@ from .engine import (
     StateVector,
     SubsystemLayout,
     _front,
+    _norm,
     _weight,
     alice_probe,
     bob_memory,
@@ -204,7 +205,7 @@ def _residuals(round_index: int, sifted: StateVector) -> ConstraintReport:
         round=round_index,
         test_residual=_weight(s[0][1]) + _weight(s[1][0]),
         ctrl_error_prob=_weight((ctrl[0] - ctrl[1]) / math.sqrt(2)),
-        f_distance=float(np.linalg.norm(s[0][0] - s[1][1])),
+        f_distance=_norm(s[0][0] - s[1][1]),
     )
 
 

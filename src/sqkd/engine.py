@@ -327,9 +327,31 @@ def _blocks(src: np.ndarray, k: int):
         yield targets + index
 
 
+#: most entries one BLAS dot of _norm takes: OpenBLAS splits a longer dot
+#: across threads, and its sum then depends on the thread count
+_DOT_ENTRIES = 10_000
+
+
+def _norm(amps: np.ndarray) -> float:
+    """2-norm of an amplitude array, summed in fixed chunks of _DOT_ENTRIES.
+
+    Each chunk is summed as np.linalg.norm sums: the dot of its real parts
+    plus that of its imaginary parts.  Up to _DOT_ENTRIES entries the result
+    is np.linalg.norm's; beyond, the chunks' sums are added in order, so the
+    bits do not depend on the BLAS thread count.
+    """
+    x = amps.ravel(order="K")
+    re, im = x.real, x.imag
+    sq = 0.0
+    for s in range(0, len(x), _DOT_ENTRIES):
+        r, i = re[s : s + _DOT_ENTRIES], im[s : s + _DOT_ENTRIES]
+        sq += r.dot(r) + i.dot(i)
+    return math.sqrt(sq)
+
+
 def _weight(amps: np.ndarray) -> float:
-    """Squared norm of an amplitude array; floating-point dust snaps to exact 0."""
-    w = float(np.linalg.norm(amps) ** 2)
+    """Squared norm of an amplitude array (_norm); floating-point dust snaps to exact 0."""
+    w = _norm(amps) ** 2
     return w if w > 1e-24 else 0.0
 
 

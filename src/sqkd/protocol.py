@@ -11,11 +11,13 @@ returned qubit to his quantum memory.  Two execution modes are provided:
   measurement keep the tracked state small, so round counts of 10^4+ are
   cheap.
 
-* Exact — Alice delays measuring by copying the transit qubit onto a fresh
-  probe qubit with an XOR; nothing is measured during the quantum phase and
-  the full Bob ⊗ Alice ⊗ Eve joint state is retained.  Capped at
-  EXACT_ROUND_CAP rounds, and refused before the first round when the final
-  state would hold more than EXACT_AMPLITUDE_CAP amplitudes.
+* Exact — on a SIFT round Alice delays measuring by copying the transit
+  qubit onto a fresh probe qubit with an XOR; nothing is measured during the
+  quantum phase and the Bob ⊗ Alice ⊗ Eve joint state is retained, with no
+  probe for a CTRL round, where Alice's would stay |0>.  Capped at
+  EXACT_ROUND_CAP rounds, and refused before the first round when the
+  all-SIFT run's final state would hold more than EXACT_AMPLITUDE_CAP
+  amplitudes.
 
 After the quantum phase, classical_phase() announces choices, verifies CTRL
 rounds in the X basis, sacrifices a fraction of SIFT rounds as TEST, and
@@ -147,7 +149,9 @@ class Transcript:
     A code is 0/1 for a CTRL round reading PLUS/MINUS and 2 + 2*bit + z for a
     SIFT round; an exact run's rounds hold _PENDING_CTRL or _PENDING_SIFT
     until classical_phase measures them.  final_state holds an exact run's
-    joint state until classical_phase takes it, and is None after.  test
+    joint state until classical_phase takes it, and is None after: Bob's
+    memory of every round, Alice's probe of every SIFT round, and every probe
+    factor a gate touched, so exact_state_dim >> n_ctrl amplitudes.  test
     marks the Test rounds once classical_phase has assigned roles, and is
     None before.  Transcripts compare by identity; compare their codes and
     test instead.
@@ -204,18 +208,24 @@ class JointEvolution:
 
     Probe subsystems are materialized lazily, the first time a gate targets
     them; the state's labels say which already are.  finish_round is the only
-    code that runs a round's backward leg: it appends Alice's probe, holding
-    [V·P₀ψ, V·P₁ψ] on SIFT (her XOR copy tags the transit's two computational
-    branches, so V acts on each separately) and [V·ψ, 0] on CTRL, and relabels
-    the transit into Bob's memory.
+    code that runs a round's backward leg: it relabels the transit into Bob's
+    memory and, on SIFT, appends Alice's probe holding [V·P₀ψ, V·P₁ψ] (her XOR
+    copy tags the transit's two computational branches, so V acts on each
+    separately).  On CTRL Alice leaves her probe at |0>: with ctrl_probe it is
+    appended all the same, holding [V·ψ, 0], and without it the round leaves
+    V·ψ alone, half the amplitudes.  An exact run drops it (_run_exact),
+    since classical_phase measures Alice's probe on SIFT rounds only.  The
+    analysis walk keeps it: its leakage sums run over the whole layout, and
+    without the zeros some `sqkd check` outputs move in the last bits.
     """
 
-    def __init__(self, attack: AttackSpec):
+    def __init__(self, attack: AttackSpec, ctrl_probe: bool = True):
         self.attack = attack
+        self.ctrl_probe = ctrl_probe
         self.state = StateVector(SubsystemLayout((), ()), np.ones(1, dtype=complex))
 
     def clone(self) -> "JointEvolution":
-        other = JointEvolution(self.attack)
+        other = JointEvolution(self.attack, self.ctrl_probe)
         other.state = self.state
         return other
 
@@ -236,14 +246,22 @@ class JointEvolution:
     def finish_round(self, i: int, choice: str):
         """Run the backward attack on the branches of Alice's choice; her probe comes last.
 
-        The (..., 2) output is allocated once, as zeros.  On SIFT, half b gets
-        ψ's slice with the transit at b; on CTRL, half 0 gets ψ.  V is then
-        applied in place on each written half (engine.apply_on_axes), so the
-        round holds ψ and the output, and no more than a block beside them.
+        With Alice's probe, the (..., 2) output is allocated once, as zeros.
+        On SIFT, half b gets ψ's slice with the transit at b; on CTRL, half 0
+        gets ψ.  V is then applied in place on each written half
+        (engine.apply_on_axes), so the round holds ψ and the output, and no
+        more than a block beside them.  A CTRL round without the probe holds
+        ψ and V·ψ, or ψ alone when it has no backward gate.
         """
         gate = self.attack.backward_gate(i)
         layout = self.state.layout
         psi = self.state.amps.reshape(layout.dims)
+        positions = None if gate is None else _gate_axes(gate, layout)
+        bob = layout.relabeled(TRANSIT, bob_memory(i))
+        if choice == CTRL and not self.ctrl_probe:
+            out = psi if gate is None else apply_on_axes(psi, gate.unitary, positions)
+            self.state = StateVector(bob, out.reshape(-1))
+            return
         out = np.zeros((*layout.dims, 2), dtype=complex)
         if choice == SIFT:
             pos = layout.index(TRANSIT)
@@ -252,12 +270,10 @@ class JointEvolution:
         else:
             out[..., 0] = psi
         if gate is not None:
-            positions = _gate_axes(gate, layout)
             for b in (0, 1) if choice == SIFT else (0,):
                 half = out[..., b]
                 apply_on_axes(half, gate.unitary, positions, out=half)
-        layout = layout.relabeled(TRANSIT, bob_memory(i))
-        layout = SubsystemLayout(layout.dims + (2,), layout.labels + (alice_probe(i),))
+        layout = SubsystemLayout(bob.dims + (2,), bob.labels + (alice_probe(i),))
         self.state = StateVector(layout, out.reshape(-1))
 
     def run_round(self, i: int, choice: str):
@@ -266,11 +282,13 @@ class JointEvolution:
 
 
 def exact_state_dim(attack: AttackSpec, n_rounds: int) -> int:
-    """Amplitude count of an exact run's final state, without building it.
+    """Amplitude count of the largest final state an exact run can hold, without building it.
 
-    Each round leaves Bob's memory qubit and Alice's probe qubit, and every
-    probe factor some gate of the run targets is materialized once, whole, by
-    _new_factors as in JointEvolution.
+    That is the all-SIFT run's: each round leaves Bob's memory qubit and
+    Alice's probe qubit, and every probe factor some gate of the run targets
+    is materialized once, whole, by _new_factors as in JointEvolution.  An
+    exact run holds no probe for a CTRL round, so its final state has
+    exact_state_dim >> n_ctrl amplitudes.
     """
     seen: set[str] = set()
     factors = (f for i in range(n_rounds) for f in _new_factors(attack, i, seen))
@@ -293,7 +311,7 @@ def check_exact_size(attack: AttackSpec, n_rounds: int):
 
 def _run_exact(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript:
     check_exact_size(attack, config.rounds)
-    evo = JointEvolution(attack)
+    evo = JointEvolution(attack, False)  # no probe for a CTRL round
     codes = np.empty(config.rounds, dtype=np.int8)
     for i in range(config.rounds):
         choice = CTRL if rng.random() < config.ctrl_prob else SIFT

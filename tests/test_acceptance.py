@@ -35,14 +35,12 @@ from sqkd.engine import (
     DensityMatrix,
     StateVector,
     SubsystemLayout,
-    ket_zero,
     partial_trace,
     permute,
     phase_deviation,
     purity,
     random_state,
     random_unitary,
-    tensor,
 )
 from sqkd.protocol import MODE_EXACT, ProtocolConfig, classical_phase, run_protocol
 
@@ -83,7 +81,6 @@ def test_c2_counterexample_state():
         expected = StateVector(
             SubsystemLayout((2, 2, 2), ("B0", "B1", "E0")), amps.reshape(-1)
         )
-        expected = tensor(tensor(expected, ket_zero("A0")), ket_zero("A1"))
         expected = permute(expected, final.layout.labels)
         assert phase_deviation(expected, final) < 1e-9
 

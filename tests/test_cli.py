@@ -2,8 +2,12 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,6 +537,27 @@ def test_length_6_check_outputs_are_pinned(capsys, name):
     params, digest = PINNED_CHECKS_6[name]
     assert cli.main(["check", "--attack", name, "--max-pattern-len", "6", *params]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_check_output_does_not_depend_on_the_blas_thread_count():
+    # the length-6 measure_resend_z check reduces slices of more than 10,000
+    # entries, which OpenBLAS splits across threads in one dot; on a single
+    # core both runs take one thread
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = ["check", "--attack", "measure_resend_z", "--max-pattern-len", "6"]
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-m", "sqkd.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,28 @@ def test_measure_nonqubit_target():
         measure(psi, "d3", "z", np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("basis, amps", [("z", [1, 0, 0, 0]), ("x", [0.5, 0.5, 0.5, 0.5])])
+def test_measure_out_refuses_a_zero_weight_branch(monkeypatch, basis, amps):
+    # a draw forced onto outcome 1, whose half is exactly empty: q is |0> or
+    # |+>, with amplitudes whose products with _H's entries are exact
+    psi = StateVector(SubsystemLayout((2, 2), ("q", "r")), np.array(amps, dtype=complex))
+    monkeypatch.setattr(engine, "draw_outcome", lambda w0, rng: (1, 0.0))
+    with pytest.raises(InvalidState, match="zero-weight"):
+        measure_out(psi, "q", basis, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [0, 1, 10_000, 10_001, 25_000])
+def test_norm_is_numpys_within_one_dot(n):
+    # up to _DOT_ENTRIES entries, the bits np.linalg.norm gives; beyond, the
+    # chunks' sums, so a long array no longer has the bits of one BLAS dot
+    rng = np.random.default_rng(n)
+    amps = (rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n))[::2]
+    if n <= engine._DOT_ENTRIES:
+        assert engine._norm(amps) == np.linalg.norm(amps)
+    else:
+        assert engine._norm(amps) == pytest.approx(np.linalg.norm(amps), rel=1e-14)
+
+
 def test_measure_sampling_matches_born_probabilities():
     # empirical frequency within 4 standard errors over 1e5 samples
     amps = [math.cos(0.6), math.sin(0.6)]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -28,18 +29,17 @@ from sqkd.engine import (
     StateVector,
     SubsystemLayout,
     Unitary,
+    _front,
     alice_probe,
     bob_memory,
     cnot,
     ket_plus,
-    ket_zero,
     permute,
     phase_deviation,
     random_state,
     random_unitary,
     single,
     swap_gate,
-    tensor,
 )
 from sqkd.errors import ExactCapExceeded, IncompleteTranscript, InvalidState
 from sqkd.protocol import (
@@ -154,7 +154,6 @@ def test_exact_mode_cnot_parity_final_state():
     expected = engine.StateVector(
         engine.SubsystemLayout((2, 2, 2), ("B0", "B1", "E0")), amps.reshape(-1)
     )
-    expected = tensor(tensor(expected, ket_zero("A0")), ket_zero("A1"))
     expected = permute(expected, final.layout.labels)
     assert phase_deviation(expected, final) < 1e-9
 
@@ -205,7 +204,9 @@ def test_every_dense_walk_refuses_a_state_above_the_amplitude_cap(monkeypatch):
 def test_exact_size_estimate_is_the_final_dim(name, rounds):
     attack = build_attack(name, params={"theta": 0.7} if name == "phase_probe" else {}, n_rounds=rounds)
     transcript = run_protocol(ProtocolConfig(rounds=rounds, seed=rounds, mode=MODE_EXACT), attack)
-    assert exact_state_dim(attack, rounds) == transcript.final_state.dim
+    # the all-SIFT size, halved for each CTRL round's absent probe
+    n_ctrl = int((transcript.codes < 2).sum())
+    assert exact_state_dim(attack, rounds) >> n_ctrl == transcript.final_state.dim
 
 
 def test_swap_at_the_round_cap_is_within_the_amplitude_cap(monkeypatch):
@@ -238,8 +239,11 @@ def test_a_factor_over_two_labels_is_materialized_once():
         backward={5: Gate(random_unitary(12, rng), ("E1", "T", "E0"))},
     )
     assert att.last_use("E0", 6) == att.last_use("E1", 6) == 5
-    final = run_protocol(ProtocolConfig(rounds=6, seed=3, mode=MODE_EXACT), att).final_state
-    assert exact_state_dim(att, 6) == final.dim == 4**6 * 6
+    transcript = run_protocol(ProtocolConfig(rounds=6, seed=3, mode=MODE_EXACT), att)
+    final = transcript.final_state
+    n_ctrl = int((transcript.codes < 2).sum())
+    assert exact_state_dim(att, 6) == 4**6 * 6
+    assert final.dim == exact_state_dim(att, 6) >> n_ctrl
     labels = final.layout.labels
     assert labels.count("E0") == labels.count("E1") == 1
     for seed, ctrl_prob in ((0, 0.0), (1, 0.5), (2, 1.0), (3, 0.3)):
@@ -292,8 +296,9 @@ def test_finish_round_matches_the_project_and_stack_oracle(
 
 
 def test_exact_quantum_phase_holds_one_and_a_half_final_states():
-    # the last round holds its input (half the final state) and its output
-    cfg = ProtocolConfig(rounds=7, seed=0, mode=MODE_EXACT)
+    # the all-SIFT run holds the largest final state; its last round holds
+    # its input (half the final state) and its output
+    cfg = ProtocolConfig(rounds=7, ctrl_prob=0.0, seed=0, mode=MODE_EXACT)
     tracemalloc.start()
     try:
         transcript = run_protocol(cfg, swap_attack(7))
@@ -301,6 +306,61 @@ def test_exact_quantum_phase_holds_one_and_a_half_final_states():
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * transcript.final_state.amps.nbytes
+
+
+def haar_legs_attack(dim, backward):
+    """Haar gates on (T, E0): on the forward leg, and on the backward leg when asked."""
+    rng = np.random.default_rng(dim)
+
+    def gate():
+        return Gate(random_unitary(2 * dim, rng), ("T", "E0"))
+
+    return AttackSpec(
+        name=f"haar_{dim}_{'both' if backward else 'forward'}",
+        probe_dims=(dim,),
+        probe_factors=(random_state(SubsystemLayout((dim,), ("E0",)), rng),),
+        forward={0: gate(), 2: gate()},
+        default_forward=gate(),
+        default_backward=gate() if backward else None,
+    )
+
+
+COMPACT_ROUNDS = 5
+COMPACT_ATTACKS = [
+    identity_attack(),
+    cnot_parity_attack(),
+    measure_resend_z_attack(COMPACT_ROUNDS),
+    swap_attack(COMPACT_ROUNDS),
+    phase_probe_attack(0.9),
+    *(haar_legs_attack(dim, backward) for dim in (1, 2, 3, 4) for backward in (True, False)),
+]
+
+
+class ScriptedChoices:
+    """Round draws that give an exact run at ctrl_prob 0.5 the choices of a pattern."""
+
+    def __init__(self, pattern):
+        self._draws = iter(0.25 if ch == "C" else 0.75 for ch in pattern)
+
+    def random(self):
+        return next(self._draws)
+
+
+@pytest.mark.parametrize("attack", COMPACT_ATTACKS, ids=lambda a: a.name)
+def test_exact_run_state_is_the_walk_state_at_each_ctrl_probe_zero(attack):
+    # the analysis walk keeps Alice's probe on CTRL rounds, where it stays
+    # |0>; an exact run holds the same state without it, to rounding
+    patterns = [
+        "".join(p) for n in range(1, COMPACT_ROUNDS + 1) for p in itertools.product("CS", repeat=n)
+    ]
+    for pattern, full, _ in analysis._walk_patterns(attack, patterns):
+        cfg = ProtocolConfig(rounds=len(pattern), mode=MODE_EXACT)
+        state = protocol._run_exact(cfg, attack, ScriptedChoices(pattern)).final_state
+        ctrl = [alice_probe(i) for i, ch in enumerate(pattern) if ch == "C"]
+        assert state.layout.labels == tuple(l for l in full.layout.labels if l not in ctrl)
+        assert state.dim == exact_state_dim(attack, len(pattern)) >> len(ctrl)
+        kept = _front(full, ctrl)[(0,) * len(ctrl)].reshape(-1)
+        assert np.abs(state.amps - kept).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +444,11 @@ def test_measure_out_copies_only_the_half_it_keeps():
 
 
 def test_x_measurement_builds_only_the_half_it_keeps():
-    # round 0 is CTRL, so the first measurement reads Bob's memory in X
-    cfg = ProtocolConfig(rounds=7, seed=2, mode=MODE_EXACT)
+    # round 0 is CTRL, so the first measurement reads Bob's memory in X; every
+    # later round sifts, so the state is the largest a run starting so holds
+    cfg = ProtocolConfig(rounds=7, seed=48, mode=MODE_EXACT)
     transcript = run_protocol(cfg, swap_attack(7))
-    assert records(transcript)[0].choice == CTRL
+    assert [r.choice for r in records(transcript)] == [CTRL] + [SIFT] * 6
     final_bytes = transcript.final_state.amps.nbytes
     tracemalloc.start()
     try:
