@@ -34,6 +34,8 @@ analytic bound: the underlying theorem is exact (zero error ⇒ zero
 information).
 """
 
+import contextlib
+import contextvars
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -404,8 +406,13 @@ def eve_leakage(attack: AttackSpec, pattern: str) -> LeakageReport:
     most _BATCH_ENTRIES entries together, or a single slice or bit's pair
     when that alone is larger.
     """
-    pattern, final, _ = next(_walk_patterns(attack, [pattern]))
-    return _leakage_from_final(final, pattern, compute_holevo=True)
+    return _pattern_leakage(attack, pattern)[1]
+
+
+def _pattern_leakage(attack: AttackSpec, pattern: str):
+    """(residuals of every round along pattern, eve_leakage of it), from one walk."""
+    pattern, final, reports = next(_walk_patterns(attack, [pattern]))
+    return reports, _leakage_from_final(final, pattern, compute_holevo=True)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +428,29 @@ def default_patterns(max_len: int) -> list[str]:
         ]
     rng = np.random.default_rng(np.random.SeedSequence([_SAMPLE_SEED, max_len]))
     return ["".join(rng.choice(["C", "S"], size=max_len)) for _ in range(_SAMPLE_SIZE)]
+
+
+#: (pattern, list) while a _kept_reports block runs in this context: the
+#: pattern whose reports theorem_check keeps, and the list it fills
+_KEPT: contextvars.ContextVar = contextvars.ContextVar("sqkd_kept_reports", default=None)
+
+
+@contextlib.contextmanager
+def _kept_reports(pattern: str):
+    """Yield a list that theorem_check, run inside the block, fills with pattern's reports.
+
+    Once a theorem_check walk in the block holds pattern, the list holds
+    constraint_reports(attack, pattern), read off that walk; otherwise it
+    stays empty.  A caller that wants both a verdict and one pattern's rows
+    so walks once, and theorem_check keeps its signature and its report.
+    The request lasts for the block and is seen only in its context.
+    """
+    kept = []
+    token = _KEPT.set((pattern, kept))
+    try:
+        yield kept
+    finally:
+        _KEPT.reset(token)
 
 
 def theorem_check(
@@ -445,10 +475,13 @@ def theorem_check(
         raise ValueError("no patterns to check; max_pattern_len must be >= 1")
     max_residual = 0.0
     max_leakage = 0.0
+    keep, kept = _KEPT.get() or (None, None)
 
     def marginals():
         nonlocal max_residual
         for pattern, final, reports in _walk_patterns(attack, patterns):
+            if pattern == keep:
+                kept[:] = reports
             for rep in reports:
                 max_residual = max(max_residual, rep.test_residual + rep.ctrl_error_prob)
             # the blocks live only in the sub-generator, so they are freed

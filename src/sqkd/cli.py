@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .analysis import constraint_check, constraint_reports, eve_leakage, theorem_check
+from .analysis import _kept_reports, _pattern_leakage, constraint_reports, theorem_check
 from .attacks import ATTACK_NAMES, build_attack
 from .errors import EmptyGrid, GridTooLarge, SqkdError
 from .protocol import (
@@ -90,9 +90,12 @@ def cmd_run(config_path: str, out_path: str) -> int:
 
 def cmd_check(attack_name: str, params: dict, eps: float, max_pattern_len: int) -> int:
     attack = build_attack(attack_name, params=params, n_rounds=max_pattern_len)
-    theorem = theorem_check(attack, eps=eps, max_pattern_len=max_pattern_len)
-    # one walk of the all-CTRL pattern yields every round's row
-    rounds = [asdict(r) for r in constraint_reports(attack, "C" * max_pattern_len)]
+    # every round's row is the all-CTRL pattern's residuals; up to length 6 the
+    # theorem walk holds that pattern, and beyond it is walked alone
+    ctrl = "C" * max_pattern_len
+    with _kept_reports(ctrl) as reports:
+        theorem = theorem_check(attack, eps=eps, max_pattern_len=max_pattern_len)
+    rounds = [asdict(r) for r in reports or constraint_reports(attack, ctrl)]
     verdict = {
         "attack": attack_name,
         "params": params,
@@ -136,8 +139,9 @@ def cmd_scan(family: str, param: str, grid: list[float], out_csv: str) -> int:
     rows = []
     for value in grid:
         attack = build_attack(family, params={param: value})
-        rep = constraint_check(attack, 0)
-        leak = eve_leakage(attack, "S")
+        # one walk of "S": round 0's residuals, as constraint_check(attack, 0)
+        # gives them, are read off the SIFT child any walk evolves at its root
+        (rep,), leak = _pattern_leakage(attack, "S")
         rows.append(
             (
                 value,
@@ -218,9 +222,8 @@ def main(argv=None) -> int:
             )
         if args.command == "scan":
             return cmd_scan(args.attack, args.param, _parse_grid(args.grid), args.out)
-        if args.command == "attacks":
-            return cmd_attacks()
-        raise ValueError(f"unknown command {args.command!r}")
+        # argparse's required subcommand leaves only this one
+        return cmd_attacks()
     except (SqkdError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -259,12 +259,16 @@ def controlled(u: Unitary) -> Unitary:
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product; b's subsystems are appended after a's."""
+    """Kronecker product; b's subsystems are appended after a's.
+
+    The amplitudes are the outer product of a's and b's, flattened: each
+    entry is the one product np.kron takes, at a fraction of its cost.
+    """
     overlap = set(a.layout.labels) & set(b.layout.labels)
     if overlap:
         raise DuplicateLabel(f"label sets intersect: {sorted(overlap)}")
     layout = SubsystemLayout(a.layout.dims + b.layout.dims, a.layout.labels + b.layout.labels)
-    return StateVector(layout, np.kron(a.amps, b.amps))
+    return StateVector(layout, np.multiply.outer(a.amps, b.amps).reshape(-1))
 
 
 def apply_unitary(psi, u: Unitary, targets):
@@ -289,9 +293,10 @@ def apply_on_axes(
     Axes not listed, trailing ones included, are left as they are, so a
     trailing column axis applies u to every column at once.  out has t's
     shape and may be t itself; it is allocated when None.  With the target
-    axes moved to the front (as views), each block _blocks yields is one
-    u.entries @ block product written into out, so nothing the size of t is
-    held beside out, and every column rounds as in one product over all.
+    axes moved to the front (one transpose view of each), each block _blocks
+    yields is one u.entries @ block product written into out, so nothing the
+    size of t is held beside out, and every column rounds as in one product
+    over all.
     """
     positions = list(positions)
     d_targets = math.prod(t.shape[p] for p in positions)
@@ -302,8 +307,8 @@ def apply_on_axes(
     if out is None:
         out = np.empty(t.shape, dtype=complex)
     k = len(positions)
-    src = np.moveaxis(t, positions, range(k))
-    dst = np.moveaxis(out, positions, range(k))
+    order = positions + [a for a in range(t.ndim) if a not in positions]
+    src, dst = t.transpose(order), out.transpose(order)
     for index in _blocks(src, k):
         block = src[index]
         dst[index] = (u.entries @ block.reshape(d_targets, -1)).reshape(block.shape)

@@ -48,7 +48,6 @@ from .engine import (
     ket_plus,
     measure_out,
     outcome_threshold,
-    tensor,
 )
 from .errors import (
     AttackLayoutMismatch,
@@ -203,6 +202,10 @@ def _new_factors(attack: AttackSpec, i: int, materialized: set[str]):
                 yield factor
 
 
+#: the |+> amplitudes Bob's transit qubit is emitted with, built and checked once
+_PLUS_AMPS = ket_plus(TRANSIT).amps
+
+
 class JointEvolution:
     """Threads the exact joint state through protocol rounds.
 
@@ -230,18 +233,30 @@ class JointEvolution:
         return other
 
     def start_round(self, i: int):
-        """Emit |+> into the transit slot and run the forward attack.
+        """Emit |+> into the transit slot, bring in the round's new probe factors, run F.
 
-        F goes through engine.apply_on_axes, as V does in finish_round.
+        ψ ⊗ |+> ⊗ each new factor is built as raw outer products, in that
+        order, with the entries engine.tensor gives; only the state F leaves
+        is wrapped, so its norm is checked once.  The layout and F's axes come
+        first, so a refused gate leaves ψ as it was, and ψ is released as soon
+        as the first product is made.  F goes through engine.apply_on_axes, as V
+        does in finish_round.
         """
-        self.state = tensor(self.state, ket_plus(TRANSIT))
-        for factor in _new_factors(self.attack, i, set(self.state.layout.labels)):
-            self.state = tensor(self.state, factor)
+        factors = list(_new_factors(self.attack, i, set(self.state.layout.labels)))
+        layout = self.state.layout
+        layout = SubsystemLayout(
+            layout.dims + (2,) + tuple(d for f in factors for d in f.layout.dims),
+            layout.labels + (TRANSIT,) + tuple(l for f in factors for l in f.layout.labels),
+        )
         gate = self.attack.forward_gate(i)
+        positions = None if gate is None else _gate_axes(gate, layout)
+        amps = np.multiply.outer(self.state.amps, _PLUS_AMPS)
+        self.state = None
+        for factor in factors:
+            amps = np.multiply.outer(amps, factor.amps)
         if gate is not None:
-            layout = self.state.layout
-            t = apply_on_axes(self.state.tensor_view(), gate.unitary, _gate_axes(gate, layout))
-            self.state = StateVector(layout, t.reshape(-1))
+            amps = apply_on_axes(amps.reshape(layout.dims), gate.unitary, positions)
+        self.state = StateVector(layout, amps.reshape(-1))
 
     def finish_round(self, i: int, choice: str):
         """Run the backward attack on the branches of Alice's choice; her probe comes last.
@@ -257,23 +272,24 @@ class JointEvolution:
         layout = self.state.layout
         psi = self.state.amps.reshape(layout.dims)
         positions = None if gate is None else _gate_axes(gate, layout)
-        bob = layout.relabeled(TRANSIT, bob_memory(i))
         if choice == CTRL and not self.ctrl_probe:
             out = psi if gate is None else apply_on_axes(psi, gate.unitary, positions)
-            self.state = StateVector(bob, out.reshape(-1))
+            self.state = StateVector(layout.relabeled(TRANSIT, bob_memory(i)), out.reshape(-1))
             return
+        pos = layout.index(TRANSIT)
+        labels = layout.labels[:pos] + (bob_memory(i),) + layout.labels[pos + 1 :]
         out = np.zeros((*layout.dims, 2), dtype=complex)
         if choice == SIFT:
-            pos = layout.index(TRANSIT)
             for b in (0, 1):
-                np.moveaxis(out[..., b], pos, 0)[b] = np.moveaxis(psi, pos, 0)[b]
+                transit = (slice(None),) * pos + (b,)
+                out[transit + (..., b)] = psi[transit]
         else:
             out[..., 0] = psi
         if gate is not None:
             for b in (0, 1) if choice == SIFT else (0,):
                 half = out[..., b]
                 apply_on_axes(half, gate.unitary, positions, out=half)
-        layout = SubsystemLayout(bob.dims + (2,), bob.labels + (alice_probe(i),))
+        layout = SubsystemLayout(layout.dims + (2,), labels + (alice_probe(i),))
         self.state = StateVector(layout, out.reshape(-1))
 
     def run_round(self, i: int, choice: str):

@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqkd import cli
+from sqkd import analysis, cli
 from sqkd.errors import GridTooLarge
-from sqkd.analysis import TheoremReport
-from sqkd.attacks import swap_attack
+from sqkd.analysis import TheoremReport, constraint_check, default_patterns, eve_leakage
+from sqkd.attacks import build_attack, swap_attack
 from sqkd.protocol import (
+    JointEvolution,
     ProtocolConfig,
     classical_phase,
     read_transcript,
@@ -525,10 +526,13 @@ def test_check_outputs_of_builtins_are_pinned(capsys, name):
 #: verify workload checks at
 PINNED_CHECKS_6 = {
     "cnot_parity": ([], "1266862c1dc75ada74574b55fba7a69ea5b11e1f0a55ade50a0147e4c2a7ed9a"),
+    "identity": ([], "9a88142d832970eac60f7bfee31cc7cb8cd0efada5f33053b2d3238101fe3b4f"),
+    "measure_resend_z": ([], "5f553bb3bc71436f60af8bc641166f269cc335422e40fa6675548b412010668e"),
     "phase_probe": (
         ["--param", "theta=0.5"],
         "3f612c9bc0ddf98d8458ef4582e1679b7182e997e33a8d8e063cea6a8f871b46",
     ),
+    "swap": ([], "31257a8bfc3d7b8ca6959673325c8639977e1f7224f9a73c8eb7dabf68cb3c7c"),
 }
 
 
@@ -537,6 +541,34 @@ def test_length_6_check_outputs_are_pinned(capsys, name):
     params, digest = PINNED_CHECKS_6[name]
     assert cli.main(["check", "--attack", name, "--max-pattern-len", "6", *params]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_length_6_check_evolves_each_trie_node_once(monkeypatch, capsys):
+    # the length-6 pattern trie has 63 inner nodes, and each evolves its SIFT
+    # child and its CTRL child; the all-CTRL rows are read off the same walk
+    calls = {"start_round": 0, "finish_round": 0}
+    for name in calls:
+        step = getattr(JointEvolution, name)
+
+        def counted(self, *args, _name=name, _step=step):
+            calls[_name] += 1
+            return _step(self, *args)
+
+        monkeypatch.setattr(JointEvolution, name, counted)
+    argv = ["check", "--attack", "phase_probe", "--param", "theta=0.5", "--max-pattern-len", "6"]
+    assert cli.main(argv) == 0
+    assert calls == {"start_round": 63, "finish_round": 126}
+
+
+@pytest.mark.parametrize("length", [3, 7])
+def test_check_rows_are_the_all_ctrl_constraint_checks(capsys, length):
+    # up to length 6 the rows come off the theorem walk; at length 7 the
+    # sampled patterns lack the all-CTRL one, which is walked alone
+    assert ("C" * length in default_patterns(length)) == (length <= 6)
+    assert cli.main(["check", "--attack", "cnot_parity", "--max-pattern-len", str(length)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rounds"]
+    attack = build_attack("cnot_parity", n_rounds=length)
+    assert rows == [asdict(constraint_check(attack, i)) for i in range(length)]
 
 
 def test_check_output_does_not_depend_on_the_blas_thread_count():
@@ -598,6 +630,32 @@ def test_scan_single_point_grid(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 2
     assert all(float(v) == 0.0 for v in rows[1])
+
+
+def test_scan_walks_each_grid_point_once(tmp_path, monkeypatch):
+    # one walk of the pattern S gives both round 0's residuals and the leakage
+    spec = f"0:{math.pi / 2}:{math.pi / 6}"
+    want = []
+    for theta in cli._parse_grid(spec):
+        attack = build_attack("phase_probe", params={"theta": theta})
+        rep, leak = constraint_check(attack, 0), eve_leakage(attack, "S")
+        want.append([theta, rep.ctrl_error_prob, rep.test_residual,
+                     leak.per_bit_trace_distance[0], leak.holevo_bound])
+    walks = []
+    walk = analysis._walk_patterns
+
+    def counted(attack, patterns):
+        walks.append(list(patterns))
+        return walk(attack, patterns)
+
+    monkeypatch.setattr(analysis, "_walk_patterns", counted)
+    out = tmp_path / "scan.csv"
+    assert cli.main(
+        ["scan", "--attack", "phase_probe", "--param", "theta", "--grid", spec, "--out", str(out)]
+    ) == 0
+    assert walks == [["S"]] * 4
+    with open(out) as fh:
+        assert [[float(v) for v in row] for row in list(csv.reader(fh))[1:]] == want
 
 
 def test_scan_descending_grid_preserved(tmp_path):

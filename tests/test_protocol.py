@@ -41,7 +41,12 @@ from sqkd.engine import (
     single,
     swap_gate,
 )
-from sqkd.errors import ExactCapExceeded, IncompleteTranscript, InvalidState
+from sqkd.errors import (
+    AttackLayoutMismatch,
+    ExactCapExceeded,
+    IncompleteTranscript,
+    InvalidState,
+)
 from sqkd.protocol import (
     CTRL,
     EXACT_AMPLITUDE_CAP,
@@ -1001,6 +1006,46 @@ def test_pair_collapse_refuses_a_zero_weight_branch():
     zero = ((0.0, 0.0), (0.0, 0.0))
     with pytest.raises(InvalidState, match="zero-weight"):
         protocol._pair_collapse([zero, zero], (1.0, 0.0), 0.5)
+
+
+# a unitary attack keeps the live probe at norm 1 and names only labels its
+# rounds materialize, so the three refusals below are reached only by a direct
+# call or a step made non-unitary
+
+
+def test_gate_axes_refuse_a_target_the_layout_lacks():
+    gate = Gate(cnot(), ("T", "E1"))
+    with pytest.raises(AttackLayoutMismatch, match="E1"):
+        protocol._gate_axes(gate, SubsystemLayout((2, 2), ("T", "E0")))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_live_span_refuses_a_probe_off_its_norm(monkeypatch, dim):
+    # every step returns its branch at twice the norm; dim 2 steps through
+    # _pair_collapse, any other dim through _collapse
+    att = _haar_probe_attack(np.random.default_rng(dim), dim)
+    inst = protocol._compile_round(att.default_forward, att.default_backward, ["E0"], [dim])
+    name = "_pair_collapse" if dim == 2 else "_collapse"
+    step = getattr(protocol, name)
+
+    def doubled(kraus, psi, u):
+        idx, out = step(kraus, psi, u)
+        return idx, (tuple(2 * a for a in out) if dim == 2 else 2 * out)
+
+    monkeypatch.setattr(protocol, name, doubled)
+    psi = att.probe_factor("E0").amps
+    with pytest.raises(InvalidState, match=r"live probe norm \S+ deviates from 1 in round 5$"):
+        protocol._sample_live(inst, psi, 5, 9, 0.5, stream_rng(0, 0))
+
+
+def test_sampling_refuses_a_probe_off_its_norm_after_a_drop(monkeypatch):
+    # after round 0, E1 is dead but entangled with E0, so it is measured out;
+    # a rest left at twice its norm is refused at the end of that span
+    measure_out = protocol._measure_out
+    monkeypatch.setattr(protocol, "_measure_out", lambda *args: 2 * measure_out(*args))
+    cfg = ProtocolConfig(rounds=3, ctrl_prob=1.0, seed=4)
+    with pytest.raises(InvalidState, match=r"live probe norm \S+ deviates from 1 in round 0$"):
+        run_protocol(cfg, dead_probe_entangler_attack(3))
 
 
 def test_rounds_with_equal_unitaries_share_one_instrument(monkeypatch):
