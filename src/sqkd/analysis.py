@@ -34,8 +34,6 @@ analytic bound: the underlying theorem is exact (zero error ⇒ zero
 information).
 """
 
-import contextlib
-import contextvars
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -106,6 +104,8 @@ class LeakageReport:
     per_bit_trace_distance: tuple[float, ...]
     holevo_bound: float
     max_leakage: float
+    #: constraint_reports(attack, pattern), read off the walk the leakage came from
+    rounds: tuple[ConstraintReport, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,9 @@ class TheoremReport:
     eps: float
     passed: bool
     n_patterns: int
+    #: residuals of every round of the all-CTRL pattern as long as the longest
+    #: pattern, read off the walk; () when the pattern set lacks it
+    ctrl_rounds: tuple[ConstraintReport, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -374,17 +377,14 @@ def _bit_distances(batch: np.ndarray) -> np.ndarray:
     return out
 
 
-def _leakage_from_final(
-    final: StateVector, pattern: str, compute_holevo: bool
-) -> LeakageReport:
+def _leakage_from_final(final: StateVector, pattern: str) -> LeakageReport:
     joint = _joint_blocks(final, pattern)
     per_bit = [0.0] * pattern.count("S")
     chi = 0.0
     if joint is not None:
         batches = _batches(_bit_marginals(joint))
         per_bit = [t for batch in batches for t in _bit_distances(batch).tolist()]
-        if compute_holevo:
-            chi = holevo_bound(_weighted_states(joint.reshape(-1, *joint.shape[-2:])))
+        chi = holevo_bound(_weighted_states(joint.reshape(-1, *joint.shape[-2:])))
 
     return LeakageReport(
         pattern=pattern,
@@ -404,15 +404,11 @@ def eve_leakage(attack: AttackSpec, pattern: str) -> LeakageReport:
     Eve-sized Gram block per joint bit assignment and, at a time, one batch:
     copies of joint-bit slices of the state, or bit marginals, holding at
     most _BATCH_ENTRIES entries together, or a single slice or bit's pair
-    when that alone is larger.
+    when that alone is larger.  rounds holds constraint_reports(attack,
+    pattern), read off the same walk.
     """
-    return _pattern_leakage(attack, pattern)[1]
-
-
-def _pattern_leakage(attack: AttackSpec, pattern: str):
-    """(residuals of every round along pattern, eve_leakage of it), from one walk."""
     pattern, final, reports = next(_walk_patterns(attack, [pattern]))
-    return reports, _leakage_from_final(final, pattern, compute_holevo=True)
+    return replace(_leakage_from_final(final, pattern), rounds=tuple(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -430,29 +426,6 @@ def default_patterns(max_len: int) -> list[str]:
     return ["".join(rng.choice(["C", "S"], size=max_len)) for _ in range(_SAMPLE_SIZE)]
 
 
-#: (pattern, list) while a _kept_reports block runs in this context: the
-#: pattern whose reports theorem_check keeps, and the list it fills
-_KEPT: contextvars.ContextVar = contextvars.ContextVar("sqkd_kept_reports", default=None)
-
-
-@contextlib.contextmanager
-def _kept_reports(pattern: str):
-    """Yield a list that theorem_check, run inside the block, fills with pattern's reports.
-
-    Once a theorem_check walk in the block holds pattern, the list holds
-    constraint_reports(attack, pattern), read off that walk; otherwise it
-    stays empty.  A caller that wants both a verdict and one pattern's rows
-    so walks once, and theorem_check keeps its signature and its report.
-    The request lasts for the block and is seen only in its context.
-    """
-    kept = []
-    token = _KEPT.set((pattern, kept))
-    try:
-        yield kept
-    finally:
-        _KEPT.reset(token)
-
-
 def theorem_check(
     attack: AttackSpec,
     patterns=None,
@@ -466,6 +439,8 @@ def theorem_check(
     verdict passes unless the attack is undetectable (r ≤ eps) yet leaks
     (ℓ > 10·eps).  A non-finite or negative eps, or an empty pattern set
     (max_pattern_len < 1), raises ValueError: no verdict could be honoured.
+    ctrl_rounds holds the residuals of the all-CTRL pattern as long as the
+    longest pattern, read off the walk when the set holds that pattern.
     """
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
@@ -475,18 +450,22 @@ def theorem_check(
         raise ValueError("no patterns to check; max_pattern_len must be >= 1")
     max_residual = 0.0
     max_leakage = 0.0
-    keep, kept = _KEPT.get() or (None, None)
+    ctrl = "C" * max(map(len, patterns))
+    ctrl_rounds = ()
 
     def marginals():
-        nonlocal max_residual
+        nonlocal max_residual, ctrl_rounds
         for pattern, final, reports in _walk_patterns(attack, patterns):
-            if pattern == keep:
-                kept[:] = reports
+            if pattern == ctrl:
+                ctrl_rounds = tuple(reports)
             for rep in reports:
                 max_residual = max(max_residual, rep.test_residual + rep.ctrl_error_prob)
-            # the blocks live only in the sub-generator, so they are freed
-            # before the walk evolves the next pattern
-            yield from _bit_marginals(_joint_blocks(final, pattern))
+            # the blocks live only in the sub-generator and the final state is
+            # dropped once read, so neither is live while the walk evolves the
+            # next pattern
+            bits = _bit_marginals(_joint_blocks(final, pattern))
+            del final
+            yield from bits
 
     # the bits of successive patterns share a batch as one pattern's bits do
     for batch in _batches(marginals()):
@@ -498,6 +477,7 @@ def theorem_check(
         eps=eps,
         passed=passed,
         n_patterns=len(patterns),
+        ctrl_rounds=ctrl_rounds,
     )
 
 
@@ -587,7 +567,10 @@ def exact_rate_expectations(
     choices = [ch for ch in "CS" if probs[ch] != 0.0]
     patterns = ["".join(p) for p in itertools.product(choices, repeat=n_rounds)]
     # summed in enumeration order, so the float sums do not follow the walk's
-    reports_of = {p: reports for p, _, reports in _walk_patterns(attack, patterns)}
+    reports_of = {}
+    for pattern, final, reports in _walk_patterns(attack, patterns):
+        del final  # else it is live while the walk evolves the next pattern
+        reports_of[pattern] = reports
     ce = cc = te = tc = 0.0
     for pattern in patterns:
         weight = 1.0

@@ -3,7 +3,7 @@
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from operator import attrgetter, ne
 
 import numpy as np
@@ -409,9 +409,13 @@ def reference_constraint_check(attack, round_index, prefix):
 def reference_theorem_check(attack, patterns, eps=1e-9):
     max_residual = 0.0
     max_leakage = 0.0
+    ctrl = "C" * max(map(len, patterns))
+    ctrl_rounds = ()
     for pattern in patterns:
         pattern = pattern.upper()
         final, reports = reference_evolution(attack, pattern)
+        if pattern == ctrl:
+            ctrl_rounds = tuple(reports)
         for rep in reports:
             max_residual = max(max_residual, rep.test_residual + rep.ctrl_error_prob)
         leak = reference_leakage_from_final(final, pattern, False)
@@ -422,13 +426,14 @@ def reference_theorem_check(attack, patterns, eps=1e-9):
         eps=eps,
         passed=(max_residual > eps) or (max_leakage <= 10 * eps),
         n_patterns=len(patterns),
+        ctrl_rounds=ctrl_rounds,
     )
 
 
-def reference_eve_leakage(attack, pattern, compute_holevo=True):
+def reference_eve_leakage(attack, pattern):
     pattern = pattern.upper()
-    final, _ = reference_evolution(attack, pattern)
-    return reference_leakage_from_final(final, pattern, compute_holevo)
+    final, reports = reference_evolution(attack, pattern)
+    return replace(reference_leakage_from_final(final, pattern, True), rounds=tuple(reports))
 
 
 def reference_rate_expectations(attack, n_rounds, ctrl_prob):

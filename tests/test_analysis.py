@@ -740,10 +740,9 @@ def test_view_readers_match_the_copying_oracles(drawn, pattern, data):
     got, want = _front(final, labels), reference_front(final, labels)
     assert np.shares_memory(got, final.amps)
     assert np.array_equal(got.reshape(want.shape), want)
-    for holevo in (False, True):
-        assert _leakage_from_final(final, pattern, holevo) == reference_leakage_from_final(
-            final, pattern, holevo
-        )
+    assert _leakage_from_final(final, pattern) == reference_leakage_from_final(
+        final, pattern, True
+    )
 
 
 def test_leakage_matches_the_per_pair_oracle_on_every_short_pattern():
@@ -755,9 +754,8 @@ def test_leakage_matches_the_per_pair_oracle_on_every_short_pattern():
         for per_round in (False, True):
             att = _haar_attack(dim, 4, rng, per_round)
             for pattern, final, _ in _walk_patterns(att, patterns):
-                for holevo in (False, True):
-                    got = _leakage_from_final(final, pattern, holevo)
-                    assert got == reference_leakage_from_final(final, pattern, holevo)
+                got = _leakage_from_final(final, pattern)
+                assert got == reference_leakage_from_final(final, pattern, True)
 
 
 def test_joint_blocks_have_the_bits_of_each_slice_product():
@@ -791,3 +789,30 @@ def test_walker_memory_holds_no_sift_child_across_ctrl_subtrees():
         tracemalloc.stop()
     assert rep.max_leakage == 1.0
     assert peak < 4.5 * 2**15 * 16
+
+
+def test_theorem_check_drops_each_final_state_once_read():
+    # the final states of swap_attack(6) hold 2^18 amplitudes (4 MiB); the
+    # walk peaks near 2.4 of them, and keeping SSSSSS's final state while
+    # SCCCCC evolves would peak near 3.4
+    tracemalloc.start()
+    try:
+        rep = theorem_check(swap_attack(6), patterns=["SSSSSS", "SCCCCC"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.max_leakage == 1.0
+    assert peak < 2.9 * 2**18 * 16
+
+
+def test_rate_expectations_drop_each_final_state_once_read():
+    # as above: the walk over all 64 patterns of swap_attack(6) peaks near 2.4
+    # final states, and keeping one while the next pattern evolves near 3.4
+    tracemalloc.start()
+    try:
+        rates = exact_rate_expectations(swap_attack(6), 6, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(rates.test_error_rate - 0.5) < 1e-9
+    assert peak < 2.9 * 2**18 * 16

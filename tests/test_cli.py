@@ -14,8 +14,15 @@ import pytest
 
 from sqkd import analysis, cli
 from sqkd.errors import GridTooLarge
-from sqkd.analysis import TheoremReport, constraint_check, default_patterns, eve_leakage
-from sqkd.attacks import build_attack, swap_attack
+from sqkd.analysis import (
+    TheoremReport,
+    constraint_check,
+    constraint_reports,
+    default_patterns,
+    eve_leakage,
+    theorem_check,
+)
+from sqkd.attacks import ATTACK_NAMES, build_attack, swap_attack
 from sqkd.protocol import (
     JointEvolution,
     ProtocolConfig,
@@ -560,15 +567,35 @@ def test_length_6_check_evolves_each_trie_node_once(monkeypatch, capsys):
     assert calls == {"start_round": 63, "finish_round": 126}
 
 
+def _built_ins(n_rounds):
+    """The five built-ins at n_rounds, phase_probe at theta 0.5; cnot_parity needs 2."""
+    for name in ATTACK_NAMES:
+        if name != "cnot_parity" or n_rounds >= 2:
+            params = {"theta": 0.5} if name == "phase_probe" else None
+            yield build_attack(name, params=params, n_rounds=n_rounds)
+
+
 @pytest.mark.parametrize("length", [3, 7])
 def test_check_rows_are_the_all_ctrl_constraint_checks(capsys, length):
-    # up to length 6 the rows come off the theorem walk; at length 7 the
-    # sampled patterns lack the all-CTRL one, which is walked alone
+    # up to length 6 the rows are the theorem walk's ctrl_rounds; at length 7
+    # the sampled patterns lack the all-CTRL one, which is walked alone
     assert ("C" * length in default_patterns(length)) == (length <= 6)
     assert cli.main(["check", "--attack", "cnot_parity", "--max-pattern-len", str(length)]) == 0
     rows = json.loads(capsys.readouterr().out)["rounds"]
     attack = build_attack("cnot_parity", n_rounds=length)
     assert rows == [asdict(constraint_check(attack, i)) for i in range(length)]
+    want = tuple(constraint_reports(attack, "C" * length)) if length <= 6 else ()
+    assert theorem_check(attack, max_pattern_len=length).ctrl_rounds == want
+    if length <= 6:
+        for n in range(1, 7):
+            for att in _built_ins(n):
+                want = tuple(constraint_reports(att, "C" * n))
+                assert theorem_check(att, max_pattern_len=n).ctrl_rounds == want
+        for att in _built_ins(length):
+            # the longest pattern is CS, and the set lacks CC
+            assert theorem_check(att, patterns=["S", "CS"]).ctrl_rounds == ()
+            for p in default_patterns(length):
+                assert eve_leakage(att, p).rounds == tuple(constraint_reports(att, p))
 
 
 def test_check_output_does_not_depend_on_the_blas_thread_count():
@@ -618,6 +645,17 @@ def test_scan_phase_probe_grid(tmp_path):
         assert abs(got - want) < 1e-3
     for got, want in zip(td, [0.0, 0.5, 0.8660, 1.0]):
         assert abs(got - want) < 1e-3
+
+
+#: SHA-256 of the CSV `sqkd scan --attack phase_probe --param theta --grid 0:1.5708:0.1` writes
+PINNED_SCAN = "5194fd8a4add775d94e55a91d9d9555e148f1ce54bd94a037c536b0c40816106"
+
+
+def test_scan_output_bytes_are_pinned(tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--attack", "phase_probe", "--param", "theta", "--grid", "0:1.5708:0.1"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SCAN
 
 
 def test_scan_single_point_grid(tmp_path):
