@@ -615,10 +615,13 @@ def sift_equivalence_check(
     the delayed-measurement (XOR-probe) model by enumerating Alice's choice
     tree.  The sampled side runs `trials` independent measure-and-resend
     simulations with per-trial derived seeds and pools the observed rates.
-    The two are declared equivalent when they agree within 4 standard errors;
-    exact_rate_expectations refuses a run too large to enumerate before any
-    trial runs.
+    The two are declared equivalent when they agree within 4 standard errors.
+    trials < 1 raises ValueError, since no trial could back a verdict, and
+    exact_rate_expectations refuses a run too large to enumerate; both before
+    any trial runs.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     exact = exact_rate_expectations(attack, config.rounds, config.ctrl_prob)
 
     stats = []

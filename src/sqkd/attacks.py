@@ -148,13 +148,6 @@ class AttackSpec:
         i = int(label[1:])
         return i if i < len(self.probe_dims) and label == eve_probe(i) else None
 
-    def _template_touches(self, round_index: int) -> bool:
-        """Whether the template's gates act at this round (on its own probe)."""
-        t = self.template
-        return (t.forward is not None and round_index not in self.forward) or (
-            t.backward is not None and round_index not in self.backward
-        )
-
     def _template_gate(self, round_index: int, unitary: Unitary | None) -> Gate | None:
         if unitary is None or not 0 <= round_index < len(self.probe_dims):
             return None
@@ -215,8 +208,10 @@ class AttackSpec:
             return n_rounds - 1
         last = self._explicit_last.get(label, -1)
         r = self._template_round(label)
-        if r is not None and r < n_rounds and self._template_touches(r):
-            last = max(last, r)
+        if r is not None and r < n_rounds:
+            gates = (self.forward_gate(r), self.backward_gate(r))
+            if any(g is not None and label in g.targets for g in gates):
+                last = max(last, r)
         return last
 
 

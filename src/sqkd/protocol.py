@@ -432,29 +432,6 @@ def _pair_collapse(kraus: list, psi: tuple, u: float) -> tuple[int, tuple]:
     return idx, (b0 * scale, b1 * scale)
 
 
-class _Table(NamedTuple):
-    """Outcome thresholds of a round that starts and ends with no live probe.
-
-    A CTRL round reads PLUS when its draw is below x; a SIFT round gives
-    Alice bit 0 below a, then Bob's Z outcome 0 below z[bit] (1.0 for a bit
-    no draw gives).  Each is the threshold _collapse would draw against.
-    """
-
-    x: float
-    a: float
-    z: tuple[float, float]
-
-
-def _round_table(inst: _Instrument, psi: np.ndarray) -> _Table:
-    a, _ = _threshold(inst.alice, psi)
-    # the draw u = bit gives Alice that bit wherever some draw reaches it
-    z = tuple(
-        _threshold(inst.bob_z[bit], _collapse(inst.alice, psi, bit)[1])[0] if reached else 1.0
-        for bit, reached in enumerate((a > 0, a < 1))
-    )
-    return _Table(_threshold(inst.bob_x, psi)[0], a, z)
-
-
 #: most doubles drawn from stream 0 at once by _round_draws
 _BLOCK = 1 << 16
 
@@ -487,21 +464,32 @@ def _round_draws(rng, rounds: int, ctrl_prob: float):
         u = u[p:]
 
 
-def _sample_table(table: _Table, out: np.ndarray, ctrl_prob: float, rng):
-    """Outcome codes of the next len(out) rounds, all drawn from one table, into out.
+def _sample_table(inst: _Instrument, psi: np.ndarray, out: np.ndarray, ctrl_prob: float, rng):
+    """Outcome codes of the next len(out) stateless rounds on inst, into out.
 
-    Each round takes its draws from _round_draws: the choice, then one (CTRL)
-    or two (SIFT) outcomes.  Each block's codes are written into out as it is
-    drawn.
+    Every round of the span starts from the fresh probe state psi and leaves
+    no live probe, so its thresholds are read off inst once: a CTRL round
+    reads PLUS when its draw is below x; a SIFT round gives Alice bit 0 below
+    a, then Bob's Z outcome 0 below z[bit] (1.0 for a bit no draw gives).
+    Each is the threshold _collapse would draw against.  Each round takes its
+    draws from _round_draws: the choice, then one (CTRL) or two (SIFT)
+    outcomes.  Each block's codes are written into out as it is drawn.
     """
+    x, _ = _threshold(inst.bob_x, psi)
+    a, _ = _threshold(inst.alice, psi)
+    # the draw u = bit gives Alice that bit wherever some draw reaches it
+    z = [
+        _threshold(inst.bob_z[bit], _collapse(inst.alice, psi, bit)[1])[0] if reached else 1.0
+        for bit, reached in enumerate((a > 0, a < 1))
+    ]
     i = 0
     for u, starts in _round_draws(rng, len(out), ctrl_prob):
         s = np.array(starts, dtype=np.intp)
         second, third = u[s + 1], u[np.minimum(s + 2, len(u) - 1)]
-        bit = second >= table.a
-        sift = 2 + 2 * bit + (third >= np.where(bit, table.z[1], table.z[0]))
+        bit = second >= a
+        sift = 2 + 2 * bit + (third >= np.where(bit, z[1], z[0]))
         stop = i + len(s)
-        out[i:stop] = np.where(u[s] < ctrl_prob, second >= table.x, sift)
+        out[i:stop] = np.where(u[s] < ctrl_prob, second >= x, sift)
         i = stop
 
 
@@ -572,8 +560,8 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
 
     A round that starts with no live probe and leaves none behind carries no
     state, and neither do the rounds after it that follow its gate rule
-    (AttackSpec.run_end): they are all drawn from one outcome table per
-    shape and fresh probe state (_sample_table).
+    (AttackSpec.run_end): _sample_table reads the span's thresholds off its
+    compiled instrument, once per span, and draws every round against them.
 
     Every other round carries a live probe.  Its instrument stays fixed from
     the round up to the next live label's last use, within the round's gate
@@ -581,10 +569,13 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
     some label is dropped is a span of its own.  Neither sampler ever draws
     past its span, so the rng ends where single draws would.
 
-    Draws, weights and the outcome_threshold snap are engine.measure's, so
-    the outcomes are those of the dense engine; a span on a live probe of
+    A round's draws, weights and outcome_threshold snap are engine.measure's,
+    so its outcomes are those of the dense engine; a span on a live probe of
     dim 2 sums on Python scalars instead of BLAS, and could differ only where
-    a draw lands within about 1e-16 of a threshold.
+    a draw lands within about 1e-16 of a threshold.  A dead probe's Z outcome
+    follows another rule (_measure_out): one draw from stream 3, located by
+    searchsorted in its cumulative weights at rng.random() * weights[-1], for
+    any dim and with no snap.
     """
     codes = np.empty(config.rounds, dtype=np.int8)
     last_use: dict[str, int] = {}  # of each materialized probe label
@@ -593,7 +584,6 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
     psi = np.ones(1, dtype=complex)
     materialized: set[str] = set()
     compiled: dict = {}
-    tables: dict = {}
     dead_rng = None  # built on first use: most runs never need it
 
     i = 0
@@ -613,12 +603,8 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
             inst = compiled[key] = _compile_round(fwd, bwd, labels, dims)
 
         if fresh and all(last_use[l] <= i for l in labels):
-            table_key = (key, psi.tobytes())
-            table = tables.get(table_key)
-            if table is None:
-                table = tables[table_key] = _round_table(inst, psi)
             stop = attack.run_end(i, config.rounds)
-            _sample_table(table, codes[i:stop], config.ctrl_prob, rng)
+            _sample_table(inst, psi, codes[i:stop], config.ctrl_prob, rng)
         else:
             # rounds of this gate rule before any live label's last use drop
             # nothing, and on these very gates materialize nothing: the

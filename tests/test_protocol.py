@@ -702,6 +702,17 @@ def test_sift_equivalence_rejects_uncapped_rounds():
         )
 
 
+@pytest.mark.parametrize(
+    "attack, trials", [(identity_attack(), -3), (phase_probe_attack(0.5), 0)]
+)
+def test_sift_equivalence_refuses_fewer_than_one_trial(monkeypatch, attack, trials):
+    # refused before the exact side enumerates anything or a trial runs
+    monkeypatch.setattr(analysis, "exact_rate_expectations", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(analysis, "run_protocol", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}$"):
+        sift_equivalence_check(ProtocolConfig(rounds=3), attack, trials=trials)
+
+
 # ---------------------------------------------------------------------------
 # Compiled sampling loop against the dense reference
 # ---------------------------------------------------------------------------
@@ -1072,6 +1083,32 @@ def test_rounds_with_equal_unitaries_share_one_instrument(monkeypatch):
         compiles.clear()
         assert records(run_protocol(cfg, att)) == reference_sampling(cfg, att)
         assert len(compiles) == 1
+
+
+def test_a_table_span_reads_its_thresholds_once(monkeypatch):
+    # one stateless span of 200,000 rounds, drawn over 13 blocks, compiles one
+    # instrument and reads 6 thresholds off it whatever the block count: x, a,
+    # and each z[bit] after the _collapse that reaches its bit
+    calls = {"_compile_round": 0, "_threshold": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _wrapped=getattr(protocol, name)):
+            calls[_name] += 1
+            return _wrapped(*args)
+
+        monkeypatch.setattr(protocol, name, counted)
+    blocks = []
+    round_draws = protocol._round_draws
+
+    def counted_blocks(*args):
+        for block in round_draws(*args):
+            blocks.append(len(block[1]))
+            yield block
+
+    monkeypatch.setattr(protocol, "_round_draws", counted_blocks)
+    run_protocol(ProtocolConfig(rounds=200_000, seed=5), swap_attack(200_000))
+    assert sum(blocks) == 200_000 and len(blocks) == 13
+    assert calls == {"_compile_round": 1, "_threshold": 6}
 
 
 def _compiled_arrays(fwd, bwd, labels, dims):
