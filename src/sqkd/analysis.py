@@ -36,6 +36,7 @@ information).
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -616,12 +617,12 @@ def sift_equivalence_check(
     tree.  The sampled side runs `trials` independent measure-and-resend
     simulations with per-trial derived seeds and pools the observed rates.
     The two are declared equivalent when they agree within 4 standard errors.
-    trials < 1 raises ValueError, since no trial could back a verdict, and
-    exact_rate_expectations refuses a run too large to enumerate; both before
-    any trial runs.
+    trials that is not an int of at least 1 raises ValueError, since no trial
+    could back a verdict, and exact_rate_expectations refuses a run too large
+    to enumerate; both before any trial runs.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (isinstance(trials, numbers.Integral) and not isinstance(trials, bool) and trials >= 1):
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     exact = exact_rate_expectations(attack, config.rounds, config.ctrl_prob)
 
     stats = []

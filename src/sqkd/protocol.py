@@ -464,24 +464,31 @@ def _round_draws(rng, rounds: int, ctrl_prob: float):
         u = u[p:]
 
 
-def _sample_table(inst: _Instrument, psi: np.ndarray, out: np.ndarray, ctrl_prob: float, rng):
-    """Outcome codes of the next len(out) stateless rounds on inst, into out.
+def _span_thresholds(inst: _Instrument, psi: np.ndarray) -> tuple[float, float, list[float]]:
+    """Thresholds (x, a, z) of a round on inst that starts and ends with no live probe.
 
-    Every round of the span starts from the fresh probe state psi and leaves
-    no live probe, so its thresholds are read off inst once: a CTRL round
-    reads PLUS when its draw is below x; a SIFT round gives Alice bit 0 below
-    a, then Bob's Z outcome 0 below z[bit] (1.0 for a bit no draw gives).
-    Each is the threshold _collapse would draw against.  Each round takes its
-    draws from _round_draws: the choice, then one (CTRL) or two (SIFT)
-    outcomes.  Each block's codes are written into out as it is drawn.
+    The round starts from the fresh probe state psi: a CTRL round reads PLUS
+    when its draw is below x; a SIFT round gives Alice bit 0 below a, then
+    Bob's Z outcome 0 below z[bit] (1.0 for a bit no draw gives).  Each is
+    the threshold _collapse would draw against.
     """
-    x, _ = _threshold(inst.bob_x, psi)
     a, _ = _threshold(inst.alice, psi)
     # the draw u = bit gives Alice that bit wherever some draw reaches it
     z = [
         _threshold(inst.bob_z[bit], _collapse(inst.alice, psi, bit)[1])[0] if reached else 1.0
         for bit, reached in enumerate((a > 0, a < 1))
     ]
+    return _threshold(inst.bob_x, psi)[0], a, z
+
+
+def _sample_table(thresholds: tuple, out: np.ndarray, ctrl_prob: float, rng):
+    """Outcome codes of the next len(out) stateless rounds, into out.
+
+    Every round draws against the same _span_thresholds (x, a, z), taking its
+    draws from _round_draws: the choice, then one (CTRL) or two (SIFT)
+    outcomes.  Each block's codes are written into out as it is drawn.
+    """
+    x, a, z = thresholds
     i = 0
     for u, starts in _round_draws(rng, len(out), ctrl_prob):
         s = np.array(starts, dtype=np.intp)
@@ -560,8 +567,9 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
 
     A round that starts with no live probe and leaves none behind carries no
     state, and neither do the rounds after it that follow its gate rule
-    (AttackSpec.run_end): _sample_table reads the span's thresholds off its
-    compiled instrument, once per span, and draws every round against them.
+    (AttackSpec.run_end): _sample_table draws the span against the thresholds
+    of its instrument on the fresh probe state, read once per run for each
+    such pair (explicit per-round gates make each round a span of its own).
 
     Every other round carries a live probe.  Its instrument stays fixed from
     the round up to the next live label's last use, within the round's gate
@@ -584,6 +592,7 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
     psi = np.ones(1, dtype=complex)
     materialized: set[str] = set()
     compiled: dict = {}
+    thresholds: dict = {}  # of each table span's key and fresh probe state
     dead_rng = None  # built on first use: most runs never need it
 
     i = 0
@@ -603,8 +612,11 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
             inst = compiled[key] = _compile_round(fwd, bwd, labels, dims)
 
         if fresh and all(last_use[l] <= i for l in labels):
+            span = (key, psi.tobytes())
+            if span not in thresholds:
+                thresholds[span] = _span_thresholds(inst, psi)
             stop = attack.run_end(i, config.rounds)
-            _sample_table(inst, psi, codes[i:stop], config.ctrl_prob, rng)
+            _sample_table(thresholds[span], codes[i:stop], config.ctrl_prob, rng)
         else:
             # rounds of this gate rule before any live label's last use drop
             # nothing, and on these very gates materialize nothing: the

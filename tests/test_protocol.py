@@ -71,6 +71,7 @@ from sqkd.protocol import (
 
 from helpers import (
     dead_probe_entangler_attack,
+    explicit_swap_attack,
     fresh_qutrit_attack,
     patched_swap_attack,
     probe_decoupled_attack,
@@ -703,13 +704,19 @@ def test_sift_equivalence_rejects_uncapped_rounds():
 
 
 @pytest.mark.parametrize(
-    "attack, trials", [(identity_attack(), -3), (phase_probe_attack(0.5), 0)]
+    "attack, trials",
+    [
+        (identity_attack(), -3),
+        (phase_probe_attack(0.5), 0),
+        (identity_attack(), 2.5),
+        (identity_attack(), True),
+    ],
 )
 def test_sift_equivalence_refuses_fewer_than_one_trial(monkeypatch, attack, trials):
     # refused before the exact side enumerates anything or a trial runs
     monkeypatch.setattr(analysis, "exact_rate_expectations", mock.Mock(side_effect=AssertionError))
     monkeypatch.setattr(analysis, "run_protocol", mock.Mock(side_effect=AssertionError))
-    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}$"):
+    with pytest.raises(ValueError, match=f"trials must be an int >= 1, got {trials!r}$"):
         sift_equivalence_check(ProtocolConfig(rounds=3), attack, trials=trials)
 
 
@@ -1089,14 +1096,7 @@ def test_a_table_span_reads_its_thresholds_once(monkeypatch):
     # one stateless span of 200,000 rounds, drawn over 13 blocks, compiles one
     # instrument and reads 6 thresholds off it whatever the block count: x, a,
     # and each z[bit] after the _collapse that reaches its bit
-    calls = {"_compile_round": 0, "_threshold": 0}
-    for name in calls:
-
-        def counted(*args, _name=name, _wrapped=getattr(protocol, name)):
-            calls[_name] += 1
-            return _wrapped(*args)
-
-        monkeypatch.setattr(protocol, name, counted)
+    calls = _count_calls(monkeypatch, "_compile_round", "_threshold")
     blocks = []
     round_draws = protocol._round_draws
 
@@ -1109,6 +1109,29 @@ def test_a_table_span_reads_its_thresholds_once(monkeypatch):
     run_protocol(ProtocolConfig(rounds=200_000, seed=5), swap_attack(200_000))
     assert sum(blocks) == 200_000 and len(blocks) == 13
     assert calls == {"_compile_round": 1, "_threshold": 6}
+
+
+def test_one_round_table_spans_of_one_shape_share_their_thresholds(monkeypatch):
+    # explicit per-round gates make each round a table span of its own, on
+    # the same instrument and fresh probe state: the 6 thresholds are read once
+    calls = _count_calls(monkeypatch, "_compile_round", "_threshold")
+    spans = _count_calls(monkeypatch, "_sample_table")
+    run_protocol(ProtocolConfig(rounds=500, seed=5), explicit_swap_attack(500))
+    assert spans == {"_sample_table": 500}
+    assert calls == {"_compile_round": 1, "_threshold": 6}
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named protocol function to count its calls; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _name=name, _wrapped=getattr(protocol, name)):
+            calls[_name] += 1
+            return _wrapped(*args)
+
+        monkeypatch.setattr(protocol, name, counted)
+    return calls
 
 
 def _compiled_arrays(fwd, bwd, labels, dims):
