@@ -1,11 +1,13 @@
 """Batch front end: run simulations, verify attacks, scan parameter grids.
 
 Exit codes: 0 success, 1 usage/config error, 2 eavesdropper detected
-(protocol aborted), 3 robustness verdict failed.
+(protocol aborted), 3 robustness verdict failed.  A command line argparse
+refuses exits 1 as well, after its message; --help exits 0.
 """
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -179,7 +181,9 @@ def _parse_params(pairs) -> dict:
     return params
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="sqkd",
         description="Simulate the reflect-or-measure key distribution protocol "
@@ -212,7 +216,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; 2 would read as "eavesdropper detected"
+        return 1 if exc.code else 0
     try:
         if args.command == "run":
             return cmd_run(args.config, args.out)

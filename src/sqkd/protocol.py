@@ -465,9 +465,10 @@ def _round_draws(rng, rounds: int, ctrl_prob: float):
 
 
 def _span_thresholds(inst: _Instrument, psi: np.ndarray) -> tuple[float, float, list[float]]:
-    """Thresholds (x, a, z) of a round on inst that starts and ends with no live probe.
+    """Thresholds (x, a, z) of a table round on inst, which leaves the live probe alone.
 
-    The round starts from the fresh probe state psi: a CTRL round reads PLUS
+    The round acts on the fresh state psi of the probes it brings in, all of
+    which die at that round: a CTRL round reads PLUS
     when its draw is below x; a SIFT round gives Alice bit 0 below a, then
     Bob's Z outcome 0 below z[bit] (1.0 for a bit no draw gives).  Each is
     the threshold _collapse would draw against.
@@ -482,7 +483,7 @@ def _span_thresholds(inst: _Instrument, psi: np.ndarray) -> tuple[float, float, 
 
 
 def _sample_table(thresholds: tuple, out: np.ndarray, ctrl_prob: float, rng):
-    """Outcome codes of the next len(out) stateless rounds, into out.
+    """Outcome codes of the next len(out) table rounds, into out.
 
     Every round draws against the same _span_thresholds (x, a, z), taking its
     draws from _round_draws: the choice, then one (CTRL) or two (SIFT)
@@ -554,36 +555,50 @@ def _measure_out(psi, dims, pos, rng) -> np.ndarray:
     return rest / np.linalg.norm(rest)
 
 
+def _tensor(psi, labels: list, dims: list, factors):
+    """psi ⊗ each factor in turn, with the labels and dims of the product."""
+    for factor in factors:
+        psi = np.outer(psi, factor.amps).reshape(-1)
+        labels = [*labels, *factor.layout.labels]
+        dims = [*dims, *factor.layout.dims]
+    return psi, labels, dims
+
+
 def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript:
-    """Sample each round from a compiled instrument on Eve's live probe.
+    """Sample each round from a compiled instrument on Eve's probes.
 
     Only the live probe persists between rounds, as a raw vector over labels
     and dims.  Each distinct round shape (the two gates' unitary entries and
-    target positions, and the live dims) is compiled once into an
+    target positions, and the dims they act on) is compiled once into an
     _Instrument.  Probes past their last use are dropped after the span of
     rounds that used them last: all at once when no live label remains, and
     otherwise by measuring each in Z with draws from its own substream, which
     no later round can notice since nothing acts on it again.
 
-    A round that starts with no live probe and leaves none behind carries no
-    state, and neither do the rounds after it that follow its gate rule
-    (AttackSpec.run_end): _sample_table draws the span against the thresholds
-    of its instrument on the fresh probe state, read once per run for each
-    such pair (explicit per-round gates make each round a span of its own).
+    A table round's gates target no live label, and every label it brings in
+    dies at that round.  It acts on its new probes alone, which start in
+    their fresh product state, and leaves the live probe as it was; so do the
+    rounds after it that follow its gate rule (AttackSpec.run_end), none of
+    which touches a live label either.  _sample_table draws that span against
+    the thresholds of the round's instrument on the new probes' state, read
+    once per run for each such pair (explicit per-round gates make each
+    round a span of its own).  A round between two uses of a persistent
+    probe, as in cnot_parity's window, is a table round on no probe at all.
 
-    Every other round carries a live probe.  Its instrument stays fixed from
-    the round up to the next live label's last use, within the round's gate
-    rule, and _sample_live draws that span in one loop; a round after which
-    some label is dropped is a span of its own.  Neither sampler ever draws
-    past its span, so the rng ends where single draws would.
+    Every other round acts on the live probe.  Its instrument stays fixed
+    from the round up to the next live label's last use, within the round's
+    gate rule, and _sample_live draws that span in one loop; a round after
+    which some label is dropped is a span of its own.  Neither sampler ever
+    draws past its span, so the rng ends where single draws would.
 
     A round's draws, weights and outcome_threshold snap are engine.measure's,
-    so its outcomes are those of the dense engine; a span on a live probe of
-    dim 2 sums on Python scalars instead of BLAS, and could differ only where
-    a draw lands within about 1e-16 of a threshold.  A dead probe's Z outcome
-    follows another rule (_measure_out): one draw from stream 3, located by
-    searchsorted in its cumulative weights at rng.random() * weights[-1], for
-    any dim and with no snap.
+    so its outcomes are those of the dense engine, except where a draw lands
+    within about 1e-16 of a threshold: a span on a live probe of dim 2 sums
+    on Python scalars instead of BLAS, and a table round reads its thresholds
+    off the fresh state rather than the renormalised joint one.  A dead
+    probe's Z outcome follows another rule (_measure_out): one draw from
+    stream 3, located by searchsorted in its cumulative weights at
+    rng.random() * weights[-1], for any dim and with no snap.
     """
     codes = np.empty(config.rounds, dtype=np.int8)
     last_use: dict[str, int] = {}  # of each materialized probe label
@@ -597,24 +612,28 @@ def _run_sampling(config: ProtocolConfig, attack: AttackSpec, rng) -> Transcript
 
     i = 0
     while i < config.rounds:
-        fresh = not labels
-        for factor in _new_factors(attack, i, materialized):
-            psi = np.outer(psi, factor.amps).reshape(-1)  # psi ⊗ factor
-            labels += factor.layout.labels
-            dims += factor.layout.dims
-            last_use.update((l, attack.last_use(l, config.rounds)) for l in factor.layout.labels)
         fwd, bwd = attack.forward_gate(i), attack.backward_gate(i)
-        positions = {label: k + 1 for k, label in enumerate(labels)}
+        factors = list(_new_factors(attack, i, materialized))
+        new = [l for factor in factors for l in factor.layout.labels]
+        last_use.update((l, attack.last_use(l, config.rounds)) for l in new)
+        targets = {t for g in (fwd, bwd) if g is not None for t in g.targets}
+        table = targets.isdisjoint(labels) and all(last_use[l] <= i for l in new)
+        if table:
+            state, on_labels, on_dims = _tensor(np.ones(1, dtype=complex), [], [], factors)
+        else:
+            psi, labels, dims = _tensor(psi, labels, dims, factors)
+            state, on_labels, on_dims = psi, labels, dims
+        positions = {label: k + 1 for k, label in enumerate(on_labels)}
         positions[TRANSIT] = 0
-        key = (_gate_key(fwd, positions), _gate_key(bwd, positions), tuple(dims))
+        key = (_gate_key(fwd, positions), _gate_key(bwd, positions), tuple(on_dims))
         inst = compiled.get(key)
         if inst is None:
-            inst = compiled[key] = _compile_round(fwd, bwd, labels, dims)
+            inst = compiled[key] = _compile_round(fwd, bwd, on_labels, on_dims)
 
-        if fresh and all(last_use[l] <= i for l in labels):
-            span = (key, psi.tobytes())
+        if table:
+            span = (key, state.tobytes())
             if span not in thresholds:
-                thresholds[span] = _span_thresholds(inst, psi)
+                thresholds[span] = _span_thresholds(inst, state)
             stop = attack.run_end(i, config.rounds)
             _sample_table(thresholds[span], codes[i:stop], config.ctrl_prob, rng)
         else:

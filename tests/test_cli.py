@@ -326,6 +326,59 @@ def test_check_rejects_checks_it_cannot_honour(capsys):
         assert "error:" in captured.err
 
 
+USAGE_ERRORS = {
+    "check": "the following arguments are required: --attack",
+    "bogus": "invalid choice: 'bogus'",
+    "check --attack identity --max-pattern-len abc": "invalid int value: 'abc'",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE_ERRORS))
+def test_usage_errors_return_one_with_argparse_message(argv, capsys):
+    # exit 2 means "eavesdropper detected", so a refused command line is a
+    # usage error (1), returned rather than raised
+    assert cli.main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: sqkd" in captured.err
+    assert USAGE_ERRORS[argv] in captured.err
+
+
+def test_help_returns_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "usage: sqkd" in capsys.readouterr().out
+
+
+def test_usage_error_exits_one_from_the_module():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "sqkd.cli", "check"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert USAGE_ERRORS["check"] in run.stderr
+
+
+def test_the_shared_parser_keeps_no_state_between_commands(capsys):
+    # one parser serves every call of a process: a parameter, or an option
+    # value, given to one command must not reach the next
+    cli._build_parser.cache_clear()
+    argv = ["check", "--attack", "phase_probe", "--param", "theta=0.5", "--eps", "0.25"]
+    assert cli.main([*argv, "--max-pattern-len", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["eps"] == 0.25
+    assert cli.main(["check", "--attack", "phase_probe", "--max-pattern-len", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "requires a theta parameter" in captured.err
+    assert cli.main(["check", "--attack", "identity", "--max-pattern-len", "1"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["eps"] == 1e-9 and verdict["params"] == {}
+    assert cli._build_parser.cache_info().misses == 1
+
+
 # ---------------------------------------------------------------------------
 # On-disk format, pinned byte for byte
 # ---------------------------------------------------------------------------

@@ -881,9 +881,10 @@ def test_live_probe_rounds_match_dense_reference(
     seed, dim, legs, window, real, ctrl_prob, rounds, block, data
 ):
     # a persistent probe under default gates is live from round 0 to the
-    # last round, a window of gateless rounds carries it from r0 to r1, and
-    # every round up to its last use takes the live loop; a real instrument
-    # of dim 2 steps on floats
+    # last round, and a window carries it from r0 to r1; the live loop takes
+    # exactly the rounds whose gates touch the probe, since the window's
+    # gateless rounds leave it alone and are drawn from the table; a real
+    # instrument of dim 2 steps on floats
     rng = np.random.default_rng(seed)
     if window and rounds >= 2:
         pair = st.lists(st.integers(0, rounds - 1), min_size=2, max_size=2, unique=True)
@@ -891,17 +892,31 @@ def test_live_probe_rounds_match_dense_reference(
         att = _haar_probe_attack(
             rng, dim, forward=(r0, r1), backward=(r1,), default_legs="", real=real
         )
-        live_rounds = r1 - r0
+        live_rounds = 2
     else:
         att = _haar_probe_attack(rng, dim, default_legs=legs, real=real)
-        live_rounds = rounds - 1
+        # a probe of a one-round run dies at its first use: a table round
+        live_rounds = rounds if rounds > 1 else 0
     cfg = ProtocolConfig(rounds=rounds, ctrl_prob=ctrl_prob, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol, "_BLOCK", block)
         spans = _live_spans(mp)
         recs = records(run_protocol(cfg, att))
     assert recs == reference_sampling(cfg, att)
-    assert sum(end - first for first, end in spans) == (live_rounds + 1 if live_rounds else 0)
+    assert sum(end - first for first, end in spans) == live_rounds
+
+
+def test_the_live_loop_takes_only_rounds_that_touch_the_probe(monkeypatch):
+    # cnot_parity's probe sits out the 4999 gateless rounds of its window,
+    # while phase_probe's default gate touches it every round: one span up
+    # to its last use, and that round, after which it is dropped, on its own
+    spans = _live_spans(monkeypatch)
+    cfg = ProtocolConfig(rounds=10**4, seed=2024)
+    run_protocol(cfg, cnot_parity_attack((2500, 7500)))
+    assert spans == [(2500, 2501), (7500, 7501)]
+    spans.clear()
+    run_protocol(cfg, phase_probe_attack(0.9))
+    assert spans == [(0, 10**4 - 1), (10**4 - 1, 10**4)]
 
 
 @settings(max_examples=80, deadline=None)
