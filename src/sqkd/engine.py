@@ -415,45 +415,82 @@ def project(psi, target: str, basis_state: int) -> SubnormalizedVector:
     return SubnormalizedVector(psi.layout, out.ravel(order="K"))
 
 
+def _half(t: np.ndarray, axis: int, k: int, basis: str) -> np.ndarray:
+    """Outcome k's half of qubit axis `axis` of t, as a new contiguous array.
+
+    In Z it is slice k of that axis.  In X it is row k of _H applied on that
+    axis.  When the columns after the axis number a multiple of _GEMM_GRAIN
+    and no fewer than the leading indices, each leading index's (2, cols)
+    slice is multiplied where it lies: one matmul takes as many leading
+    indices as fit in _BLOCK_COLUMNS columns (rounded down to the grain), or
+    one index's columns cut to that width.  Otherwise, where that would take
+    many small products, they go over the blocks _blocks walks on the
+    axis-first view, gathering a block when the axis is not first.  Every
+    cut falls on a multiple of _GEMM_GRAIN columns, so every entry has the
+    bits of the full product's.
+    """
+    if basis == "z":
+        return t[(slice(None),) * axis + (k,)].copy()
+    shape = t.shape[:axis] + t.shape[axis + 1 :]
+    out = np.empty(shape, dtype=complex)
+    lead = math.prod(t.shape[:axis])
+    cols = out.size // lead
+    if cols % _GEMM_GRAIN == 0 and cols >= lead:
+        src, dst = t.reshape(lead, 2, cols), out.reshape(lead, cols)
+        step = max(_BLOCK_COLUMNS - _BLOCK_COLUMNS % _GEMM_GRAIN, _GEMM_GRAIN)
+        group = max(step // cols, 1)
+        for i in range(0, lead, group):
+            for c in range(0, cols, step):
+                dst[i : i + group, c : c + step] = (_H @ src[i : i + group, :, c : c + step])[:, k]
+        return out
+    src = t.transpose(axis, *range(axis), *range(axis + 1, t.ndim))
+    for index in _blocks(src, 1):
+        block = src[index]
+        out[index[1:]] = (_H @ block.reshape(2, -1))[k].reshape(block.shape[1:])
+    return out
+
+
+def _measure_raw(t: np.ndarray, axis: int, basis: str, w: float, rng: np.random.Generator):
+    """Measure qubit axis `axis` of an unnormalized amplitude tensor t in Z or X and drop it.
+
+    w is t's squared norm.  Returns (idx, prob, half, w_half): outcome idx
+    (0 for |0> or |+>) and its probability, drawn by draw_outcome against
+    _weight(outcome 0's half) / w; the kept half, t without the axis, not
+    renormalized; and its squared norm (_weight).  Beside t, only one half is
+    held at a time: outcome 0's is built first, since its weight needs it,
+    and outcome 1's only when drawn, after the first is released.  Raises
+    InvalidState when the kept half has zero weight.
+    """
+    half = _half(t, axis, 0, basis)
+    w_half = _weight(half)
+    idx, prob = draw_outcome(w_half / w, rng)
+    if idx:
+        del half
+        half = _half(t, axis, 1, basis)
+        w_half = _weight(half)
+    if w_half <= 0:
+        raise InvalidState("cannot keep a zero-weight branch")
+    return idx, prob, half, w_half
+
+
 def measure_out(psi: StateVector, target: str, basis: str, rng: np.random.Generator):
     """Projectively measure a qubit subsystem in the Z or X basis and drop it.
 
     Returns (outcome, rest, prob) where outcome is 0/1 for Z and
     "plus"/"minus" for X, rest is the renormalized state of the other
     subsystems, in layout order, and prob is the Born probability of the
-    reported outcome, drawn by draw_outcome.  Beside psi, only one half is
-    held at a time: outcome 0's half is built first, since its weight needs
-    it, and outcome 1's only when drawn, after the first is released.  In Z
-    a half is copied out of the target-first view of psi; in X it is row k
-    of _H on that view, taken block by block over the walk apply_on_axes
-    uses, so every entry has the bits of the full product's.
+    reported outcome.  The measurement is _measure_raw's on psi's amplitudes
+    at squared norm 1.0, so its draw is draw_outcome on outcome 0's weight
+    itself; the kept half is then divided by its norm (np.vdot).
     """
     basis = basis.lower()
     if basis not in ("z", "x"):
         raise ValueError(f"basis must be 'z' or 'x', got {basis!r}")
     if psi.layout.dim_of(target) != 2:
         raise NonQubitTarget(f"target {target!r} has dimension != 2")
-    src = _front(psi, [target])
-
-    def half(k: int) -> np.ndarray:
-        if basis == "z":
-            return src[k].copy()
-        out = np.empty(src.shape[1:], dtype=complex)
-        for index in _blocks(src, 1):
-            block = src[index]
-            out[index[1:]] = (_H @ block.reshape(2, -1))[k].reshape(block.shape[1:])
-        return out
-
-    rest = half(0)
-    idx, prob = draw_outcome(_weight(rest), rng)
-    if idx:
-        del rest
-        rest = half(1)
-    w = float(np.vdot(rest, rest).real)
-    if w <= 0:
-        raise InvalidState("cannot normalize a zero-weight branch")
-    rest /= math.sqrt(w)
     pos = psi.layout.index(target)
+    idx, prob, rest, _ = _measure_raw(psi.tensor_view(), pos, basis, 1.0, rng)
+    rest /= math.sqrt(float(np.vdot(rest, rest).real))
     layout = SubsystemLayout(
         psi.layout.dims[:pos] + psi.layout.dims[pos + 1 :],
         psi.layout.labels[:pos] + psi.layout.labels[pos + 1 :],

@@ -41,12 +41,12 @@ from .engine import (
     StateVector,
     SubsystemLayout,
     TRANSIT,
+    _measure_raw,
     alice_probe,
     apply_on_axes,
     bob_memory,
     hadamard,
     ket_plus,
-    measure_out,
     outcome_threshold,
 )
 from .errors import (
@@ -436,29 +436,61 @@ def _pair_collapse(kraus: list, psi: tuple, u: float) -> tuple[int, tuple]:
 _BLOCK = 1 << 16
 
 
+def _start_table() -> tuple[list, np.ndarray]:
+    """Round starts within one byte of draws, as _round_draws packs them.
+
+    Bit j of a byte, most significant first as np.packbits packs, is set when
+    draw j is a SIFT choice (3 draws) and clear for CTRL (2 draws).  For each
+    byte and the offset entry (0, 1 or 2) of the first round start in it,
+    exits[byte][entry] is the offset of the first start in the next byte,
+    and masks[byte, entry] holds the byte's starts as bits in the same order.
+    """
+    exits, masks = [], []
+    for byte in range(256):
+        exits.append([])
+        masks.append([])
+        for entry in range(3):
+            p, mask = entry, 0
+            while p < 8:
+                mask |= 0x80 >> p
+                p += 2 + (byte >> (7 - p) & 1)
+            exits[-1].append(p - 8)
+            masks[-1].append(mask)
+    return exits, np.array(masks, dtype=np.uint8)
+
+
+_START_EXITS, _START_MASKS = _start_table()
+
+
 def _round_draws(rng, rounds: int, ctrl_prob: float):
     """Stream 0 for the next rounds, in blocks cut at round boundaries.
 
     Yields (u, starts): the draws of whole rounds, and the index in u of each
-    round's choice draw.  A CTRL round takes 2 draws and a SIFT round 3, known
-    only once its choice is drawn; a round split across blocks is carried
-    into the next.  Each block draws at most _BLOCK doubles, and never more
-    than the rounds left take at the least, so the rng ends where single
-    draws would.
+    round's choice draw, as an intp array.  A CTRL round takes 2 draws and a
+    SIFT round 3, known only once its choice is drawn; a round split across
+    blocks is carried into the next.  Each block draws at most _BLOCK
+    doubles, and never more than the rounds left take at the least, so the
+    rng ends where single draws would.  The starts are found a byte of draws
+    at a time: the SIFT bits are packed, and the offset of the first start in
+    each byte is carried through _START_EXITS, whose _START_MASKS bits are
+    the starts.
     """
     u = np.empty(0)  # draws of a round not yet complete
     while rounds:
         least = 2 * rounds + int(len(u) > 0 and u[0] >= ctrl_prob)
         u = np.concatenate([u, rng.random(min(least - len(u), _BLOCK))])
-        is_ctrl = (u < ctrl_prob).tolist()
-        starts = []
-        p = 0
-        while p < len(u):
-            starts.append(p)
-            p += 2 if is_ctrl[p] else 3
+        sift = u >= ctrl_prob
+        packed = np.packbits(sift)
+        entries, entry = [], 0
+        for byte in packed.tolist():
+            entries.append(entry)
+            entry = _START_EXITS[byte][entry]
+        starts = np.flatnonzero(np.unpackbits(_START_MASKS[packed, entries])[: len(u)])
+        last = int(starts[-1])
+        p = last + 2 + int(sift[last])
         if p > len(u):
-            p = starts.pop()
-        if starts:
+            p, starts = last, starts[:-1]
+        if len(starts):
             yield u[:p], starts
             rounds -= len(starts)
         u = u[p:]
@@ -491,8 +523,7 @@ def _sample_table(thresholds: tuple, out: np.ndarray, ctrl_prob: float, rng):
     """
     x, a, z = thresholds
     i = 0
-    for u, starts in _round_draws(rng, len(out), ctrl_prob):
-        s = np.array(starts, dtype=np.intp)
+    for u, s in _round_draws(rng, len(out), ctrl_prob):
         second, third = u[s + 1], u[np.minimum(s + 2, len(u) - 1)]
         bit = second >= a
         sift = 2 + 2 * bit + (third >= np.where(bit, z[1], z[0]))
@@ -527,7 +558,7 @@ def _sample_live(inst: _Instrument, psi, first: int, end: int, ctrl_prob: float,
     r = first
     for block, starts in _round_draws(rng, end - first, ctrl_prob):
         u = block.tolist()
-        for p in starts:
+        for p in starts.tolist():
             if u[p] < ctrl_prob:
                 code, psi = step(bob_x, psi, u[p + 1])
             else:
@@ -732,10 +763,15 @@ def classical_phase(transcript: Transcript, rng: np.random.Generator | None = No
     stream the transcript header's seed reproduces.  In exact mode the stored
     qubits are measured now, in round order: Bob's memory in the X basis for
     a CTRL round, Alice's probe and then Bob's memory in the Z basis for a
-    SIFT round.  Each qubit is measured out of the state (engine.measure_out),
-    so the state halves with every measurement; the transcript's final_state
-    is set to None before the first one, so each state is freed once the next
-    is measured out of it.  SIFT rounds are then partitioned into TEST
+    SIFT round.  Each qubit is measured out of one raw amplitude buffer by
+    engine._measure_raw, the step engine.measure_out wraps: the buffer and its
+    squared norm, 1.0 for the final state, go from each measurement to the
+    next, so the state halves with every measurement and is never
+    renormalized or wrapped in a StateVector.  The codes are those of a chain
+    of measure_out calls except where a draw lands within about 1e-16 of a
+    threshold.  The transcript's final_state is set to None before the first
+    measurement, so each buffer is freed once the next is measured out of
+    it.  SIFT rounds are then partitioned into TEST
     (test_fraction, drawn uniformly without replacement) and Key.  The
     transcript's codes are completed and its Test rounds marked in place; the
     returned stats, run_stats of the transcript, alone are what the parties
@@ -751,15 +787,23 @@ def classical_phase(transcript: Transcript, rng: np.random.Generator | None = No
     if config.mode == MODE_EXACT:
         if transcript.final_state is None:
             raise IncompleteTranscript("exact-mode transcript lacks its final state")
-        state, transcript.final_state = transcript.final_state, None
+        labels = list(transcript.final_state.layout.labels)
+        t, w = transcript.final_state.tensor_view(), 1.0
+        transcript.final_state = None
+
+        def measured(label: str, basis: str) -> int:
+            nonlocal t, w
+            axis = labels.index(label)
+            del labels[axis]
+            idx, _, t, w = _measure_raw(t, axis, basis, w, rng)
+            return idx
+
         for i, code in enumerate(codes.tolist()):
             if code < 2:
-                outcome, state, _ = measure_out(state, bob_memory(i), "x", rng)
-                codes[i] = outcome == MINUS
+                codes[i] = measured(bob_memory(i), "x")
             else:
-                bit, state, _ = measure_out(state, alice_probe(i), "z", rng)
-                z, state, _ = measure_out(state, bob_memory(i), "z", rng)
-                codes[i] = 2 + 2 * bit + z
+                bit = measured(alice_probe(i), "z")
+                codes[i] = 2 + 2 * bit + measured(bob_memory(i), "z")
 
     sift = np.flatnonzero(codes >= 2)
     n_test = int(round(config.test_fraction * len(sift)))

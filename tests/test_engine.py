@@ -403,6 +403,12 @@ def test_measure_out_matches_the_collapsing_oracle(dims, data, basis):
 @example(  # a last target after 9 columns: blocks of 4, 4 and the 1 left over
     dims=[3, 3], pos=2, basis="x", block=2, state_seed=1, seed=0
 )
+@example(  # a middle target read in place: 2 leading indices of 8 columns, in one matmul
+    dims=[2, 2, 2, 2], pos=1, basis="x", block=None, state_seed=2, seed=1
+)
+@example(  # the same, with each leading index's 8 columns cut in two
+    dims=[2, 2, 2, 2], pos=1, basis="x", block=7, state_seed=2, seed=1
+)
 def test_measure_out_matches_the_full_product_oracle(dims, pos, basis, block, state_seed, seed):
     # in X only the kept half of the rotated state is built, block by block
     pos = min(pos, len(dims))

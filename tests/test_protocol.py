@@ -83,6 +83,7 @@ from helpers import (
     reference_write_transcript,
     records,
 )
+from test_outcome_laws import ATTACKS as LAW_ATTACKS
 
 
 def run_with_stats(config, attack):
@@ -468,6 +469,36 @@ def test_x_measurement_builds_only_the_half_it_keeps():
     assert transcript.final_state is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(LAW_ATTACKS)),
+    rounds=st.integers(1, 6),
+    ctrl_prob=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_exact_codes_match_the_measure_out_oracle(name, rounds, ctrl_prob, seed):
+    # the oracle measures through engine.measure_out, renormalizing each
+    # state; classical_phase keeps one raw buffer and its squared norm
+    cfg = ProtocolConfig(rounds=rounds, ctrl_prob=ctrl_prob, seed=seed, mode=MODE_EXACT)
+    transcript = run_protocol(cfg, LAW_ATTACKS[name])
+    recs = records(transcript)
+    want = reference_classical_phase(cfg, recs, transcript.final_state, stream_rng(seed, 1))
+    assert classical_phase(transcript) == want
+    assert records(transcript) == recs
+
+
+def test_exact_classical_phase_builds_no_state_vector(monkeypatch):
+    transcript = run_protocol(ProtocolConfig(rounds=7, seed=0, mode=MODE_EXACT), swap_attack(7))
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    monkeypatch.setattr(StateVector, "__post_init__", refuse)
+    monkeypatch.setattr(SubsystemLayout, "__post_init__", refuse)
+    stats = classical_phase(transcript)
+    assert stats.n_ctrl + stats.n_test + stats.n_key == 7
+
+
 # ---------------------------------------------------------------------------
 # Determinism and serialization
 # ---------------------------------------------------------------------------
@@ -605,6 +636,19 @@ def test_table_sampler_writes_codes_in_place(name):
     # the int8 codes (1 MB) and one block's temporaries; whole-run int64
     # codes alone would take 8 MB
     assert peak <= 8 * 2**20
+
+
+def test_round_starts_keep_a_million_round_quantum_phase_under_4_mib():
+    # the int8 codes (1 MB), one block of draws and the carry beside it, and
+    # the block's starts as one intp array
+    attack = identity_attack()
+    tracemalloc.start()
+    try:
+        run_protocol(ProtocolConfig(rounds=10**6, seed=3), attack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("mode", [MODE_SAMPLING, MODE_EXACT])
@@ -807,7 +851,7 @@ def test_round_draws_cut_single_draws_at_round_boundaries(seed, ctrl_prob, round
         mp.setattr(protocol, "_BLOCK", block)
         for u, starts in protocol._round_draws(rng, rounds, ctrl_prob):
             assert len(u) <= block + 2  # a block plus the draws a split round carried
-            got += [u[p:q].tolist() for p, q in zip(starts, starts[1:] + [len(u)])]
+            got += [u[p:q].tolist() for p, q in zip(starts, [*starts[1:], len(u)])]
     # each round drawn alone: its choice, then one outcome (CTRL) or two (SIFT)
     single = np.random.default_rng(seed)
     want = []
