@@ -220,12 +220,19 @@ class JointEvolution:
     since classical_phase measures Alice's probe on SIFT rounds only.  The
     analysis walk keeps it: its leakage sums run over the whole layout, and
     without the zeros some `sqkd check` outputs move in the last bits.
+
+    Without ctrl_probe, run_round joins a round that touches only its own
+    fresh subsystems to the state as one outer product; with it, every round
+    is evolved over the whole state, since the walk's outputs read the bits
+    that order of products leaves.
     """
 
     def __init__(self, attack: AttackSpec, ctrl_probe: bool = True):
         self.attack = attack
         self.ctrl_probe = ctrl_probe
         self.state = StateVector(SubsystemLayout((), ()), np.ones(1, dtype=complex))
+        # an exact run's own-subsystem rounds, run from the empty state, by shape
+        self._own_rounds = None if ctrl_probe else {}
 
     def clone(self) -> "JointEvolution":
         other = JointEvolution(self.attack, self.ctrl_probe)
@@ -293,8 +300,56 @@ class JointEvolution:
         self.state = StateVector(layout, out.reshape(-1))
 
     def run_round(self, i: int, choice: str):
-        self.start_round(i)
-        self.finish_round(i, choice)
+        """start_round, then finish_round; without ctrl_probe, as ψ ⊗ w where it can.
+
+        A round whose gates target no label the state holds acts only on its
+        transit and the factors it brings in.  Without ctrl_probe such a round
+        is run from the empty state (|+> ⊗ its new factors, F, Alice's choice,
+        V), and the w it leaves is joined to ψ with one np.multiply.outer, so F
+        and V never pass over ψ.  The layout is the dense path's, [..., B_i,
+        new labels..., A_i]; the amplitudes differ from it only in rounding,
+        since ψ's entries multiply w after F and V.  w is kept for the run,
+        keyed by both gates on [T, new labels], the new factors and the
+        choice, so a template attack builds it once per choice; while ψ is
+        still empty the round runs in place, and its state is w.  The analysis
+        walk (ctrl_probe) keeps the dense path: the pinned `sqkd check`
+        outputs read the last bits it leaves.
+        """
+        own = None if self._own_rounds is None else self._own_round(i, choice)
+        if own is None:
+            self.start_round(i)
+            self.finish_round(i, choice)
+            return
+        key, labels = own
+        psi, w = self.state, self._own_rounds.get(key)
+        if w is None:
+            # from the empty state: when ψ is empty, the round itself is w
+            round_ = JointEvolution(self.attack, self.ctrl_probe) if psi.layout.labels else self
+            round_.start_round(i)
+            round_.finish_round(i, choice)
+            w = self._own_rounds[key] = round_.state
+            if round_ is self:
+                return
+        self.state = StateVector(
+            SubsystemLayout(psi.layout.dims + w.layout.dims, psi.layout.labels + labels),
+            np.multiply.outer(psi.amps, w.amps),
+        )
+
+    def _own_round(self, i: int, choice: str):
+        """Round i's key and labels when its gates target no label the state holds, else None."""
+        held = self.state.layout.labels
+        gates = (self.attack.forward_gate(i), self.attack.backward_gate(i))
+        if any(t in held for g in gates if g is not None for t in g.targets):
+            return None
+        factors = list(_new_factors(self.attack, i, set()))  # the gates touch no held label
+        labels = tuple(l for f in factors for l in f.layout.labels)
+        positions = {l: k for k, l in enumerate((TRANSIT, *labels))}
+        key = (
+            tuple(_gate_key(g, positions) for g in gates),
+            tuple((f.layout.dims, f.amps.tobytes()) for f in factors),
+            choice,
+        )
+        return key, (bob_memory(i), *labels) + (() if choice == CTRL else (alice_probe(i),))
 
 
 def exact_state_dim(attack: AttackSpec, n_rounds: int) -> int:

@@ -17,6 +17,7 @@ from sqkd.attacks import (
     ATTACK_NAMES,
     AttackSpec,
     Gate,
+    RoundTemplate,
     build_attack,
     cnot_parity_attack,
     identity_attack,
@@ -315,6 +316,42 @@ def test_exact_quantum_phase_holds_one_and_a_half_final_states():
     assert peak < 1.6 * transcript.final_state.amps.nbytes
 
 
+# every round of these touches only its transit and the probe it brings in
+OWN_ROUND_ATTACKS = [swap_attack(7), measure_resend_z_attack(7)]
+
+
+@pytest.mark.parametrize("attack", OWN_ROUND_ATTACKS, ids=lambda a: a.name)
+def test_exact_own_subsystem_rounds_apply_gates_to_the_round_alone(attack, monkeypatch):
+    # the round is run once from the empty state, at most 8 amplitudes, and
+    # joined to the state by one outer product; the dense path reaches 2^20
+    sizes = []
+    apply = protocol.apply_on_axes
+
+    def recorded(t, *args, **kwargs):
+        sizes.append(t.size)
+        return apply(t, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "apply_on_axes", recorded)
+    cfg = ProtocolConfig(rounds=7, ctrl_prob=0.0, seed=0, mode=MODE_EXACT)
+    run_protocol(cfg, attack)
+    # F, then V on each of Alice's two halves, for the one round shape
+    assert 1 <= len(sizes) <= 3
+    assert max(sizes) <= 8
+
+
+@pytest.mark.parametrize("attack", OWN_ROUND_ATTACKS, ids=lambda a: a.name)
+def test_exact_own_subsystem_rounds_hold_under_1_2_final_states(attack):
+    # the last round holds its input, an eighth of the final state, and the product
+    cfg = ProtocolConfig(rounds=7, ctrl_prob=0.0, seed=0, mode=MODE_EXACT)
+    tracemalloc.start()
+    try:
+        transcript = run_protocol(cfg, attack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * transcript.final_state.amps.nbytes
+
+
 def haar_legs_attack(dim, backward):
     """Haar gates on (T, E0): on the forward leg, and on the backward leg when asked."""
     rng = np.random.default_rng(dim)
@@ -333,6 +370,45 @@ def haar_legs_attack(dim, backward):
 
 
 COMPACT_ROUNDS = 5
+
+
+def backward_template_attack(dim):
+    """A Haar template on the backward leg alone: V brings each round's probe in."""
+    rng = np.random.default_rng(10 + dim)
+    probe = random_state(SubsystemLayout((dim,), ("E0",)), rng)
+    return AttackSpec(
+        name=f"backward_template_{dim}",
+        probe_dims=(dim,) * COMPACT_ROUNDS,
+        template=RoundTemplate(probe, backward=random_unitary(2 * dim, rng)),
+    )
+
+
+def shared_gates_attack():
+    """One Haar gate pair on (T, E_i) at every round i, each probe in its own Haar state."""
+    rng = np.random.default_rng(11)
+    fwd, bwd = random_unitary(4, rng), random_unitary(4, rng)
+    labels = [f"E{i}" for i in range(COMPACT_ROUNDS)]
+    return AttackSpec(
+        name="shared_gates",
+        probe_dims=(2,) * COMPACT_ROUNDS,
+        probe_factors=tuple(random_state(SubsystemLayout((2,), (l,)), rng) for l in labels),
+        forward={i: Gate(fwd, ("T", l)) for i, l in enumerate(labels)},
+        backward={i: Gate(bwd, ("T", l)) for i, l in enumerate(labels)},
+    )
+
+
+def transit_only_attack():
+    """Haar gates on ("T",) alone, on both legs: no round brings a probe in."""
+    rng = np.random.default_rng(12)
+    return AttackSpec(
+        name="transit_only",
+        probe_dims=(1,),
+        probe_factors=(single("E0", [1]),),
+        default_forward=Gate(random_unitary(2, rng), ("T",)),
+        default_backward=Gate(random_unitary(2, rng), ("T",)),
+    )
+
+
 COMPACT_ATTACKS = [
     identity_attack(),
     cnot_parity_attack(),
@@ -340,6 +416,10 @@ COMPACT_ATTACKS = [
     swap_attack(COMPACT_ROUNDS),
     phase_probe_attack(0.9),
     *(haar_legs_attack(dim, backward) for dim in (1, 2, 3, 4) for backward in (True, False)),
+    backward_template_attack(2),
+    backward_template_attack(3),
+    shared_gates_attack(),
+    transit_only_attack(),
 ]
 
 
